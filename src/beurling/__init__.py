@@ -18,10 +18,10 @@ from .errors import (BeurlingError, ConfigError, ConstructionError, FitError,
                      GridMismatchError, RangeError)
 from .grid import LogGrid
 from .measure import (Measure, add, apply_log, cancellation_envelope,
-                      convolve, delta_one, exp_star, harmonic_primitive,
-                      invert, load_measure, log_star, mellin, negate,
-                      primitive, relative_gap, save_measure, scale, subtract,
-                      tilt, variation, zero)
+                      convolve, delta_one, exp_star, exp_star_pair,
+                      harmonic_primitive, invert, load_measure, log_star,
+                      mellin, negate, primitive, relative_gap, save_measure,
+                      scale, subtract, tilt, variation, zero)
 from .pipelines import (GrowthDiagnostics, KahaneReport, de_haan_experiment,
                         growth_diagnostics, kahane_pipeline,
                         mellin_alpha_experiment)

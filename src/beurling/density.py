@@ -17,7 +17,9 @@ Grids may extend far past log u = 709, where u itself overflows a double.
 A DensitySpec can therefore carry log_density, the same density as a
 function of t = log u; when present it is used for every evaluation and
 u is never formed.  Without it, cells beyond the overflow point would
-silently see u = inf.
+silently see u = inf.  The cell masses themselves carry e^{(1 - sigma) t},
+so a grid on which that factor overflows is refused before any density is
+evaluated; weight such grids with sigma close enough to 1.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ from scipy.integrate import quad
 
 from .grid import LogGrid
 from .measure import Measure
+
+# np.exp overflows past log(max double) = 709.78
+_LOG_DOUBLE_MAX = 709.0
 
 
 @dataclass(frozen=True)
@@ -60,6 +65,13 @@ def discretize(spec, grid: LogGrid, weight_sigma: float = 0.0) -> Measure:
     coeffs = np.zeros(n)
 
     if spec.density is not None or spec.log_density is not None:
+        growth = 1.0 - weight_sigma
+        if growth * grid.log_end > _LOG_DOUBLE_MAX:
+            first = min(n - 1, int(_LOG_DOUBLE_MAX / (growth * h)) + 1)
+            raise ValueError(
+                f"cell masses overflow a double from cell {first} (log u ~ "
+                f"{first * h:.6g}); discretize with weight_sigma > "
+                f"{1.0 - _LOG_DOUBLE_MAX / grid.log_end:.6g} instead")
         if spec.log_density is not None:
             fl = spec.log_density
 

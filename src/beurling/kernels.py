@@ -6,15 +6,28 @@ algorithms are provided: the O(n^2) weighted-coefficient recurrence (the
 derivation identity L exp* = (L a) * exp* read as a triangular solve) and an
 O(n log n) Newton iteration on top of FFT products.
 
+The Newton iteration doubles the precision of e = exp*(a) each round and
+carries r = 1/e at half that precision alongside (Brent & Kung 1978).  A
+round refines r by one reciprocal step, gets the correction a - log e on
+the new half from ((L a) e) r, and multiplies it into e; the products that
+touch e share one spectrum, and each product is a cyclic FFT of the
+shortest length whose wrap-around misses the coefficients it must deliver
+(Bernstein, "Removing redundancy in high-precision Newton iteration", 2004;
+Hanrot & Zimmermann, "Newton iteration revisited", 2004).  Since
+exp*(-a) = 1/exp*(a), one more reciprocal step at full length turns the
+tracked r into exp*(-a): exp_newton_pair returns both for about the price
+of one exponential.
+
 Conditioning note: the exponential of a signed sequence can be dominated by
 cancellation; relative accuracy is only meaningful when the positive
 envelope exp*(|a|) stays within a few orders of magnitude of the result.
 For the nonnegative inputs arising from prime densities both paths are
 stable, and rapidly growing inputs are handled by an exact exponential
 "tilt" e^{-s k h} that commutes with exp* (it is the algebra homomorphism
-induced by the measure weight u^{-s}).
+induced by the measure weight u^{-s}).  Untilted inputs that grow too fast
+drive the Newton intermediates out of the double range; the result is then
+checked against the a priori envelope bound and refused.
 """
-
 from __future__ import annotations
 
 import math
@@ -25,15 +38,28 @@ from scipy.fft import irfft, next_fast_len, rfft
 _DIRECT_WORK_LIMIT = 1 << 16
 
 
+def _product(x: np.ndarray, y: np.ndarray, lo: int, hi: int, size: int,
+             fy: np.ndarray | None = None):
+    """Coefficients [lo, hi) of the Cauchy product x*y, and the spectrum of y.
+
+    Products with len(x) * len(y) <= _DIRECT_WORK_LIMIT are direct.  Larger
+    ones are cyclic of length size, which the caller picks so that the part
+    of the product wrapped past size misses [lo, hi).  fy, the spectrum
+    rfft(y, size) from an earlier call, is reused when given; the returned
+    spectrum (None on the direct path) can be passed on.
+    """
+    if len(x) * len(y) <= _DIRECT_WORK_LIMIT:
+        return np.convolve(x, y)[lo:hi], fy
+    if fy is None:
+        fy = rfft(y, size)
+    return irfft(rfft(x, size) * fy, size)[lo:hi], fy
+
+
 def mul_trunc(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     """Cauchy product of a and b truncated to m coefficients (length exactly m)."""
     la = min(len(a), m)
     lb = min(len(b), m)
-    if la * lb <= _DIRECT_WORK_LIMIT:
-        full = np.convolve(a[:la], b[:lb])[:m]
-    else:
-        size = next_fast_len(la + lb - 1)
-        full = irfft(rfft(a[:la], size) * rfft(b[:lb], size), size)[:m]
+    full, _ = _product(a[:la], b[:lb], 0, m, next_fast_len(la + lb - 1))
     if len(full) < m:
         full = np.concatenate([full, np.zeros(m - len(full))])
     return full
@@ -77,29 +103,47 @@ def invert_recurrence(a: np.ndarray) -> np.ndarray:
     return b
 
 
-def _exp_newton_monic(a: np.ndarray) -> np.ndarray:
-    # Doubling iteration with a[0] = 0.  Invariant entering each round:
-    # e = exp(a) mod x^m and r = e^{-1} mod x^{ceil(m/2)}; r is refined twice
-    # per round so the logarithm below sees a full-precision reciprocal.
+def _refine_inverse(e: np.ndarray, r: np.ndarray, m: int) -> np.ndarray:
+    # One Newton step r <- r - r (e r - 1), taking r = 1/e mod x^p to
+    # 1/e mod x^m for p = len(r) < m <= 2p.  Since e r = 1 + O(x^p), the
+    # products only need coefficients [p, m) of e r and [0, m - p) of the
+    # correction, and a cyclic length >= m keeps both clear of wrap-around.
+    p = len(r)
+    size = next_fast_len(m)
+    d, fr = _product(e[:m], r, p, m, size)
+    c, _ = _product(d, r, 0, m - p, size, fr)
+    return np.concatenate([r, -c])
+
+
+def _exp_newton_monic(a: np.ndarray):
+    # Newton iteration for a[0] = 0 over the precisions n, ceil(n/2), ...,
+    # 1 taken upwards.  Entering a round m -> m2 <= 2m, e = exp(a) mod x^m
+    # and r = 1/e mod x^ceil(m/2).  The round
+    #   1. refines r to 1/e mod x^m (one reciprocal step);
+    #   2. gets eps = a - log e, which vanishes below m, on [m, m2): with L
+    #      the k-weighting, L e = (L a) e mod x^m, so k eps_k is coefficient
+    #      k of ((L a) e - L e) r and only ((L a) e)[m:m2] and r mod x^m
+    #      enter;
+    #   3. sets e[m:m2] = (e eps)[m:m2], since exp(eps) = 1 + eps mod x^m2.
+    # Steps 2 and 3 share the spectrum of e.  Returns (e, r) with
+    # r = 1/e mod x^ceil(n/2).
     n = len(a)
-    e = np.array([1.0])
-    r = np.array([1.0])
-    m = 1
-    while m < n:
-        m2 = min(2 * m, n)
-        r = 2.0 * np.concatenate([r, np.zeros(m - len(r))]) - mul_trunc(mul_trunc(e, r, m), r, m)
-        r = 2.0 * np.concatenate([r, np.zeros(m2 - len(r))]) - mul_trunc(mul_trunc(e, r, m2), r, m2)
-        de = e * np.arange(len(e))
-        t = mul_trunc(de, r, m2)
-        lg = np.zeros(m2)
-        lg[1:] = t[1:] / np.arange(1, m2)
-        corr = -lg
-        top = min(len(a), m2)
-        corr[:top] += a[:top]
-        corr[0] += 1.0
-        e = mul_trunc(e, corr, m2)
-        m = m2
-    return e
+    la = a * np.arange(n)
+    precisions = [n]
+    while precisions[-1] > 1:
+        precisions.append((precisions[-1] + 1) // 2)
+    e = np.ones(1)
+    r = np.ones(1)
+    for m2 in reversed(precisions[:-1]):
+        m = len(e)
+        if len(r) < m:
+            r = _refine_inverse(e, r, m)
+        size = next_fast_len(m2)
+        q, fe = _product(la[:m2], e, m, m2, size)
+        k_eps, _ = _product(q, r[: m2 - m], 0, m2 - m, size)
+        step, _ = _product(k_eps / np.arange(m, m2), e, 0, m2 - m, size, fe)
+        e = np.concatenate([e, step])
+    return e, r
 
 
 def estimate_tilt(a: np.ndarray, h: float) -> float:
@@ -126,6 +170,39 @@ def estimate_tilt(a: np.ndarray, h: float) -> float:
     return float(min(2.0, max(0.0, slope)))
 
 
+def _finish(e: np.ndarray, a0: float, tilt: float, kh: np.ndarray,
+            log_bound: float) -> np.ndarray:
+    # Scale e = exp*(a'), a' the tilted input with its u = 1 mass a0
+    # removed, back to exp*(a) after two checks on log |exp*(a)_k|.  The
+    # a priori bound |exp*(a)_k| <= e^{kh} exp(log_bound), log_bound =
+    # sum_j |a_j| e^{-jh}, holds because exp*(|a|) dominates exp*(a) and no
+    # coefficient of exp*(|a_j| e^{-jh}) exceeds its total mass.  A result
+    # more than a factor e above it is the garbage of an iteration whose
+    # intermediates left the double range (ValueError); a result within it
+    # that is too large for a double raises OverflowError.
+    with np.errstate(divide="ignore"):
+        log_mag = np.log(np.abs(e)) + (tilt * kh + a0)
+    if float(np.max(log_mag - kh)) > log_bound + 1.0:
+        raise ValueError(
+            "exp* result exceeds its a priori envelope bound: the FFT "
+            "iteration left the double range; use a weighted (tilted) input"
+        )
+    if float(np.max(log_mag)) > 708.0:
+        raise OverflowError(
+            "exp* result exceeds the double range; keep the computation in a "
+            "weighted (tilted) representation instead"
+        )
+    e *= math.exp(a0)
+    if tilt != 0.0:
+        e *= np.exp(tilt * kh)
+    return e
+
+
+def _log_envelope(a: np.ndarray, h: float):
+    kh = h * np.arange(len(a))
+    return kh, float(np.dot(np.abs(a), np.exp(-kh)))
+
+
 def exp_newton(a: np.ndarray, h: float, tilt: float | None = None) -> np.ndarray:
     """exp* via Newton/FFT with an automatic conditioning tilt.
 
@@ -133,28 +210,35 @@ def exp_newton(a: np.ndarray, h: float, tilt: float | None = None) -> np.ndarray
     exactness of the tilt homomorphism makes the round trip free of model
     error.  Signed inputs default to s = 0, nonnegative ones to a slope
     estimate.  Raises OverflowError when the untilted result cannot be
-    represented in double precision.
+    represented in double precision, and ValueError when the result breaks
+    the a priori envelope bound (see _finish).
     """
-    n = len(a)
     if tilt is None:
         tilt = estimate_tilt(a, h) if np.all(a >= 0.0) else 0.0
-    k = np.arange(n)
+    kh, log_bound = _log_envelope(a, h)
     if tilt != 0.0:
-        az = a * np.exp(-tilt * h * k)
+        az = a * np.exp(-tilt * kh)
     else:
         az = a.astype(float, copy=True)
-    a0 = az[0]
+    a0 = float(az[0])
     az[0] = 0.0
-    e = _exp_newton_monic(az)
-    with np.errstate(divide="ignore"):
-        log_mag = np.log(np.abs(e))
-    worst = float(np.max(log_mag + tilt * h * k) + a0)
-    if worst > 708.0:
-        raise OverflowError(
-            "exp* result exceeds the double range; keep the computation in a "
-            "weighted (tilted) representation instead"
-        )
-    e *= math.exp(a0)
-    if tilt != 0.0:
-        e *= np.exp(tilt * h * k)
-    return e
+    e, _ = _exp_newton_monic(az)
+    return _finish(e, a0, tilt, kh, log_bound)
+
+
+def exp_newton_pair(a: np.ndarray, h: float):
+    """(exp* a, exp* -a) from one Newton iteration, untilted.
+
+    exp*(-a) is the convolution inverse of exp*(a); one more reciprocal
+    step at full length turns the inverse the iteration already tracks into
+    it.  Both results pass the checks of exp_newton.
+    """
+    kh, log_bound = _log_envelope(a, h)
+    az = a.astype(float, copy=True)
+    a0 = float(az[0])
+    az[0] = 0.0
+    e, r = _exp_newton_monic(az)
+    if len(r) < len(e):
+        r = _refine_inverse(e, r, len(e))
+    return (_finish(e, a0, 0.0, kh, log_bound),
+            _finish(r, -a0, 0.0, kh, log_bound))

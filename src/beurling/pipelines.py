@@ -25,7 +25,7 @@ from .asymptotics import (CheckpointSeries, FitReport, GrowthReport,
                           fit_mellin_expansion)
 from .errors import RangeError
 from .grid import LogGrid
-from .measure import Measure, exp_star, mellin, negate, tilt
+from .measure import Measure, exp_star, exp_star_pair, mellin, tilt
 from .systems import DEFAULT_CHECKPOINTS, build_kahane_pi, kahane_tail
 
 KAHANE_GRID = LogGrid(1e-4, 500_001)
@@ -75,10 +75,8 @@ def kahane_pipeline(grid: LogGrid | None = None, checkpoints=DEFAULT_CHECKPOINTS
 
     pi_w = build_kahane_pi(grid, weight_sigma=1.0)
     a_w = kahane_tail(grid, weight_sigma=1.0)
-    m_w = exp_star(negate(pi_w), method=method, tilt=0.0)
-    n_w = exp_star(pi_w, method=method, tilt=0.0)
-    bm_w = exp_star(negate(a_w), method=method, tilt=0.0)
-    bp_w = exp_star(a_w, method=method, tilt=0.0)
+    n_w, m_w = exp_star_pair(pi_w, method=method)
+    bp_w, bm_w = exp_star_pair(a_w, method=method)
 
     cs_m = np.cumsum(m_w.coeffs)
     cs_bm = np.cumsum(bm_w.coeffs)

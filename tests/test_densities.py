@@ -7,6 +7,7 @@ split cell at the cutoff an exact analytic target.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,26 @@ def test_non_finite_density_is_reported_with_cell():
     bad = DensitySpec(density=lambda u: np.where(u > 2.0, np.nan, 1.0))
     with pytest.raises(ValueError, match="cell"):
         discretize(bad, g)
+
+
+def test_overflowing_grid_is_refused_before_evaluation():
+    # raw cell masses carry e^t, which a double cannot hold past t ~ 709.8;
+    # the grid is refused up front, without evaluating the density or
+    # letting np.exp overflow
+    seen = []
+
+    def log_density(t):
+        seen.append(t)
+        return 1.0 / np.maximum(t, 1e-12)
+
+    spec = DensitySpec(log_density=log_density)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="cell 142 .*weight_sigma > 0.6455"):
+            discretize(spec, LogGrid(5.0, 400))
+    assert seen == []
+    inside = discretize(spec, LogGrid(5.0, 141))
+    assert np.all(np.isfinite(inside.coeffs))
 
 
 def test_discretization_error_is_second_order():

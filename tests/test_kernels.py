@@ -1,11 +1,18 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
 
-from beurling.kernels import (estimate_tilt, exp_newton, exp_recurrence,
-                              invert_recurrence, log_recurrence, mul_trunc)
+from beurling import kernels
+from beurling.grid import LogGrid
+from beurling.kernels import (estimate_tilt, exp_newton, exp_newton_pair,
+                              exp_recurrence, invert_recurrence,
+                              log_recurrence, mul_trunc)
+from beurling.pipelines import KAHANE_GRID
+from beurling.systems import build_kahane_pi, build_li_pi, kahane_tail
 
 
 def test_mul_trunc_matches_direct_convolution():
@@ -91,9 +98,6 @@ def test_exp_newton_agrees_with_recurrence():
 def test_exp_newton_tilt_roundtrip_is_consistent():
     # on an input whose exp* really grows like e^{kh}, the matching manual
     # tilt and the automatic estimate agree with the recurrence cell by cell
-    from beurling.grid import LogGrid
-    from beurling.systems import build_li_pi
-
     n = 1 << 12
     h = 0.01
     a = build_li_pi(LogGrid(h, n)).coeffs
@@ -134,3 +138,62 @@ def test_exp_newton_overflow_message_points_to_weighting():
     a[0] = 800.0
     with pytest.raises(OverflowError, match="weighted"):
         exp_newton(a, h=0.01)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 257, 4096, 5000, (1 << 15) + 1])
+def test_newton_and_pair_match_recurrence_on_signed_inputs(n):
+    # sizes on both sides of the direct/FFT switch, odd ones included.  The
+    # envelope exp*(|a|) dominates every coefficient and has total mass
+    # exp(sum |a_j|), so rounding is measured against that
+    rng = np.random.default_rng(n)
+    a = rng.uniform(-1.0, 1.0, n) * (4.0 / n)
+    tol = 64 * np.finfo(float).eps * math.exp(np.sum(np.abs(a)))
+    ref_pos = exp_recurrence(a)
+    ref_neg = exp_recurrence(-a)
+    pos, neg = exp_newton_pair(a, h=0.01)
+    assert np.max(np.abs(exp_newton(a, h=0.01, tilt=0.0) - ref_pos)) <= tol
+    assert np.max(np.abs(pos - ref_pos)) <= tol
+    assert np.max(np.abs(neg - ref_neg)) <= tol
+
+
+def test_envelope_guard_refuses_raw_long_grid_inverse():
+    # raw li masses grow like e^{kh}/(kh); untilted, the Newton iteration on
+    # -pi leaves the double range and returns finite values near 1e104, far
+    # above the a priori bound e^{kh} exp(sum_j |a_j| e^{-jh})
+    grid = LogGrid(4e-3, 32_768)
+    pi = build_li_pi(grid).coeffs
+    with pytest.raises(ValueError, match="envelope"):
+        exp_newton(-pi, grid.h, tilt=0.0)
+    with pytest.raises(ValueError, match="envelope"):
+        exp_newton_pair(pi, grid.h)
+
+
+@pytest.mark.parametrize("build", [build_kahane_pi, kahane_tail])
+def test_envelope_guard_is_silent_on_weighted_kahane_inputs(build):
+    a = build(KAHANE_GRID, weight_sigma=1.0).coeffs
+    pos, neg = exp_newton_pair(a, KAHANE_GRID.h)
+    delta = np.zeros(KAHANE_GRID.n)
+    delta[0] = 1.0
+    assert np.max(np.abs(mul_trunc(pos, neg, KAHANE_GRID.n) - delta)) <= 1e-12
+
+
+def test_pair_costs_about_one_exp_in_transforms(monkeypatch):
+    forward = Counter()
+
+    def counted(*args, **kwargs):
+        forward["rfft"] += 1
+        return scipy.fft.rfft(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "rfft", counted)
+    grid = LogGrid(0.01, 1 << 16)
+    a = build_li_pi(grid, weight_sigma=1.0).coeffs
+    exp_newton(a, grid.h, tilt=0.0)
+    one = forward["rfft"]
+    forward.clear()
+    exp_newton_pair(a, grid.h)
+    pair = forward["rfft"]
+    # a round takes at most 8 forward transforms (3 to refine r, 5 for the
+    # update sharing the spectrum of e); products of at most 2^16 work are
+    # direct, so only the 8 rounds reaching precision 512 .. 2^16 transform
+    assert one <= 8 * 8
+    assert pair < 1.1 * one

@@ -14,9 +14,10 @@ import pytest
 
 from beurling import (GridMismatchError, LogGrid, Measure, RangeError, add,
                       apply_log, cancellation_envelope, convolve, delta_one,
-                      exp_star, harmonic_primitive, invert, load_measure,
-                      log_star, mellin, negate, primitive, relative_gap,
-                      save_measure, scale, subtract, variation, zero)
+                      exp_star, exp_star_pair, harmonic_primitive, invert,
+                      load_measure, log_star, mellin, negate, primitive,
+                      relative_gap, save_measure, scale, subtract, variation,
+                      zero)
 
 H = 1e-3
 GRID = LogGrid(H, 12_001)
@@ -155,6 +156,21 @@ def test_log_needs_positive_mass_at_one():
 def test_exp_rejects_unknown_method():
     with pytest.raises(ValueError):
         exp_star(zero(LogGrid(0.1, 8)), method="simpson")
+    with pytest.raises(ValueError):
+        exp_star_pair(zero(LogGrid(0.1, 8)), method="simpson")
+
+
+def test_exp_pair_is_exp_of_both_signs():
+    # the recurrence path (automatic below n = 2^15) is unchanged to the bit;
+    # from 2^15 up the pair comes from one Newton run
+    small = random_measure(LogGrid(0.01, 256), seed=12)
+    pos, neg = exp_star_pair(small)
+    assert np.array_equal(pos.coeffs, exp_star(small).coeffs)
+    assert np.array_equal(neg.coeffs, exp_star(negate(small)).coeffs)
+    large = random_measure(LogGrid(0.01, 1 << 15), seed=13, amplitude=1e-4)
+    pos, neg = exp_star_pair(large)
+    assert relative_gap(pos, exp_star(large, tilt=0.0)) <= 1e-13
+    assert relative_gap(neg, exp_star(negate(large), tilt=0.0)) <= 1e-13
 
 
 def test_envelope_dominates_exp():
