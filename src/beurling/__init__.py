@@ -15,7 +15,7 @@ from .asymptotics import (CheckpointSeries, DecayReport, EULER_GAMMA,
                           sample_ratio)
 from .density import DensitySpec, discretize
 from .errors import (BeurlingError, ConfigError, ConstructionError, FitError,
-                     GridMismatchError, RangeError)
+                     GridMismatchError, ParameterError, RangeError)
 from .grid import LogGrid
 from .measure import (Measure, add, apply_log, cancellation_envelope,
                       convolve, delta_one, exp_star, exp_star_pair,

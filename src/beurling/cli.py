@@ -19,11 +19,11 @@ import numpy as np
 from .asymptotics import CheckpointSeries, check_decay
 from .config import load_spec
 from .csvio import report_to_mapping, write_keyvalue, write_series_csv
-from .errors import BeurlingError, ConfigError, ConstructionError, FitError
+from .errors import (BeurlingError, ConfigError, ConstructionError, FitError,
+                     ParameterError)
 from .grid import LogGrid
 from .measure import exp_star, load_measure, negate, save_measure
-from .pipelines import (DE_HAAN_GRID, KAHANE_GRID, MELLIN_GRID,
-                        de_haan_experiment, kahane_pipeline,
+from .pipelines import (KAHANE_GRID, de_haan_experiment, kahane_pipeline,
                         mellin_alpha_experiment)
 from .selfcheck import benchmark_exp, fft_scaling_exponent, run_identity_suite
 from .systems import DEFAULT_CHECKPOINTS, assemble_pi, build_system, hypothesis_report
@@ -155,11 +155,12 @@ def cmd_hypotheses(args) -> int:
 
 
 def cmd_mellin_fit(args) -> int:
+    if (args.h is None) != (args.n is None):
+        raise ParameterError("--h and --n set the Mellin-fit grid together; "
+                             "give both or neither")
+    grid = None if args.h is None else LogGrid(args.h, args.n)
     out = _outdir(args)
     status = 0
-    grid = None
-    if args.h is not None and args.n is not None:
-        grid = LogGrid(args.h, args.n)
     mrep = mellin_alpha_experiment(grid=grid, alpha_tol=args.tol)
     write_keyvalue(os.path.join(out, "mellin_fit.txt"), report_to_mapping(mrep))
     print(f"mellin fit: alpha={mrep.constants['alpha']:.4f} "
@@ -211,29 +212,38 @@ def build_parser() -> argparse.ArgumentParser:
                     "number systems on a logarithmic lattice.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, h=None, n=None, tol=1e-10):
+    def common(p, *flags, h=None, n=None, tol=1e-10):
+        # each subcommand accepts exactly the flags it uses; no prefixes, or
+        # --h would mean --help where there is no grid
+        p.allow_abbrev = False
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--h", type=float, default=h, help="grid step in log u")
-        p.add_argument("--n", type=int, default=n, help="grid size")
-        p.add_argument("--tol", type=float, default=tol, help="tolerance override")
-        p.add_argument("--fft", choices=("on", "off", "auto"), default="auto",
-                       help="exp-star path selection")
-        p.add_argument("--seed", type=int, default=2026, help="rng seed")
-        p.add_argument("--checkpoints", default=",".join(
-            str(int(t)) for t in DEFAULT_CHECKPOINTS),
-            help="comma-separated log x checkpoints")
+        if "grid" in flags:
+            p.add_argument("--h", type=float, default=h, help="grid step in log u")
+            p.add_argument("--n", type=int, default=n, help="grid size")
+        if "tol" in flags:
+            p.add_argument("--tol", type=float, default=tol, help="tolerance override")
+        if "fft" in flags:
+            p.add_argument("--fft", choices=("on", "off", "auto"), default="auto",
+                           help="exp-star path selection")
+        if "seed" in flags:
+            p.add_argument("--seed", type=int, default=2026, help="rng seed")
+        if "checkpoints" in flags:
+            p.add_argument("--checkpoints", default=",".join(
+                str(int(t)) for t in DEFAULT_CHECKPOINTS),
+                help="comma-separated log x checkpoints")
 
     p = sub.add_parser("build", help="build a system from config and serialize it")
     p.add_argument("--config", required=True)
-    common(p)
+    common(p, "grid", "fft")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("identities", help="run the random measure-algebra suite")
-    common(p)
+    common(p, "tol", "seed")
     p.set_defaults(func=cmd_identities)
 
     p = sub.add_parser("kahane", help="run the Kahane system experiment suite")
-    common(p, h=KAHANE_GRID.h, n=KAHANE_GRID.n, tol=1e-6)
+    common(p, "grid", "tol", "fft", "checkpoints",
+           h=KAHANE_GRID.h, n=KAHANE_GRID.n, tol=1e-6)
     p.set_defaults(func=cmd_kahane)
 
     p = sub.add_parser("hypotheses",
@@ -243,12 +253,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exponent in the |M0(x)| log^a x / x check")
     p.add_argument("--sigma0", type=float, default=None,
                    help="also check the u^{-sigma0}-weighted tail integral")
-    common(p)
+    common(p, "grid", "fft", "checkpoints")
     p.set_defaults(func=cmd_hypotheses)
 
     p = sub.add_parser("mellin-fit",
                        help="fit the transform-side asymptotic expansions")
-    common(p, tol=0.02)
+    p.add_argument("--h", type=float, help="grid step of the Mellin-fit grid "
+                   "only (give with --n); the de Haan fit keeps its own grid")
+    p.add_argument("--n", type=int, help="grid size of the Mellin-fit grid only "
+                   "(give with --h)")
+    common(p, "tol", tol=0.02)
     p.set_defaults(func=cmd_mellin_fit)
 
     p = sub.add_parser("bench", help="time recurrence vs FFT exp-star")

@@ -20,3 +20,7 @@ class FitError(BeurlingError):
 
 class ConfigError(BeurlingError):
     """A system description file is malformed."""
+
+
+class ParameterError(BeurlingError, ValueError):
+    """A numerical parameter (grid step, grid size, ...) is out of range."""

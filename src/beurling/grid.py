@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import GridMismatchError, RangeError
+from .errors import GridMismatchError, ParameterError, RangeError
 
 
 @dataclass(frozen=True)
@@ -22,9 +22,9 @@ class LogGrid:
 
     def __post_init__(self):
         if not (self.h > 0.0 and math.isfinite(self.h)):
-            raise ValueError(f"grid step must be positive and finite, got {self.h}")
+            raise ParameterError(f"grid step must be positive and finite, got {self.h}")
         if not (isinstance(self.n, int) and self.n >= 1):
-            raise ValueError(f"grid size must be a positive integer, got {self.n}")
+            raise ParameterError(f"grid size must be a positive integer, got {self.n}")
 
     @property
     def log_end(self) -> float:

@@ -23,6 +23,7 @@ All functions treat measures as immutable values and return new objects.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,8 @@ from .errors import RangeError
 from .grid import LogGrid
 
 FORMAT_TAG = "beurling-measure-v1"
+# mellin evaluates sigma in panels of this width (see its docstring)
+_MELLIN_PANEL = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,15 +196,47 @@ def harmonic_primitive(a: Measure, x: float) -> float:
     return float(np.dot(a.coeffs[: k + 1], w))
 
 
-def mellin(a: Measure, sigma: float) -> float:
-    """Truncated Mellin transform sum_k c_k e^{-sigma k h}.
+def mellin(a: Measure, sigma):
+    """Truncated Mellin transform sum_k c_k e^{-sigma k h}, for a scalar
+    sigma (returns a float) or a 1-d array of sigma (returns an array).
+
+    All sigma share one pass over the coefficients: with B = isqrt(n),
+    e^{-sigma h (Bi+j)} = e^{-sigma h Bi} e^{-sigma h j}, so the (n//B x B)
+    coefficient matrix meets the table of inner factors in one matrix
+    product, whose rows are weighted by the outer factors and summed; the
+    last n mod B terms get their own short product.  The sqrt(n)-term
+    partial sums keep the result within ~1e-15 relative of a long-double
+    direct sum (one n-term dot drifts to ~1e-13 at n ~ 5e6).  sigma goes
+    through in panels of fixed width, so every product has one shape and
+    one BLAS kernel, and the array form equals the scalar form to the bit.
 
     The sum stops at the grid end; callers probing sigma near 1 must pick a
     grid whose log-length makes the dropped tail negligible (the fitting
     code enforces (sigma - 1) * n * h >= 14).
     """
-    k = np.arange(a.grid.n)
-    return float(np.dot(a.coeffs, np.exp(-sigma * a.grid.h * k)))
+    sig = np.asarray(sigma, dtype=float)
+    if sig.ndim > 1:
+        raise ValueError(f"sigma must be a scalar or 1-d, got shape {sig.shape}")
+    flat = sig.reshape(-1)
+    n, h = a.grid.n, a.grid.h
+    block = math.isqrt(n)
+    rows, ragged = divmod(n, block)
+    # transposed, so inner @ body is (panel x rows) and each sigma's row sums
+    # run along contiguous memory, which numpy reduces pairwise
+    body = a.coeffs[: rows * block].reshape(rows, block).T
+    tail = a.coeffs[rows * block:]
+    inner_k = np.arange(block)
+    outer_k = block * np.arange(rows + 1)
+    padded = np.resize(flat, -(-len(flat) // _MELLIN_PANEL) * _MELLIN_PANEL)
+    out = np.empty(len(padded))
+    for p in range(0, len(padded), _MELLIN_PANEL):
+        rate = padded[p: p + _MELLIN_PANEL, None] * h
+        inner = np.exp(-rate * inner_k)
+        outer = np.exp(-rate * outer_k)
+        out[p: p + _MELLIN_PANEL] = ((outer[:, :rows] * (inner @ body)).sum(axis=1)
+                                     + outer[:, rows] * (inner[:, :ragged] @ tail))
+    out = out[: len(flat)]
+    return float(out[0]) if sig.ndim == 0 else out
 
 
 def save_measure(a: Measure, path) -> None:

@@ -230,6 +230,6 @@ def de_haan_experiment(grid: LogGrid | None = None, checkpoints=None,
     ts = np.asarray(sorted(checkpoints), dtype=float)
     ks = _checkpoint_indices(grid, ts)
     series = CheckpointSeries(ts, cs[ks], "int dB+/u")
-    mell = np.array([mellin(bp_w, s - 1.0) for s in sigma_grid])
+    mell = mellin(bp_w, sigma_grid - 1.0)
     return fit_de_haan(series, sigma_grid, mell,
                        b1_tol=b1_tol, intercept_tol=intercept_tol)

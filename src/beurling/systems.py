@@ -62,7 +62,8 @@ def _li_density_log(t):
     return out if out.shape else float(out)
 
 
-def _li_density(u):
+def li_density(u):
+    """Density of the logarithmic-integral prime measure."""
     return _li_density_log(np.log(np.asarray(u, dtype=float)))
 
 
@@ -75,22 +76,13 @@ def _tail_density_log(t):
     return out if out.shape else float(out)
 
 
-def _tail_density(u):
+def kahane_tail_density(u):
+    """The added slowly-decaying component of Kahane's prime measure."""
     return _tail_density_log(np.log(np.asarray(u, dtype=float)))
 
 
-def li_density(u):
-    """Density of the logarithmic-integral prime measure."""
-    return _li_density(u)
-
-
-def kahane_tail_density(u):
-    """The added slowly-decaying component of Kahane's prime measure."""
-    return _tail_density(u)
-
-
 def build_li_pi(grid: LogGrid, weight_sigma: float = 0.0) -> Measure:
-    spec = DensitySpec(density=_li_density, log_density=_li_density_log)
+    spec = DensitySpec(density=li_density, log_density=_li_density_log)
     return discretize(spec, grid, weight_sigma)
 
 
@@ -101,7 +93,7 @@ def kahane_tail(grid: LogGrid, weight_sigma: float = 0.0) -> Measure:
     """
     if grid.log_end <= math.e:
         raise RangeError("grid ends below the tail cutoff e^e")
-    spec = DensitySpec(density=_tail_density, breakpoints=(TAIL_CUT,),
+    spec = DensitySpec(density=kahane_tail_density, breakpoints=(TAIL_CUT,),
                        log_density=_tail_density_log)
     return discretize(spec, grid, weight_sigma)
 

@@ -244,6 +244,59 @@ def test_cli_mellin_fit_needs_grid_room(tmp_path, capsys):
     assert "FAIL check" in capsys.readouterr().err
 
 
+def test_cli_rejects_bad_grid_without_traceback(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "beurling.cli", "kahane", "--h", "-1",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("FAIL parameters ")
+    assert "ParameterError" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("flag", ["--h", "--n"])
+def test_cli_mellin_fit_refuses_lone_grid_flag(tmp_path, capsys, flag):
+    # --h and --n set the Mellin-fit grid only together; a lone one used to
+    # be ignored without a word
+    value = "0.25" if flag == "--h" else "5600001"
+    assert main(["mellin-fit", flag, value, "--out", str(tmp_path)]) == 2
+    assert "FAIL parameters" in capsys.readouterr().err
+    assert not (tmp_path / "mellin_fit.txt").exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("mellin-fit", "--fft", "on"),
+    ("mellin-fit", "--checkpoints", "5,10"),
+    ("mellin-fit", "--seed", "7"),
+    ("build", "--tol", "1e-3"),
+    ("build", "--seed", "7"),
+    ("build", "--checkpoints", "5,10"),
+    ("identities", "--h", "0.01"),
+    ("identities", "--n", "512"),
+    ("identities", "--fft", "on"),
+    ("identities", "--checkpoints", "5,10"),
+    ("kahane", "--seed", "7"),
+    ("hypotheses", "--tol", "1e-3"),
+    ("hypotheses", "--seed", "7"),
+    ("bench", "--h", "0.01"),
+    ("bench", "--n", "512"),
+    ("bench", "--tol", "1e-3"),
+    ("bench", "--fft", "on"),
+    ("bench", "--seed", "7"),
+    ("bench", "--checkpoints", "5,10"),
+])
+def test_cli_refuses_flags_the_command_ignores(tmp_path, capsys, command, flag, value):
+    argv = [command, flag, value, "--out", str(tmp_path / "o")]
+    if command in ("build", "hypotheses"):
+        argv += ["--config", write_config(tmp_path, "base = li\ngrid.h = 0.01\ngrid.n = 512\n")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_identities(tmp_path, capsys):
     assert main(["identities", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out

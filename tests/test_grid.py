@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from beurling import GridMismatchError, LogGrid, Measure, RangeError
+from beurling import (BeurlingError, GridMismatchError, LogGrid, Measure,
+                      ParameterError, RangeError)
 
 
 def test_grid_validation():
@@ -17,6 +18,13 @@ def test_grid_validation():
         LogGrid(0.1, 0)
     with pytest.raises(ValueError):
         LogGrid(0.1, 2.5)
+
+
+def test_grid_validation_raises_typed_error():
+    for h, n in ((-1.0, 10), (0.1, 0)):
+        with pytest.raises(ParameterError) as exc:
+            LogGrid(h, n)
+        assert isinstance(exc.value, BeurlingError)
 
 
 def test_log_end():

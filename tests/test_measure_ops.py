@@ -15,9 +15,9 @@ import pytest
 from beurling import (GridMismatchError, LogGrid, Measure, RangeError, add,
                       apply_log, cancellation_envelope, convolve, delta_one,
                       exp_star, exp_star_pair, harmonic_primitive, invert,
-                      load_measure, log_star, mellin, negate, primitive,
-                      relative_gap, save_measure, scale, subtract, variation,
-                      zero)
+                      kahane_tail, load_measure, log_star, mellin, negate,
+                      primitive, relative_gap, save_measure, scale, subtract,
+                      variation, zero)
 
 H = 1e-3
 GRID = LogGrid(H, 12_001)
@@ -280,6 +280,78 @@ def test_mellin_of_harmonic_measure():
     a = harmonic_measure()
     for sigma in (1.5, 2.0, 3.0):
         assert mellin(a, sigma) == pytest.approx(1.0 / sigma, abs=1e-5)
+
+
+def longdouble_mellin(a, sigma):
+    """Direct sum_k c_k e^{-sigma k h} in extended precision, the reference
+    for the blocked kernel."""
+    k = np.arange(a.grid.n, dtype=np.longdouble)
+    rate = np.longdouble(sigma) * np.longdouble(a.grid.h)
+    return np.sum(a.coeffs.astype(np.longdouble) * np.exp(-rate * k))
+
+
+# n = 400,003 = 632^2 + 579: the blocked sum has a ragged last block of 579
+# terms, which carries weight e^{-1} at sigma = 1e-5
+SIGMAS = np.concatenate([[0.0], np.logspace(-5, -2, 7)])
+
+
+def test_mellin_array_form_equals_scalar_form_to_the_bit():
+    g = LogGrid(0.25, 400_003)
+    a = kahane_tail(g, weight_sigma=1.0)
+    values = mellin(a, SIGMAS)
+    assert values.shape == SIGMAS.shape
+    for s, v in zip(SIGMAS, values):
+        got = mellin(a, s)
+        assert isinstance(got, float)
+        assert got == v
+    # a sigma's value does not depend on the others evaluated with it
+    assert np.array_equal(mellin(a, SIGMAS[::-1])[::-1], values)
+    assert np.array_equal(mellin(a, SIGMAS[3:5]), values[3:5])
+
+
+def test_mellin_blocked_sum_matches_long_double_reference():
+    g = LogGrid(0.25, 400_003)
+    a = kahane_tail(g, weight_sigma=1.0)
+    values = mellin(a, SIGMAS)
+    for s, v in zip(SIGMAS, values):
+        ref = longdouble_mellin(a, s)
+        assert abs(float((v - ref) / ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 37 ** 2 - 1, 37 ** 2, 37 ** 2 + 1])
+def test_mellin_block_edges(n):
+    # isqrt(n) blocks: n = B^2 - 1 gives B - 1 columns and no ragged block,
+    # B^2 is square, B^2 + 1 leaves a ragged block of one term
+    g = LogGrid(0.01, n)
+    a = Measure(g, np.random.default_rng(n).random(n))
+    sigmas = np.array([0.0, 0.5, 3.0, 40.0])
+    values = mellin(a, sigmas)
+    for s, v in zip(sigmas, values):
+        ref = longdouble_mellin(a, s)
+        assert abs(float((v - ref) / ref)) <= 1e-14
+        assert mellin(a, s) == v
+    assert np.array_equal(mellin(delta_one(g), sigmas), np.ones(4))
+
+
+def test_mellin_of_fully_underflowing_terms_is_finite():
+    # sigma * n * h = 1e5 and 1e9: every term past the first few hundred
+    # underflows to zero, which must neither warn nor poison the sum
+    g = LogGrid(1.0, 100_000)
+    a = Measure(g, np.ones(g.n))
+    values = mellin(a, np.array([1.0, 1e4]))
+    assert np.all(np.isfinite(values))
+    assert values[0] == pytest.approx(1.0 / (1.0 - math.exp(-1.0)), rel=1e-14)
+    assert values[1] == 1.0
+
+
+def test_mellin_sigma_shapes():
+    a = harmonic_measure()
+    assert mellin(a, np.array([])).shape == (0,)
+    assert isinstance(mellin(a, np.float64(2.0)), float)
+    assert np.array_equal(mellin(a, [1.5, 2.0]),
+                          [mellin(a, 1.5), mellin(a, 2.0)])
+    with pytest.raises(ValueError):
+        mellin(a, np.ones((2, 2)))
 
 
 # -------------------------------------------------------------- round trip
