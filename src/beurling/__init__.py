@@ -18,7 +18,7 @@ from .errors import (BeurlingError, ConfigError, ConstructionError, FitError,
                      GridMismatchError, ParameterError, RangeError)
 from .grid import LogGrid
 from .measure import (Measure, add, apply_log, cancellation_envelope,
-                      convolve, delta_one, exp_star, exp_star_pair,
+                      checkpoint_sums, convolve, delta_one, exp_star, exp_star_pair,
                       harmonic_primitive, invert, load_measure, log_star,
                       mellin, negate, primitive, relative_gap, save_measure,
                       scale, subtract, tilt, variation, zero)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FitError
-from .measure import Measure, mellin, primitive
+from .measure import Measure, checkpoint_sums, mellin
 
 EULER_GAMMA = float(np.euler_gamma)
 TAIL_RULE = 14.0  # (sigma - 1) * n * h >= 14 keeps e^{-(sigma-1) n h} < 1e-6
@@ -80,7 +80,7 @@ def sample_ratio(a: Measure, weight: str, checkpoints, b: float | None = None) -
     weight is one of "1/x", "logx/x", "log^b/x" (b required for the last).
     """
     ts = np.asarray(sorted(checkpoints), dtype=float)
-    prims = np.array([primitive(a, math.exp(t)) for t in ts])
+    prims = checkpoint_sums(a, ts)
     if weight == "1/x":
         w = np.exp(-ts)
     elif weight == "logx/x":

@@ -16,17 +16,16 @@ import sys
 
 import numpy as np
 
-from .asymptotics import CheckpointSeries, check_decay
 from .config import load_spec
 from .csvio import report_to_mapping, write_keyvalue, write_series_csv
 from .errors import (BeurlingError, ConfigError, ConstructionError, FitError,
                      ParameterError)
 from .grid import LogGrid
-from .measure import exp_star, load_measure, negate, save_measure
+from .measure import load_measure, save_measure
 from .pipelines import (KAHANE_GRID, de_haan_experiment, kahane_pipeline,
                         mellin_alpha_experiment)
 from .selfcheck import benchmark_exp, fft_scaling_exponent, run_identity_suite
-from .systems import DEFAULT_CHECKPOINTS, assemble_pi, build_system, hypothesis_report
+from .systems import DEFAULT_CHECKPOINTS, build_system, hypothesis_report
 
 
 def _fail(check: str, **kv):
@@ -125,33 +124,21 @@ def cmd_hypotheses(args) -> int:
     spec = load_spec(args.config, h=args.h, n=args.n)
     checkpoints = _parse_checkpoints(args.checkpoints)
     report = hypothesis_report(spec, a=args.a, checkpoints=checkpoints,
-                               sigma0=args.sigma0)
+                               sigma0=args.sigma0, method=_method(args))
     out = _outdir(args)
     for name, series in report.series.items():
         write_series_csv(os.path.join(out, f"{name}.csv"), series, spec.grid)
-
-    # conclusion series M(x)/x for the full assembled system, weighted side
-    pi_w = assemble_pi(spec, weight_sigma=1.0)
-    m_w = exp_star(negate(pi_w), method=_method(args), tilt=0.0)
-    ts = np.asarray(sorted(checkpoints), dtype=float)
-    vals = np.empty(len(ts))
-    for j, t in enumerate(ts):
-        k = spec.grid.index_of_log(t)
-        vals[j] = np.dot(m_w.coeffs[: k + 1],
-                         np.exp(np.arange(k + 1) * spec.grid.h - t))
-    conclusion = CheckpointSeries(ts, vals, "M(x)/x")
-    write_series_csv(os.path.join(out, "m_ratio.csv"), conclusion, spec.grid)
-    conclusion_decay = check_decay(conclusion)
 
     for name, flag in report.flags.items():
         print(f"hypothesis {name}: {'pass' if flag else 'FAIL'}")
         if not flag:
             _fail(f"hypothesis_{name}")
-    print(f"conclusion M(x)/x decay: final/max={conclusion_decay.final_over_max:.4f} "
-          f"{'pass' if conclusion_decay.passed else 'FAIL'}")
-    if not conclusion_decay.passed:
-        _fail("conclusion_m_ratio", final_over_max=f"{conclusion_decay.final_over_max:.4f}")
-    return 0 if (report.passed and conclusion_decay.passed) else 1
+    decay = report.conclusion
+    print(f"conclusion M(x)/x decay: final/max={decay.final_over_max:.4f} "
+          f"{'pass' if decay.passed else 'FAIL'}")
+    if not decay.passed:
+        _fail("conclusion_m_ratio", final_over_max=f"{decay.final_over_max:.4f}")
+    return 0 if (report.passed and decay.passed) else 1
 
 
 def cmd_mellin_fit(args) -> int:

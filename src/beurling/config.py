@@ -83,31 +83,20 @@ def _check_node(node, breakpoints, allow_u=True):
         raise ConfigError(f"disallowed syntax: {ast.dump(node)[:60]}")
 
 
-def _env(u):
+def _env(coord: str, x):
+    """Names an expression sees when evaluated at x in coordinate coord:
+    "u" itself, or "logu" = log u, where indicator cutoffs move to log a."""
+    cut = (lambda a: a) if coord == "u" else math.log
     return {
-        "u": u,
+        coord: x,
         "e": math.e,
         "pi": math.pi,
         "log": np.log,
-        "loglog": lambda x: np.log(np.log(x)),
+        "loglog": lambda y: np.log(np.log(y)),
         "exp": np.exp,
         "sqrt": np.sqrt,
-        "indicator": lambda a: np.where(np.asarray(u, dtype=float) >= a, 1.0, 0.0),
-        "gate": lambda a, x: np.where(np.asarray(u, dtype=float) >= a, x, 0.0),
-    }
-
-
-def _env_log(t):
-    return {
-        "logu": t,
-        "e": math.e,
-        "pi": math.pi,
-        "log": np.log,
-        "loglog": lambda x: np.log(np.log(x)),
-        "exp": np.exp,
-        "sqrt": np.sqrt,
-        "indicator": lambda a: np.where(np.asarray(t, dtype=float) >= math.log(a), 1.0, 0.0),
-        "gate": lambda a, x: np.where(np.asarray(t, dtype=float) >= math.log(a), x, 0.0),
+        "indicator": lambda a: np.where(np.asarray(x, dtype=float) >= cut(a), 1.0, 0.0),
+        "gate": lambda a, y: np.where(np.asarray(x, dtype=float) >= cut(a), y, 0.0),
     }
 
 
@@ -170,7 +159,7 @@ def _eval_scalar(node) -> float:
     expr = ast.Expression(body=node)
     ast.fix_missing_locations(expr)
     code = compile(expr, "<cutoff>", "eval")
-    return float(eval(code, {"__builtins__": {}}, _env(0.0)))
+    return float(eval(code, {"__builtins__": {}}, _env("u", 0.0)))
 
 
 def parse_density(text: str) -> DensitySpec:
@@ -192,11 +181,11 @@ def parse_density(text: str) -> DensitySpec:
 
     def density(u):
         with np.errstate(all="ignore"):
-            return eval(code, {"__builtins__": {}}, _env(u))
+            return eval(code, {"__builtins__": {}}, _env("u", u))
 
     def log_density(t):
         with np.errstate(all="ignore"):
-            return eval(log_code, {"__builtins__": {}}, _env_log(t))
+            return eval(log_code, {"__builtins__": {}}, _env("logu", t))
 
     cuts = tuple(sorted(b for b in breakpoints if b > 1.0))
     return DensitySpec(density=density, breakpoints=cuts, log_density=log_density)

@@ -24,7 +24,7 @@ evaluated; weight such grids with sigma close enough to 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import GridMismatchError, ParameterError, RangeError
 
 
@@ -43,6 +45,10 @@ class LogGrid:
         if k >= self.n:
             raise RangeError(f"log point {t} beyond lattice end {self.log_end}")
         return k
+
+    def indices_of_log(self, ts) -> np.ndarray:
+        """index_of_log of each log point in ts, as an integer array."""
+        return np.array([self.index_of_log(t) for t in ts], dtype=np.int64)
 
     def index_of(self, x: float) -> int:
         if x < 1.0:

@@ -180,20 +180,49 @@ def cancellation_envelope(a: Measure) -> Measure:
     return exp_star(variation(a))
 
 
+def checkpoint_sums(a: Measure, ts, rate: float = 0.0) -> np.ndarray:
+    """sum_{k <= K_j} c_k e^{rate (kh - t_j)} at each ascending log point t_j,
+    where K_j = grid.index_of_log(t_j).
+
+    Rate 0 gives the primitives A(e^t); rate 1 on u^{-1}-weighted
+    coefficients gives the raw primitive over x, A(x)/x.  One pass covers
+    coefficients 0..K_last: segment (K_{j-1}, K_j] is summed pairwise with
+    factors e^{rate (k - K_j) h}, and the sum carried from the previous
+    checkpoint is rescaled by e^{rate (K_{j-1} - K_j) h}.  For rate >= 0 no
+    factor exceeds 1, so the sums stay finite on any grid length.
+    """
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1 or np.any(np.diff(ts) < 0):
+        raise ValueError(f"checkpoints must be 1-d and ascending, got {ts}")
+    step = rate * a.grid.h
+    out = np.empty(len(ts))
+    carry, start = 0.0, 0
+    for j, (t, k) in enumerate(zip(ts, a.grid.indices_of_log(ts))):
+        factors = np.exp(step * np.arange(start - k, 1))
+        carry = (carry * math.exp(step * (start - 1 - k))
+                 + (a.coeffs[start: k + 1] * factors).sum())
+        out[j] = carry * math.exp(rate * (k * a.grid.h - t))
+        start = k + 1
+    return out
+
+
+def _log_point(x: float) -> float:
+    if x < 1.0:
+        raise RangeError(f"evaluation point {x} below 1")
+    return math.log(x)
+
+
 def primitive(a: Measure, x: float) -> float:
     """A(x) = integral over [1, x], i.e. the coefficient sum through index
     floor(log x / h).  The lattice point at index K carries the mass of the
     half-open cell ending at e^{(K+1/2)h}; comparisons against continuum
     formulas should use that cell-end abscissa."""
-    k = a.grid.index_of(x)
-    return float(np.add.reduce(a.coeffs[: k + 1]))
+    return float(checkpoint_sums(a, [_log_point(x)])[0])
 
 
 def harmonic_primitive(a: Measure, x: float) -> float:
     """integral over [1, x] of dA(u)/u: sum of c_k e^{-kh} through log x."""
-    k = a.grid.index_of(x)
-    w = np.exp(-a.grid.h * np.arange(k + 1))
-    return float(np.dot(a.coeffs[: k + 1], w))
+    return float(checkpoint_sums(tilt(a, 1.0), [_log_point(x)])[0])
 
 
 def mellin(a: Measure, sigma):

@@ -3,8 +3,8 @@
 Everything here runs in the u^{-1}-weighted coefficient representation:
 weighting commutes exactly with convolution and exp-star, the weighted
 coefficients of all quantities of interest stay of order one out to
-arbitrary grid lengths, and every reported ratio becomes a plain dot
-product with factors bounded by 1.  Raw coefficients of dN at log u = 700
+arbitrary grid lengths, and every reported ratio becomes a checkpoint_sums
+call whose factors are bounded by 1.  Raw coefficients of dN at log u = 700
 would overflow double precision; the weighted route has no such cliff.
 
 Identity comparisons between a summed primitive and a ratio-normalized
@@ -25,7 +25,8 @@ from .asymptotics import (CheckpointSeries, FitReport, GrowthReport,
                           fit_mellin_expansion)
 from .errors import RangeError
 from .grid import LogGrid
-from .measure import Measure, exp_star, exp_star_pair, mellin, tilt
+from .measure import (Measure, apply_log, checkpoint_sums, exp_star,
+                      exp_star_pair, mellin, tilt)
 from .systems import DEFAULT_CHECKPOINTS, build_kahane_pi, kahane_tail
 
 KAHANE_GRID = LogGrid(1e-4, 500_001)
@@ -53,10 +54,6 @@ class GrowthDiagnostics:
     bounded: dict
 
 
-def _checkpoint_indices(grid: LogGrid, ts) -> np.ndarray:
-    return np.array([grid.index_of_log(t) for t in ts])
-
-
 def kahane_pipeline(grid: LogGrid | None = None, checkpoints=DEFAULT_CHECKPOINTS,
                     method: str = "auto", identity_tol: float = 1e-6) -> KahaneReport:
     """Reproduce the Kahane-system experiment suite on one grid.
@@ -78,34 +75,23 @@ def kahane_pipeline(grid: LogGrid | None = None, checkpoints=DEFAULT_CHECKPOINTS
     n_w, m_w = exp_star_pair(pi_w, method=method)
     bp_w, bm_w = exp_star_pair(a_w, method=method)
 
-    cs_m = np.cumsum(m_w.coeffs)
-    cs_bm = np.cumsum(bm_w.coeffs)
-    cs_bp = np.cumsum(bp_w.coeffs)
-    ks = _checkpoint_indices(grid, ts)
-
-    m_harm = cs_m[ks]
-    s_vals = cs_bm[ks]
-    bp_harm = cs_bp[ks]
-
-    b_over_xeff = np.empty(len(ts))
-    n_over_x = np.empty(len(ts))
-    m_over_x = np.empty(len(ts))
-    blog_over_x = np.empty(len(ts))
-    g_over_x = np.empty(len(ts))
-    mk_abel = np.empty(len(ts))
-    for j, (t, K) in enumerate(zip(ts, ks)):
-        logu = np.arange(K + 1) * h
-        w_x = np.exp(logu - t)
-        w_cell = np.exp(logu - K * h)
-        b_over_xeff[j] = np.dot(bm_w.coeffs[: K + 1], w_cell) * math.exp(-h / 2)
-        n_over_x[j] = np.dot(n_w.coeffs[: K + 1], w_x)
-        m_over_x[j] = np.dot(m_w.coeffs[: K + 1], w_x)
-        blog_over_x[j] = np.dot(logu * bm_w.coeffs[: K + 1], w_x)
-        g_over_x[j] = np.dot(logu * a_w.coeffs[: K + 1], w_x)
-        # partial summation M(x) = x m(x) - sum m(u_k) (u_{k+1} - u_k), exact
-        # on the lattice; cross-checks the direct dot through a second route
-        steps = w_cell[1:] - w_cell[:-1]
-        mk_abel[j] = (cs_m[K] - np.dot(cs_m[:K], steps)) * math.exp(K * h - t)
+    m_harm = checkpoint_sums(m_w, ts)
+    s_vals = checkpoint_sums(bm_w, ts)
+    bp_harm = checkpoint_sums(bp_w, ts)
+    n_over_x = checkpoint_sums(n_w, ts, 1.0)
+    m_over_x = checkpoint_sums(m_w, ts, 1.0)
+    blog_over_x = checkpoint_sums(apply_log(bm_w), ts, 1.0)
+    g_over_x = checkpoint_sums(apply_log(a_w), ts, 1.0)
+    ks = grid.indices_of_log(ts)
+    # e^{t - Kh}: moves a sum over x = e^t to the lattice point e^{Kh}
+    to_lattice = np.exp(ts - ks * h)
+    b_over_xeff = checkpoint_sums(bm_w, ts, 1.0) * to_lattice * math.exp(-h / 2)
+    # partial summation M(x) = x m(x) - sum m(u_k) (u_{k+1} - u_k), exact on
+    # the lattice; it reads only the cumulative sums C_k of m_w, never
+    # m_over_x, so it cross-checks the direct sum through a second route
+    cum_m = np.cumsum(m_w.coeffs)
+    mk_abel = (math.exp(h) * cum_m[ks] / to_lattice
+               - math.expm1(h) * checkpoint_sums(Measure(grid, cum_m), ts, 1.0))
 
     mk_route_gap = float(np.max(np.abs(mk_abel - m_over_x)
                                 / (np.abs(m_over_x) + 1e-12)))
@@ -157,20 +143,14 @@ def growth_diagnostics(e: Measure, checkpoints=DEFAULT_CHECKPOINTS,
     if np.any(e.coeffs < 0):
         raise ValueError("perturbation must be nonnegative coefficient-wise")
     ts = np.asarray(sorted(checkpoints), dtype=float)
-    grid = e.grid
     e_w = tilt(e, 1.0 - weight_sigma)
     f_w = exp_star(e_w, method=method, tilt=0.0)
-    cs_f = np.cumsum(f_w.coeffs)
-    ks = _checkpoint_indices(grid, ts)
-    h_over_x = np.empty(len(ts))
-    for j, (t, K) in enumerate(zip(ts, ks)):
-        logu = np.arange(K + 1) * grid.h
-        h_over_x[j] = np.dot(logu * f_w.coeffs[: K + 1],
-                             np.exp(logu - t))
+    f_harm = checkpoint_sums(f_w, ts)
+    h_over_x = checkpoint_sums(apply_log(f_w), ts, 1.0)
     series, bounded = {}, {}
     for ep in eps:
         f_name, h_name = f"f_harmonic_eps{ep:g}", f"h_over_x_eps{ep:g}"
-        series[f_name] = CheckpointSeries(ts, cs_f[ks] / ts ** ep,
+        series[f_name] = CheckpointSeries(ts, f_harm / ts ** ep,
                                           f"int dF+/u / log^{ep:g} x")
         series[h_name] = CheckpointSeries(ts, h_over_x / ts ** ep,
                                           f"H+(x) / (x log^{ep:g} x)")
@@ -226,10 +206,8 @@ def de_haan_experiment(grid: LogGrid | None = None, checkpoints=None,
 
     a_w = kahane_tail(grid, weight_sigma=1.0)
     bp_w = exp_star(a_w, method=method, tilt=0.0)
-    cs = np.cumsum(bp_w.coeffs)
     ts = np.asarray(sorted(checkpoints), dtype=float)
-    ks = _checkpoint_indices(grid, ts)
-    series = CheckpointSeries(ts, cs[ks], "int dB+/u")
+    series = CheckpointSeries(ts, checkpoint_sums(bp_w, ts), "int dB+/u")
     mell = mellin(bp_w, sigma_grid - 1.0)
     return fit_de_haan(series, sigma_grid, mell,
                        b1_tol=b1_tol, intercept_tol=intercept_tol)

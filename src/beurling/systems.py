@@ -30,18 +30,20 @@ from typing import Optional
 import numpy as np
 
 from . import sieve as sievemod
-from .asymptotics import CheckpointSeries, check_decay
+from .asymptotics import CheckpointSeries, DecayReport, check_decay
 from .density import DensitySpec, discretize
 from .errors import ConstructionError, RangeError
 from .grid import LogGrid
 from .measure import (
     Measure,
     add,
+    checkpoint_sums,
     convolve,
     delta_one,
     exp_star,
     negate,
     tilt,
+    variation,
     zero,
 )
 
@@ -218,20 +220,15 @@ class HypothesisReport:
     series: dict = field(default_factory=dict)
     flags: dict = field(default_factory=dict)
     passed: bool = False
-
-
-def _weighted_partial(coeffs: np.ndarray, grid: LogGrid, t: float) -> float:
-    # sum over k <= K of c_k e^{kh - t} for u^{-1}-weighted coefficients c;
-    # this is the raw primitive divided by e^t, with all factors <= 1.
-    k = grid.index_of_log(t)
-    idx = np.arange(k + 1)
-    return float(np.dot(coeffs[: k + 1], np.exp(idx * grid.h - t)))
+    conclusion: Optional[DecayReport] = None
 
 
 def hypothesis_report(spec: SystemSpec, a: float = 1.0,
                       checkpoints=DEFAULT_CHECKPOINTS, tail_k: int = 5,
-                      sigma0: float | None = None) -> HypothesisReport:
-    """Checkpoint diagnostics for the three density hypotheses.
+                      sigma0: float | None = None,
+                      method: str = "auto") -> HypothesisReport:
+    """Checkpoint diagnostics for the three density hypotheses and the
+    conclusion they support.
 
     Item (i) evaluates integral_{1-}^{x} |dE| * log x / x, item (ii) the
     partial integrals of |dR(u)|/u (with an optional u^{-sigma0} variant),
@@ -239,7 +236,10 @@ def hypothesis_report(spec: SystemSpec, a: float = 1.0,
     series is flagged by the monotone-tail decay proxy; item (ii) instead
     requires its nondecreasing partials to have settled (last increment
     below 1% of the total).  Diagnostics are always produced; failures only
-    show up in the flags.
+    show up in the flags.  The conclusion series m_ratio, M(x)/x of the full
+    assembled system, carries its own decay check in `conclusion`; it is
+    not one of the hypotheses, so `passed` does not include it.  method
+    selects the exp* path of both exponentials.
     """
     grid = spec.grid
     ts = np.asarray(sorted(checkpoints), dtype=float)
@@ -247,35 +247,40 @@ def hypothesis_report(spec: SystemSpec, a: float = 1.0,
     flags: dict[str, bool] = {}
 
     e_w = (discretize(spec.e_part, grid, 1.0) if spec.e_part is not None else zero(grid))
-    evar = np.abs(e_w.coeffs)
-    vals_i = np.array([t * _weighted_partial(evar, grid, t) for t in ts])
+    vals_i = ts * checkpoint_sums(variation(e_w), ts, 1.0)
     series["e_variation_ratio"] = CheckpointSeries(ts, vals_i, "A_E(x) log x / x")
     flags["i"] = _decays(series["e_variation_ratio"], tail_k)
 
     r_w = (discretize(spec.r_part, grid, 1.0) if spec.r_part is not None else zero(grid))
-    rvar = np.abs(r_w.coeffs)
-    partial = np.cumsum(rvar)
-    vals_ii = np.array([partial[grid.index_of_log(t)] for t in ts])
+    rvar = variation(r_w)
+    vals_ii = checkpoint_sums(rvar, ts)
     series["r_harmonic_partial"] = CheckpointSeries(ts, vals_ii, "int |dR|/u to x")
     flags["ii"] = _converges(vals_ii)
     if sigma0 is not None:
-        vals_s0 = []
-        for t in ts:
-            k = grid.index_of_log(t)
-            w = np.exp((1.0 - sigma0) * grid.h * np.arange(k + 1))
-            vals_s0.append(float(np.dot(rvar[: k + 1], w)))
-        vals_s0 = np.asarray(vals_s0)
+        # sum_{k <= K} |r_k| e^{(1 - sigma0) kh}.  Below sigma0 = 1 that
+        # factor grows, so sum at rate 1 - sigma0 and restore e^{(1 - sigma0) t}
+        # last; above, tilt, whose factors shrink.  No factor then exceeds the
+        # value, on any grid length.
+        rate = 1.0 - sigma0
+        if rate > 0:
+            vals_s0 = checkpoint_sums(rvar, ts, rate) * np.exp(rate * ts)
+        else:
+            vals_s0 = checkpoint_sums(tilt(rvar, -rate), ts)
         series["r_sigma0_partial"] = CheckpointSeries(ts, vals_s0, f"int |dR|/u^{sigma0} to x")
         flags["ii_sigma0"] = _converges(vals_s0)
 
     pi0_w = _base_pi(spec, weight_sigma=1.0)
-    m0_w = exp_star(negate(pi0_w), tilt=0.0)
-    vals_iii = np.array([abs(_weighted_partial(m0_w.coeffs, grid, t)) * t ** a for t in ts])
+    m0_w = exp_star(negate(pi0_w), method=method, tilt=0.0)
+    vals_iii = np.abs(checkpoint_sums(m0_w, ts, 1.0)) * ts ** a
     series["m0_ratio"] = CheckpointSeries(ts, vals_iii, f"|M0(x)| log^{a} x / x")
     flags["iii"] = _decays(series["m0_ratio"], tail_k)
 
+    m_w = exp_star(negate(assemble_pi(spec, weight_sigma=1.0)), method=method, tilt=0.0)
+    series["m_ratio"] = CheckpointSeries(ts, checkpoint_sums(m_w, ts, 1.0), "M(x)/x")
+
     passed = flags["i"] and flags["ii"] and flags["iii"]
-    return HypothesisReport(series=series, flags=flags, passed=passed)
+    return HypothesisReport(series=series, flags=flags, passed=passed,
+                            conclusion=check_decay(series["m_ratio"], tail_k))
 
 
 def _decays(s: CheckpointSeries, tail_k: int) -> bool:

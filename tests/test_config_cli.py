@@ -236,6 +236,30 @@ def test_cli_hypotheses_pass_and_fail(tmp_path, capsys):
     assert "FAIL hypothesis_i" in captured.err
 
 
+def test_cli_hypotheses_fft_flag_reaches_every_exp(tmp_path, monkeypatch):
+    # n = 8192 is below the automatic switch to the FFT path, so a
+    # recurrence call here means an exp that --fft on did not reach
+    from beurling import kernels
+
+    calls = {"fft": 0, "recurrence": 0}
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(kernels, "exp_newton", spy("fft", kernels.exp_newton))
+    monkeypatch.setattr(kernels, "exp_recurrence",
+                        spy("recurrence", kernels.exp_recurrence))
+    cfg = write_config(tmp_path, (
+        "base = li\ngrid.h = 0.01\ngrid.n = 8192\n"
+        "e.density = indicator(e**e) / (log(u) * loglog(u))\n"))
+    assert main(["hypotheses", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--fft", "on"]) == 0
+    assert calls == {"fft": 2, "recurrence": 0}
+
+
 def test_cli_mellin_fit_needs_grid_room(tmp_path, capsys):
     # a 30-log-unit grid cannot reach sigma - 1 = 1e-5; every sigma is
     # clipped and the fit refuses rather than extrapolating

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from beurling import (GridMismatchError, LogGrid, Measure, RangeError, add,
-                      apply_log, cancellation_envelope, convolve, delta_one,
-                      exp_star, exp_star_pair, harmonic_primitive, invert,
-                      kahane_tail, load_measure, log_star, mellin, negate,
-                      primitive, relative_gap, save_measure, scale, subtract,
-                      variation, zero)
+                      apply_log, cancellation_envelope, checkpoint_sums,
+                      convolve, delta_one, exp_star, exp_star_pair,
+                      harmonic_primitive, invert, kahane_tail, load_measure,
+                      log_star, mellin, negate, primitive, relative_gap,
+                      save_measure, scale, subtract, variation, zero)
 
 H = 1e-3
 GRID = LogGrid(H, 12_001)
@@ -268,6 +268,50 @@ def test_harmonic_primitive_closed_form():
         t_eff = (k + 0.5) * H
         got = harmonic_primitive(a, math.exp(t))
         assert got == pytest.approx(1.0 - math.exp(-t_eff), abs=1e-5)
+
+
+def longdouble_checkpoint_sums(a, ts, rate):
+    c = a.coeffs.astype(np.longdouble)
+    h = np.longdouble(a.grid.h)
+    out = []
+    for t in ts:
+        k = a.grid.index_of_log(t)
+        logu = np.arange(k + 1, dtype=np.longdouble) * h
+        out.append(np.sum(c[: k + 1] * np.exp(np.longdouble(rate) * (logu - np.longdouble(t)))))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.5, 1.0, 3.0])
+def test_checkpoint_sums_match_long_double_reference(rate):
+    g = LogGrid(1e-3, 60_001)
+    c = np.random.default_rng(7).uniform(-0.5, 1.0, g.n)
+    a = Measure(g, c)
+    # K = 0, two checkpoints in one cell, long segments, the last lattice point
+    ts = [0.0, 4e-4, 5.0, 5.0004, 5.0011, 20.0, 37.5, (g.n - 1) * g.h]
+    got = checkpoint_sums(a, ts, rate)
+    ref = longdouble_checkpoint_sums(a, ts, rate)
+    assert got.shape == (len(ts),)
+    assert float(np.max(np.abs((got - ref) / ref))) <= 1e-14
+    assert got[0] == c[0]
+    assert got[1] == pytest.approx(c[0] * math.exp(-rate * 4e-4), rel=1e-15)
+
+
+def test_checkpoint_sums_stay_finite_on_long_grids():
+    # raw e^{kh} factors overflow past kh = 709; the rescaled carry does not
+    g = LogGrid(0.5, 4_001)
+    a = Measure(g, np.ones(g.n))
+    got = checkpoint_sums(a, [100.0, 1500.0, 2000.0], 1.0)
+    assert np.allclose(got, 1.0 / (1.0 - math.exp(-0.5)), rtol=1e-14, atol=0.0)
+
+
+def test_checkpoint_sums_reject_bad_checkpoints():
+    a = harmonic_measure(LogGrid(0.1, 8))
+    with pytest.raises(RangeError):
+        checkpoint_sums(a, [0.2, 0.8])
+    with pytest.raises(ValueError, match="ascending"):
+        checkpoint_sums(a, [0.5, 0.2])
+    with pytest.raises(ValueError):
+        checkpoint_sums(a, [[0.1, 0.2]])
 
 
 def test_mellin_of_delta_is_one():

@@ -23,10 +23,11 @@ import scipy.special
 
 from beurling import (ConstructionError, DensitySpec, LogGrid, RangeError,
                       SystemSpec, add, assemble_pi, build_classical_pi,
-                      build_kahane_pi, build_li_pi, build_system, convolve,
-                      delta_one, discretize, exp_star, hypothesis_report,
-                      kahane_tail, kahane_tail_exp, negate, prime_power_mass,
-                      primitive, relative_gap, zero)
+                      build_kahane_pi, build_li_pi, build_system, check_decay,
+                      convolve, delta_one, discretize, exp_star,
+                      hypothesis_report, kahane_tail, kahane_tail_exp, negate,
+                      prime_power_mass, primitive, relative_gap, sample_ratio,
+                      tilt, zero)
 from beurling.systems import TAIL_CUT, _tail_density_log, kahane_tail_density
 
 H = 1e-3
@@ -211,6 +212,42 @@ def test_hypothesis_report_r_part_converges():
     assert rep.flags["ii"] is True
     assert rep.flags["ii_sigma0"] is True
     assert "r_sigma0_partial" in rep.series
+
+
+def test_hypothesis_report_conclusion_matches_unweighted_route():
+    # m_ratio sums the weighted dM with factors e^{kh - t}; the unweighted
+    # route sums raw coefficients and divides by x, as criterion 10 does
+    g = LogGrid(H, 50_001)
+    spec = SystemSpec(base="li", grid=g, e_part=tail_spec())
+    rep = hypothesis_report(spec)
+    m_w = exp_star(negate(assemble_pi(spec, weight_sigma=1.0)), tilt=0.0)
+    ts = rep.series["m_ratio"].log_points
+    raw = sample_ratio(tilt(m_w, -1.0), "1/x", ts).values
+    got = rep.series["m_ratio"].values
+    assert float(np.max(np.abs(got - raw) / np.abs(raw))) <= 1e-12
+    decay = check_decay(rep.series["m_ratio"])
+    assert rep.conclusion.final_over_max == decay.final_over_max
+    assert rep.conclusion.passed
+
+
+@pytest.mark.parametrize("sigma0", [0.5, 3.0])
+def test_hypothesis_report_sigma0_partial_on_long_grid(sigma0):
+    # checkpoints to 450 on a 1600-long grid: u^{1 - sigma0} overflows past
+    # the last checkpoint for sigma0 = 0.5, e^{(1 - sigma0)(t - kh)} within
+    # the checkpoints for sigma0 = 3; neither may reach the sums
+    g = LogGrid(0.1, 16_001)
+    r_part = DensitySpec(density=lambda u: u ** -2.0,
+                         log_density=lambda t: np.exp(-2.0 * t))
+    ts = (100.0, 200.0, 300.0, 400.0, 450.0)
+    rep = hypothesis_report(SystemSpec(base="li", grid=g, r_part=r_part),
+                            checkpoints=ts, sigma0=sigma0, method="fft")
+    rvar = np.abs(discretize(r_part, g, 1.0).coeffs).astype(np.longdouble)
+    weights = np.exp(np.longdouble(1.0 - sigma0) * g.h * np.arange(g.n))
+    ref = np.array([np.sum((rvar * weights)[: g.index_of_log(t) + 1]) for t in ts])
+    got = rep.series["r_sigma0_partial"].values
+    assert np.all(np.isfinite(got))
+    assert float(np.max(np.abs((got - ref) / ref))) <= 1e-14
+    assert rep.flags["ii_sigma0"]
 
 
 # ------------------------------------------------------------- classical
