@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FitError
+from .errors import FitError, ParameterError
 from .measure import Measure, checkpoint_sums, mellin
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -94,6 +94,14 @@ def sample_ratio(a: Measure, weight: str, checkpoints, b: float | None = None) -
     return CheckpointSeries(ts, prims * w, f"{weight} ratio")
 
 
+def check_ladder(count: int, tail_k: int = 5) -> None:
+    """Refuse a ladder of count checkpoints too short for the decay proxy's
+    tail of tail_k; pipelines call it before any exponential runs."""
+    if not (3 <= tail_k <= count):
+        raise ParameterError(f"{count} checkpoints cannot carry a decay tail of "
+                             f"tail_k={tail_k}: need 3 <= tail_k <= {count}")
+
+
 def check_decay(series: CheckpointSeries, tail_k: int = 5) -> DecayReport:
     """The decay proxy: |values| strictly decreasing over the last tail_k
     checkpoints and final |value| < 0.5 * max |value|.
@@ -104,8 +112,7 @@ def check_decay(series: CheckpointSeries, tail_k: int = 5) -> DecayReport:
     so a ladder ending at t = 50 fails the proxy on correct values.
     """
     vals = np.abs(series.values)
-    if not (3 <= tail_k <= len(vals)):
-        raise ValueError(f"need 3 <= tail_k <= {len(vals)}, got {tail_k}")
+    check_ladder(len(vals), tail_k)
     tail = vals[-tail_k:]
     decreasing = bool(np.all(np.diff(tail) < 0))
     top = float(vals.max())

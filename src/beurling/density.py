@@ -30,6 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import quad
 
+from .errors import ParameterError
 from .grid import LogGrid
 from .measure import Measure
 
@@ -68,7 +69,7 @@ def discretize(spec, grid: LogGrid, weight_sigma: float = 0.0) -> Measure:
         growth = 1.0 - weight_sigma
         if growth * grid.log_end > _LOG_DOUBLE_MAX:
             first = min(n - 1, int(_LOG_DOUBLE_MAX / (growth * h)) + 1)
-            raise ValueError(
+            raise ParameterError(
                 f"cell masses overflow a double from cell {first} (log u ~ "
                 f"{first * h:.6g}); discretize with weight_sigma > "
                 f"{1.0 - _LOG_DOUBLE_MAX / grid.log_end:.6g} instead")

@@ -22,11 +22,12 @@ Conditioning note: the exponential of a signed sequence can be dominated by
 cancellation; relative accuracy is only meaningful when the positive
 envelope exp*(|a|) stays within a few orders of magnitude of the result.
 For the nonnegative inputs arising from prime densities both paths are
-stable, and rapidly growing inputs are handled by an exact exponential
-"tilt" e^{-s k h} that commutes with exp* (it is the algebra homomorphism
-induced by the measure weight u^{-s}).  Untilted inputs that grow too fast
-drive the Newton intermediates out of the double range; the result is then
-checked against the a priori envelope bound and refused.
+stable once the input is weighted.  Nothing here reweights: a caller with
+raw, rapidly growing coefficients exponentiates the u^{-s}-weighted copy
+c_k e^{-s k h} (measure.tilt, an exact homomorphism that commutes with
+exp*) and weights back itself.  Inputs that grow too fast drive the Newton
+intermediates out of the double range; the result is then checked against
+the a priori envelope bound and refused.
 """
 from __future__ import annotations
 
@@ -146,42 +147,18 @@ def _exp_newton_monic(a: np.ndarray):
     return e, r
 
 
-def estimate_tilt(a: np.ndarray, h: float) -> float:
-    """Growth-rate guess for a nonnegative coefficient profile, clipped to [0, 2].
-
-    The log-slope between the dominant head and tail entries approximates s
-    when a_k ~ e^{s k h}; tilting by it keeps Newton intermediates O(1).
-    """
-    n = len(a)
-    q = n // 4
-    if q < 1:
-        return 0.0
-    head = np.abs(a[:q])
-    tail = np.abs(a[-q:])
-    mh = float(head.max())
-    mt = float(tail.max())
-    if mh == 0.0 or mt == 0.0:
-        return 0.0
-    ih = int(np.argmax(head))
-    it = n - q + int(np.argmax(tail))
-    if it <= ih:
-        return 0.0
-    slope = math.log(mt / mh) / ((it - ih) * h)
-    return float(min(2.0, max(0.0, slope)))
-
-
-def _finish(e: np.ndarray, a0: float, tilt: float, kh: np.ndarray,
+def _finish(e: np.ndarray, a0: float, kh: np.ndarray,
             log_bound: float) -> np.ndarray:
-    # Scale e = exp*(a'), a' the tilted input with its u = 1 mass a0
-    # removed, back to exp*(a) after two checks on log |exp*(a)_k|.  The
-    # a priori bound |exp*(a)_k| <= e^{kh} exp(log_bound), log_bound =
-    # sum_j |a_j| e^{-jh}, holds because exp*(|a|) dominates exp*(a) and no
-    # coefficient of exp*(|a_j| e^{-jh}) exceeds its total mass.  A result
-    # more than a factor e above it is the garbage of an iteration whose
-    # intermediates left the double range (ValueError); a result within it
-    # that is too large for a double raises OverflowError.
+    # Scale e = exp*(a'), a' the input with its u = 1 mass a0 removed, to
+    # exp*(a) after two checks on log |exp*(a)_k|.  The a priori bound
+    # |exp*(a)_k| <= e^{kh} exp(log_bound), log_bound = sum_j |a_j| e^{-jh},
+    # holds because exp*(|a|) dominates exp*(a) and no coefficient of
+    # exp*(|a_j| e^{-jh}) exceeds its total mass.  A result more than a
+    # factor e above it is the garbage of an iteration whose intermediates
+    # left the double range (ValueError); a result within it that is too
+    # large for a double raises OverflowError.
     with np.errstate(divide="ignore"):
-        log_mag = np.log(np.abs(e)) + (tilt * kh + a0)
+        log_mag = np.log(np.abs(e)) + a0
     if float(np.max(log_mag - kh)) > log_bound + 1.0:
         raise ValueError(
             "exp* result exceeds its a priori envelope bound: the FFT "
@@ -193,8 +170,6 @@ def _finish(e: np.ndarray, a0: float, tilt: float, kh: np.ndarray,
             "weighted (tilted) representation instead"
         )
     e *= math.exp(a0)
-    if tilt != 0.0:
-        e *= np.exp(tilt * kh)
     return e
 
 
@@ -203,31 +178,24 @@ def _log_envelope(a: np.ndarray, h: float):
     return kh, float(np.dot(np.abs(a), np.exp(-kh)))
 
 
-def exp_newton(a: np.ndarray, h: float, tilt: float | None = None) -> np.ndarray:
-    """exp* via Newton/FFT with an automatic conditioning tilt.
+def exp_newton(a: np.ndarray, h: float) -> np.ndarray:
+    """exp* via Newton/FFT, on the coefficients exactly as given.
 
-    tilt = s replaces a_k by a_k e^{-s k h}, exponentiates, and scales back;
-    exactness of the tilt homomorphism makes the round trip free of model
-    error.  Signed inputs default to s = 0, nonnegative ones to a slope
-    estimate.  Raises OverflowError when the untilted result cannot be
-    represented in double precision, and ValueError when the result breaks
-    the a priori envelope bound (see _finish).
+    It never reweights: a raw, growing input is the caller's to weight (see
+    the conditioning note above).  Raises OverflowError when the result
+    cannot be represented in double precision, and ValueError when the
+    result breaks the a priori envelope bound (see _finish).
     """
-    if tilt is None:
-        tilt = estimate_tilt(a, h) if np.all(a >= 0.0) else 0.0
     kh, log_bound = _log_envelope(a, h)
-    if tilt != 0.0:
-        az = a * np.exp(-tilt * kh)
-    else:
-        az = a.astype(float, copy=True)
+    az = a.astype(float, copy=True)
     a0 = float(az[0])
     az[0] = 0.0
     e, _ = _exp_newton_monic(az)
-    return _finish(e, a0, tilt, kh, log_bound)
+    return _finish(e, a0, kh, log_bound)
 
 
 def exp_newton_pair(a: np.ndarray, h: float):
-    """(exp* a, exp* -a) from one Newton iteration, untilted.
+    """(exp* a, exp* -a) from one Newton iteration, on the coefficients as given.
 
     exp*(-a) is the convolution inverse of exp*(a); one more reciprocal
     step at full length turns the inverse the iteration already tracks into
@@ -240,5 +208,5 @@ def exp_newton_pair(a: np.ndarray, h: float):
     e, r = _exp_newton_monic(az)
     if len(r) < len(e):
         r = _refine_inverse(e, r, len(e))
-    return (_finish(e, a0, 0.0, kh, log_bound),
-            _finish(r, -a0, 0.0, kh, log_bound))
+    return (_finish(e, a0, kh, log_bound),
+            _finish(r, -a0, kh, log_bound))

@@ -131,23 +131,24 @@ def _exp_method(a: Measure, method: str) -> str:
     return method
 
 
-def exp_star(a: Measure, method: str = "auto", tilt: float | None = None) -> Measure:
+def exp_star(a: Measure, method: str = "auto") -> Measure:
     """The convolution exponential exp*(dA) = sum dA^{*m} / m!.
 
     method "recurrence" is the derivation-identity triangular solve, the
     reference algorithm; "fft" is the Newton iteration in kernels (used
-    automatically from n = 2^15 up).  tilt is passed through to the fft
-    path; the recurrence always works on raw coefficients.
+    automatically from n = 2^15 up).  Neither path reweights: a raw,
+    growing dA is the caller's to weight, by exponentiating tilt(dA, s) and
+    tilting the result back by -s.
     """
     if _exp_method(a, method) == "recurrence":
         e = kernels.exp_recurrence(a.coeffs)
     else:
-        e = kernels.exp_newton(a.coeffs, a.grid.h, tilt=tilt)
+        e = kernels.exp_newton(a.coeffs, a.grid.h)
     return Measure(a.grid, e)
 
 
 def exp_star_pair(a: Measure, method: str = "auto") -> tuple[Measure, Measure]:
-    """(exp*(dA), exp*(-dA)), untilted, for the price of about one exp_star.
+    """(exp*(dA), exp*(-dA)) for the price of about one exp_star.
 
     The fft path (automatic from n = 2^15 up) finishes the reciprocal the
     Newton iteration tracks, since exp*(-dA) is the convolution inverse of

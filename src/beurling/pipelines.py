@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import (CheckpointSeries, FitReport, GrowthReport,
-                          check_decay, check_growth, fit_de_haan,
+                          check_decay, check_growth, check_ladder, fit_de_haan,
                           fit_mellin_expansion)
 from .errors import RangeError
 from .grid import LogGrid
@@ -66,6 +66,7 @@ def kahane_pipeline(grid: LogGrid | None = None, checkpoints=DEFAULT_CHECKPOINTS
     if grid is None:
         grid = KAHANE_GRID
     ts = np.asarray(sorted(checkpoints), dtype=float)
+    check_ladder(len(ts))
     if ts[-1] > grid.log_end:
         raise RangeError(f"checkpoint t={ts[-1]} beyond grid end {grid.log_end}")
     h = grid.h
@@ -144,7 +145,7 @@ def growth_diagnostics(e: Measure, checkpoints=DEFAULT_CHECKPOINTS,
         raise ValueError("perturbation must be nonnegative coefficient-wise")
     ts = np.asarray(sorted(checkpoints), dtype=float)
     e_w = tilt(e, 1.0 - weight_sigma)
-    f_w = exp_star(e_w, method=method, tilt=0.0)
+    f_w = exp_star(e_w, method=method)
     f_harm = checkpoint_sums(f_w, ts)
     h_over_x = checkpoint_sums(apply_log(f_w), ts, 1.0)
     series, bounded = {}, {}
@@ -205,7 +206,7 @@ def de_haan_experiment(grid: LogGrid | None = None, checkpoints=None,
     sigma_grid = np.asarray(sigma_grid, dtype=float)
 
     a_w = kahane_tail(grid, weight_sigma=1.0)
-    bp_w = exp_star(a_w, method=method, tilt=0.0)
+    bp_w = exp_star(a_w, method=method)
     ts = np.asarray(sorted(checkpoints), dtype=float)
     series = CheckpointSeries(ts, checkpoint_sums(bp_w, ts), "int dB+/u")
     mell = mellin(bp_w, sigma_grid - 1.0)

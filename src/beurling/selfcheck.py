@@ -109,7 +109,7 @@ def benchmark_exp(sizes=None, h: float = 0.01) -> list:
         grid = LogGrid(h, int(n))
         a = build_li_pi(grid, weight_sigma=1.0)
         t0 = time.perf_counter()
-        e_fft = exp_star(a, method="fft", tilt=0.0)
+        e_fft = exp_star(a, method="fft")
         t_fft = time.perf_counter() - t0
         row = {"n": int(n), "fft_s": t_fft, "recurrence_s": None, "gap": None}
         if n <= RECURRENCE_CAP:

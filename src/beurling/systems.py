@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import sieve as sievemod
-from .asymptotics import CheckpointSeries, DecayReport, check_decay
+from .asymptotics import CheckpointSeries, DecayReport, check_decay, check_ladder
 from .density import DensitySpec, discretize
 from .errors import ConstructionError, RangeError
 from .grid import LogGrid
@@ -41,6 +41,7 @@ from .measure import (
     convolve,
     delta_one,
     exp_star,
+    exp_star_pair,
     negate,
     tilt,
     variation,
@@ -110,11 +111,16 @@ def kahane_tail_exp(grid: LogGrid, sign: int, weight_sigma: float = 0.0,
                     method: str = "auto") -> Measure:
     """exp*(sign * tail): the positive/negative exponentials of the added
     component.  The harmonic primitive of the sign = -1 case is the
-    alternating sum studied by the decay pipeline."""
+    alternating sum studied by the decay pipeline.
+
+    The exponential runs on the u^{-1}-weighted copy, and the result is
+    weighted back to u^{-weight_sigma}."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     a = kahane_tail(grid, weight_sigma)
-    return exp_star(a if sign == 1 else negate(a), method=method)
+    rest = 1.0 - weight_sigma
+    e_w = exp_star(tilt(a if sign == 1 else negate(a), rest), method=method)
+    return tilt(e_w, -rest)
 
 
 def build_classical_pi(grid: LogGrid, sieve_limit: int,
@@ -191,15 +197,16 @@ def assemble_pi(spec: SystemSpec, weight_sigma: float = 0.0) -> Measure:
 def build_system(spec: SystemSpec, method: str = "auto") -> NumberSystem:
     """Assemble a system and verify its defining invariants.
 
-    The inverse law convolve(dN, dM) = delta is checked on the u^{-1}-tilted
-    copies: tilting is an exact homomorphism fixing delta, and it keeps the
-    check well conditioned on grids where raw dN coefficients span many
-    orders of magnitude.  Pi(1) = 0 and N(1) = 1 hold up to the half-cell
-    mass that the lattice attributes to the point u = 1.
+    dN and dM come from one exp_star_pair of the u^{-1}-weighted dPi,
+    weighted back: tilting is an exact homomorphism fixing delta, and the
+    weighted coefficients stay of order one where raw ones span many orders
+    of magnitude.  The inverse law convolve(dN, dM) = delta is checked on
+    the weighted pair for the same reason.  Pi(1) = 0 and N(1) = 1 hold up
+    to the half-cell mass that the lattice attributes to the point u = 1.
     """
     pi = assemble_pi(spec)
-    n_meas = exp_star(pi, method=method)
-    m_meas = exp_star(negate(pi), method=method)
+    n_w, m_w = exp_star_pair(tilt(pi, 1.0), method=method)
+    n_meas = tilt(n_w, -1.0)
 
     half_cell_tol = max(1e-12, 10.0 * spec.grid.h)
     if abs(float(pi.coeffs[0])) > half_cell_tol:
@@ -207,12 +214,11 @@ def build_system(spec: SystemSpec, method: str = "auto") -> NumberSystem:
     if abs(float(n_meas.coeffs[0]) - 1.0) > half_cell_tol:
         raise ConstructionError(f"N(1) = {n_meas.coeffs[0]} too far from 1")
 
-    probe = convolve(tilt(n_meas, 1.0), tilt(m_meas, 1.0))
-    dev = probe.coeffs - delta_one(spec.grid).coeffs
+    dev = convolve(n_w, m_w).coeffs - delta_one(spec.grid).coeffs
     worst = float(np.max(np.abs(dev)))
     if worst > 1e-8:
         raise ConstructionError(f"dM fails to invert dN: max deviation {worst:.3e}")
-    return NumberSystem(pi=pi, n=n_meas, m=m_meas, provenance=spec)
+    return NumberSystem(pi=pi, n=n_meas, m=tilt(m_w, -1.0), provenance=spec)
 
 
 @dataclass(frozen=True)
@@ -243,6 +249,7 @@ def hypothesis_report(spec: SystemSpec, a: float = 1.0,
     """
     grid = spec.grid
     ts = np.asarray(sorted(checkpoints), dtype=float)
+    check_ladder(len(ts), tail_k)
     series: dict[str, CheckpointSeries] = {}
     flags: dict[str, bool] = {}
 
@@ -270,12 +277,13 @@ def hypothesis_report(spec: SystemSpec, a: float = 1.0,
         flags["ii_sigma0"] = _converges(vals_s0)
 
     pi0_w = _base_pi(spec, weight_sigma=1.0)
-    m0_w = exp_star(negate(pi0_w), method=method, tilt=0.0)
+    m0_w = exp_star(negate(pi0_w), method=method)
     vals_iii = np.abs(checkpoint_sums(m0_w, ts, 1.0)) * ts ** a
     series["m0_ratio"] = CheckpointSeries(ts, vals_iii, f"|M0(x)| log^{a} x / x")
     flags["iii"] = _decays(series["m0_ratio"], tail_k)
 
-    m_w = exp_star(negate(assemble_pi(spec, weight_sigma=1.0)), method=method, tilt=0.0)
+    # the assemble_pi sum, in its order, from the measures built above
+    m_w = exp_star(negate(add(add(pi0_w, e_w), r_w)), method=method)
     series["m_ratio"] = CheckpointSeries(ts, checkpoint_sums(m_w, ts, 1.0), "M(x)/x")
 
     passed = flags["i"] and flags["ii"] and flags["iii"]

@@ -250,7 +250,7 @@ def test_criterion_10_harness_discriminates(capsys):
     good = SystemSpec(base="li", grid=grid, e_part=tail_spec())
     good_rep = hypothesis_report(good)
 
-    m_w = exp_star(negate(assemble_pi(good, weight_sigma=1.0)), tilt=0.0)
+    m_w = exp_star(negate(assemble_pi(good, weight_sigma=1.0)))
     m_raw = tilt(m_w, -1.0)  # exact unweighting; raw coefficients stay finite
     conclusion = check_decay(sample_ratio(m_raw, "1/x", ladder))
 

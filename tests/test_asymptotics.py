@@ -222,8 +222,8 @@ def test_fit_de_haan_validation():
 def _weighted_tail_exponentials():
     g = LogGrid(1e-3, 50_001)
     a_w = kahane_tail(g, weight_sigma=1.0)
-    bp_w = exp_star(a_w, tilt=0.0)
-    bm_w = exp_star(negate(a_w), tilt=0.0)
+    bp_w = exp_star(a_w)
+    bm_w = exp_star(negate(a_w))
     return g, bp_w, bm_w
 
 

@@ -159,6 +159,27 @@ def test_cli_build_fft_path(tmp_path):
                  "--fft", "on"]) == 0
 
 
+def test_cli_build_fft_path_on_a_long_grid(tmp_path, capsys):
+    # log x reaches 131: raw li dPi spans e^131, and only the weighted
+    # exp keeps the Newton iteration inside the double range
+    cfg = write_config(tmp_path, (
+        "base = li\ngrid.h = 0.004\ngrid.n = 32768\n"
+        "e.density = indicator(e) * (0.3 / log(u)**2)\n"
+        "r.density = indicator(e) * (-0.2 / log(u)**1.7)\n"))
+    out = tmp_path / "fft"
+    assert main(["build", "--config", cfg, "--out", str(out), "--fft", "on"]) == 0
+    assert capsys.readouterr().err == ""
+    for name in ("pi", "n", "m"):
+        assert load_measure(out / f"{name}.csv").grid == LogGrid(0.004, 32768)
+
+
+def test_cli_build_refuses_an_overflowing_grid(tmp_path, capsys):
+    # raw cell masses of li pass the double range near log u = 709
+    cfg = write_config(tmp_path, "base = li\ngrid.h = 0.004\ngrid.n = 200000\n")
+    assert main(["build", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("FAIL parameters error=ParameterError(")
+
+
 def test_cli_build_is_deterministic(tmp_path):
     cfg = write_config(tmp_path, "base = li\ngrid.h = 0.001\ngrid.n = 4096\n")
     outs = []
@@ -215,6 +236,27 @@ def test_cli_kahane_rejects_bad_checkpoints(tmp_path, capsys):
     assert "FAIL config" in capsys.readouterr().err
     assert main(["kahane", *COARSE, "--out", str(tmp_path),
                  "--checkpoints", "five"]) == 2
+
+
+@pytest.mark.parametrize("command", ["kahane", "hypotheses"])
+def test_cli_refuses_a_ladder_shorter_than_the_decay_tail(tmp_path, capsys,
+                                                        monkeypatch, command):
+    # the decay proxy reads the last 5 checkpoints; two cannot carry it, and
+    # the command says so before any exponential runs
+    from beurling import kernels
+
+    def no_exp(*args):
+        raise AssertionError("an exponential ran before the ladder check")
+
+    for name in ("exp_recurrence", "exp_newton", "exp_newton_pair"):
+        monkeypatch.setattr(kernels, name, no_exp)
+    grid = (["--config", write_config(tmp_path, "base = li\n")]
+            if command == "hypotheses" else [])
+    assert main([command, *grid, *COARSE, "--out", str(tmp_path / "o"),
+                 "--checkpoints", "5,10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("FAIL parameters error=ParameterError(")
+    assert "tail_k=5" in err
 
 
 def test_cli_hypotheses_pass_and_fail(tmp_path, capsys):

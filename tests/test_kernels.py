@@ -8,9 +8,8 @@ import scipy.linalg
 
 from beurling import kernels
 from beurling.grid import LogGrid
-from beurling.kernels import (estimate_tilt, exp_newton, exp_newton_pair,
-                              exp_recurrence, invert_recurrence,
-                              log_recurrence, mul_trunc)
+from beurling.kernels import (exp_newton, exp_newton_pair, exp_recurrence,
+                              invert_recurrence, log_recurrence, mul_trunc)
 from beurling.pipelines import KAHANE_GRID
 from beurling.systems import build_kahane_pi, build_li_pi, kahane_tail
 
@@ -95,21 +94,10 @@ def test_exp_newton_agrees_with_recurrence():
     assert np.max(np.abs(e_fft - e_ref)) <= 1e-8 * scale
 
 
-def test_exp_newton_tilt_roundtrip_is_consistent():
-    # on an input whose exp* really grows like e^{kh}, the matching manual
-    # tilt and the automatic estimate agree with the recurrence cell by cell
-    n = 1 << 12
-    h = 0.01
-    a = build_li_pi(LogGrid(h, n)).coeffs
-    ref = exp_recurrence(a)
-    for got in (exp_newton(a, h), exp_newton(a, h, tilt=1.0)):
-        assert np.max(np.abs(got - ref) / ref) <= 1e-8
-
-
 def test_exp_newton_auto_handles_subexponential_growth():
-    # du/u profile: exp* grows like e^{2 sqrt(t)}, so a unit tilt would
-    # drown the tail below machine precision; the automatic estimate must
-    # stay near zero and match the recurrence
+    # du/u profile: exp* grows like e^{2 sqrt(t)}, so a unit weight would
+    # drown the tail below machine precision; the unweighted Newton exp must
+    # match the recurrence
     n = 1 << 12
     h = 0.01
     a = np.full(n, h)
@@ -117,18 +105,6 @@ def test_exp_newton_auto_handles_subexponential_growth():
     ref = exp_recurrence(a)
     got = exp_newton(a, h)
     assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(ref)
-
-
-def test_estimate_tilt_reads_exponential_slope():
-    h = 0.01
-    k = np.arange(2048)
-    assert estimate_tilt(np.exp(1.0 * h * k), h) == pytest.approx(1.0, abs=1e-6)
-    assert estimate_tilt(np.exp(0.5 * h * k), h) == pytest.approx(0.5, abs=1e-6)
-    # clipped at 2 and floored at 0
-    assert estimate_tilt(np.exp(3.0 * h * k), h) == 2.0
-    assert estimate_tilt(np.exp(-1.0 * h * k), h) == 0.0
-    assert estimate_tilt(np.zeros(2048), h) == 0.0
-    assert estimate_tilt(np.ones(2), h) == 0.0
 
 
 def test_exp_newton_overflow_message_points_to_weighting():
@@ -151,7 +127,7 @@ def test_newton_and_pair_match_recurrence_on_signed_inputs(n):
     ref_pos = exp_recurrence(a)
     ref_neg = exp_recurrence(-a)
     pos, neg = exp_newton_pair(a, h=0.01)
-    assert np.max(np.abs(exp_newton(a, h=0.01, tilt=0.0) - ref_pos)) <= tol
+    assert np.max(np.abs(exp_newton(a, h=0.01) - ref_pos)) <= tol
     assert np.max(np.abs(pos - ref_pos)) <= tol
     assert np.max(np.abs(neg - ref_neg)) <= tol
 
@@ -163,7 +139,7 @@ def test_envelope_guard_refuses_raw_long_grid_inverse():
     grid = LogGrid(4e-3, 32_768)
     pi = build_li_pi(grid).coeffs
     with pytest.raises(ValueError, match="envelope"):
-        exp_newton(-pi, grid.h, tilt=0.0)
+        exp_newton(-pi, grid.h)
     with pytest.raises(ValueError, match="envelope"):
         exp_newton_pair(pi, grid.h)
 
@@ -187,7 +163,7 @@ def test_pair_costs_about_one_exp_in_transforms(monkeypatch):
     monkeypatch.setattr(kernels, "rfft", counted)
     grid = LogGrid(0.01, 1 << 16)
     a = build_li_pi(grid, weight_sigma=1.0).coeffs
-    exp_newton(a, grid.h, tilt=0.0)
+    exp_newton(a, grid.h)
     one = forward["rfft"]
     forward.clear()
     exp_newton_pair(a, grid.h)

@@ -80,6 +80,43 @@ def test_build_system_rejects_broken_pi():
         build_system(bad)
 
 
+# ------------------------------------------- builds on either exp path
+
+BUILD_H = 4e-3
+
+
+def indicator_e_power(amp, power):
+    # indicator(e) * amp / log(u)^power, in t = log u, with the jump at u = e
+    return DensitySpec(
+        log_density=lambda t: np.where(t >= 1.0, amp / np.maximum(t, 1.0) ** power, 0.0),
+        breakpoints=(math.e,))
+
+
+def perturbed_spec(base, n):
+    extra = {"classical": {"sieve_limit": 10 ** 6},
+             "custom": {"custom": DensitySpec(log_density=lambda t: 1.0 / (1.0 + t))}}
+    return SystemSpec(base=base, grid=LogGrid(BUILD_H, n),
+                      e_part=indicator_e_power(0.3, 2.0),
+                      r_part=indicator_e_power(-0.2, 1.7), **extra.get(base, {}))
+
+
+@pytest.mark.parametrize("base", ["li", "kahane", "custom", "classical"])
+def test_fft_build_matches_recurrence_grid_build(base):
+    # raw dPi grows like e^{kh}, and exp* of its negation cancels to 1 -
+    # log x; the n = 32,768 grid reaches log x = 131, where a raw Newton exp
+    # leaves the double range.  A lattice build does not depend on where the
+    # grid ends, so the n = 16,383 recurrence build is its reference to t = 50
+    fft = build_system(perturbed_spec(base, 32_768), method="fft")
+    rec = build_system(perturbed_spec(base, 16_383), method="recurrence")
+    for t in range(5, 55, 5):
+        x = math.exp(t)
+        for got, want in ((fft.pi, rec.pi), (fft.n, rec.n)):
+            assert abs(primitive(got, x) - primitive(want, x)) \
+                <= 1e-12 * abs(primitive(want, x))
+    law = convolve(tilt(fft.n, 1.0), tilt(fft.m, 1.0))
+    assert np.max(np.abs(law.coeffs - delta_one(fft.pi.grid).coeffs)) <= 1e-14
+
+
 # -------------------------------------------------- decompositions, exact
 
 def test_kahane_pi_is_li_plus_tail():
@@ -140,6 +177,19 @@ def test_tail_exponentials_invert_each_other():
     bm = kahane_tail_exp(GRID, sign=-1)
     probe = convolve(bp, bm)
     assert relative_gap(probe, delta_one(GRID)) <= 1e-8
+
+
+@pytest.mark.parametrize("weight_sigma", [0.0, 0.5])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_tail_exp_fft_tracks_recurrence(sign, weight_sigma):
+    # exp*(+tail) at the same weight is the envelope of both signs; below
+    # the cutoff cell the exact values are 0 and the Newton exp leaves
+    # rounding noise relative to the unit mass at u = 1
+    g = LogGrid(BUILD_H, 1 << 15)
+    env = kahane_tail_exp(g, 1, weight_sigma, method="recurrence").coeffs
+    rec = kahane_tail_exp(g, sign, weight_sigma, method="recurrence").coeffs
+    fft = kahane_tail_exp(g, sign, weight_sigma, method="fft").coeffs
+    assert np.all(np.abs(fft - rec) <= 1e-12 * env + 1e-15)
 
 
 def test_tail_cosh_combination_is_nonnegative():
@@ -220,7 +270,7 @@ def test_hypothesis_report_conclusion_matches_unweighted_route():
     g = LogGrid(H, 50_001)
     spec = SystemSpec(base="li", grid=g, e_part=tail_spec())
     rep = hypothesis_report(spec)
-    m_w = exp_star(negate(assemble_pi(spec, weight_sigma=1.0)), tilt=0.0)
+    m_w = exp_star(negate(assemble_pi(spec, weight_sigma=1.0)))
     ts = rep.series["m_ratio"].log_points
     raw = sample_ratio(tilt(m_w, -1.0), "1/x", ts).values
     got = rep.series["m_ratio"].values

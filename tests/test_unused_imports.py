@@ -1,7 +1,9 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+module-level definition is referenced somewhere in the package.
 
 A standard-library ast walk, since no linter is assumed installed.  The
-package __init__ is exempt: its imports are the public re-exports.
+package __init__ is exempt from the import check: its imports are the public
+re-exports, and they count as references for the definition check.
 """
 
 import ast
@@ -35,3 +37,50 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def module_definitions(source: str) -> dict:
+    """{name: line} of the module-level functions, classes and constants."""
+    defs = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defs[name.id] = node.lineno
+    return defs
+
+
+def references(source: str) -> set:
+    """Names read, attributes taken and names imported: every use of a
+    definition that is not the definition itself."""
+    refs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def unreferenced_definitions(sources: dict) -> list:
+    refs = set().union(*(references(src) for src in sources.values()))
+    return sorted((mod, line, name) for mod, src in sources.items()
+                  for name, line in module_definitions(src).items()
+                  if name not in refs and name != "__version__")
+
+
+def test_checker_flags_an_unreferenced_definition():
+    sources = {"a.py": "X = 1\ndef f():\n    return g()\ndef g():\n    pass\n",
+               "b.py": "from a import X\n"}
+    assert unreferenced_definitions(sources) == [("a.py", 2, "f")]
+
+
+def test_every_definition_is_referenced():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert unreferenced_definitions(sources) == []
