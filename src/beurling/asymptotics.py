@@ -141,24 +141,33 @@ def check_growth(series: CheckpointSeries, min_gain: float = 1.5,
                         strictly_increasing=increasing, gain=gain)
 
 
-def _tail_estimate(coeffs: np.ndarray, h: float, decay: float) -> float:
+def _tail_estimates(coeffs: np.ndarray, h: float, decays) -> list[float]:
     # geometric continuation of the last decade of weighted terms
+    # t_k = |c_k| e^{-d h k}, one estimate per decay d: the step is the
+    # ratio of the maxima of t over the decade's two halves, taken per
+    # term.  log|c_k| is taken once; per d only maxima of log t_k enter,
+    # so no d pays an exp over the decade.
     n = len(coeffs)
     lo = max(1, int(0.9 * n))
-    k = np.arange(lo, n)
-    terms = np.abs(coeffs[lo:]) * np.exp(-decay * h * k)
-    half = len(terms) // 2
+    half = (n - lo) // 2
     if half < 1:
-        return 0.0
-    m1 = float(terms[:half].max())
-    m2 = float(terms[half:].max())
-    last = float(terms[-1])
-    if m1 <= 0.0 or m2 <= 0.0:
-        return 0.0
-    step = (m2 / m1) ** (1.0 / max(half, 1))
-    if step >= 1.0:
-        return math.inf
-    return last * step / (1.0 - step)
+        return [0.0] * len(decays)
+    with np.errstate(divide="ignore"):
+        log_c = np.log(np.abs(coeffs[lo:]))
+    kh = h * np.arange(lo, n)
+    out = []
+    for d in decays:
+        log_t = log_c - d * kh
+        l1 = float(log_t[:half].max())
+        l2 = float(log_t[half:].max())
+        if l1 == -math.inf or l2 == -math.inf:
+            out.append(0.0)
+        elif l2 >= l1:
+            out.append(math.inf)
+        else:
+            # last * step / (1 - step) with step = e^{(l2 - l1) / half}
+            out.append(math.exp(float(log_t[-1])) / math.expm1((l1 - l2) / half))
+    return out
 
 
 def fit_mellin_expansion(a: Measure, sigma_grid, weight_sigma: float = 0.0,
@@ -179,18 +188,13 @@ def fit_mellin_expansion(a: Measure, sigma_grid, weight_sigma: float = 0.0,
     sigmas = np.asarray(sorted(sigma_grid, reverse=True), dtype=float)
     if np.any(sigmas <= 1.0) or np.any(sigmas > 2.0):
         raise FitError("sigma grid must lie in (1, 2]")
-    span = a.grid.log_end
-    keep, clipped = [], []
-    for s in sigmas:
-        if (s - 1.0) * span >= TAIL_RULE:
-            est = _tail_estimate(a.coeffs, a.grid.h, s - weight_sigma)
-            if est <= 1e-6:
-                keep.append(s)
-                continue
-        clipped.append(float(s))
+    ok = (sigmas - 1.0) * a.grid.log_end >= TAIL_RULE
+    ok[ok] = np.asarray(_tail_estimates(a.coeffs, a.grid.h,
+                                        sigmas[ok] - weight_sigma)) <= 1e-6
+    keep = sigmas[ok]
+    clipped = sigmas[~ok].tolist()
     if len(keep) < 4:
         raise FitError(f"only {len(keep)} usable sigma values after tail clipping")
-    keep = np.asarray(keep)
     values = mellin(a, keep - weight_sigma)
     report = fit_loglog_model(keep, values, alpha_tol=alpha_tol)
     details = dict(report.details)

@@ -211,7 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tol", type=float, default=tol, help="tolerance override")
         if "fft" in flags:
             p.add_argument("--fft", choices=("on", "off", "auto"), default="auto",
-                           help="exp-star path selection")
+                           help="exp-star path: auto = FFT Newton unless n < 128 "
+                           "or the input cancels strongly, on = always Newton, "
+                           "off = the O(n^2) reference recurrence")
         if "seed" in flags:
             p.add_argument("--seed", type=int, default=2026, help="rng seed")
         if "checkpoints" in flags:

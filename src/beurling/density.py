@@ -35,7 +35,7 @@ from .grid import LogGrid
 from .measure import Measure
 
 # np.exp overflows past log(max double) = 709.78
-_LOG_DOUBLE_MAX = 709.0
+LOG_DOUBLE_MAX = 709.0
 
 
 @dataclass(frozen=True)
@@ -67,12 +67,12 @@ def discretize(spec, grid: LogGrid, weight_sigma: float = 0.0) -> Measure:
 
     if spec.density is not None or spec.log_density is not None:
         growth = 1.0 - weight_sigma
-        if growth * grid.log_end > _LOG_DOUBLE_MAX:
-            first = min(n - 1, int(_LOG_DOUBLE_MAX / (growth * h)) + 1)
+        if growth * grid.log_end > LOG_DOUBLE_MAX:
+            first = min(n - 1, int(LOG_DOUBLE_MAX / (growth * h)) + 1)
             raise ParameterError(
                 f"cell masses overflow a double from cell {first} (log u ~ "
                 f"{first * h:.6g}); discretize with weight_sigma > "
-                f"{1.0 - _LOG_DOUBLE_MAX / grid.log_end:.6g} instead")
+                f"{1.0 - LOG_DOUBLE_MAX / grid.log_end:.6g} instead")
         if spec.log_density is not None:
             fl = spec.log_density
 

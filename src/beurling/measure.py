@@ -15,7 +15,8 @@ evaluated below the grid end since convolution only moves mass upward.
 The derivation operator L multiplies a measure by log u, i.e. c_k by kh.
 It satisfies the product rule over convolution, and exp* obeys
 L exp*(dA) = (L dA) * exp*(dA); read as a triangular system this identity
-is the O(n^2) exponential algorithm used below.
+is the O(n^2) reference exponential, beside the FFT Newton iteration that
+exp_star runs on large, well-conditioned inputs.
 
 All functions treat measures as immutable values and return new objects.
 """
@@ -123,42 +124,28 @@ def tilt(a: Measure, sigma: float) -> Measure:
     return Measure(a.grid, a.coeffs * np.exp(-sigma * a.grid.h * k))
 
 
-def _exp_method(a: Measure, method: str) -> str:
-    if method == "auto":
-        return "fft" if a.grid.n >= (1 << 15) else "recurrence"
-    if method not in ("recurrence", "fft"):
-        raise ValueError(f"unknown exp* method {method!r}")
-    return method
-
-
 def exp_star(a: Measure, method: str = "auto") -> Measure:
     """The convolution exponential exp*(dA) = sum dA^{*m} / m!.
 
     method "recurrence" is the derivation-identity triangular solve, the
-    reference algorithm; "fft" is the Newton iteration in kernels (used
-    automatically from n = 2^15 up).  Neither path reweights: a raw,
-    growing dA is the caller's to weight, by exponentiating tilt(dA, s) and
-    tilting the result back by -s.
+    reference algorithm; "fft" is the Newton iteration in kernels; "auto"
+    runs Newton from n = 128 up unless dA cancels strongly, and the
+    recurrence otherwise (kernels.exp_star has the rule and its numbers).
+    Neither path reweights: a raw, growing dA is the caller's to weight, by
+    exponentiating tilt(dA, s) and tilting the result back by -s.
     """
-    if _exp_method(a, method) == "recurrence":
-        e = kernels.exp_recurrence(a.coeffs)
-    else:
-        e = kernels.exp_newton(a.coeffs, a.grid.h)
-    return Measure(a.grid, e)
+    return Measure(a.grid, kernels.exp_star(a.coeffs, a.grid.h, method))
 
 
 def exp_star_pair(a: Measure, method: str = "auto") -> tuple[Measure, Measure]:
     """(exp*(dA), exp*(-dA)) for the price of about one exp_star.
 
-    The fft path (automatic from n = 2^15 up) finishes the reciprocal the
-    Newton iteration tracks, since exp*(-dA) is the convolution inverse of
-    exp*(dA); "recurrence" runs the reference recurrence on both signs.
+    The Newton path, chosen by method as in exp_star, finishes the
+    reciprocal the iteration tracks, since exp*(-dA) is the convolution
+    inverse of exp*(dA); the recurrence path runs the reference recurrence
+    on both signs.
     """
-    if _exp_method(a, method) == "recurrence":
-        pos = kernels.exp_recurrence(a.coeffs)
-        neg = kernels.exp_recurrence(-a.coeffs)
-    else:
-        pos, neg = kernels.exp_newton_pair(a.coeffs, a.grid.h)
+    pos, neg = kernels.exp_star_pair(a.coeffs, a.grid.h, method)
     return Measure(a.grid, pos), Measure(a.grid, neg)
 
 

@@ -31,8 +31,8 @@ import numpy as np
 
 from . import sieve as sievemod
 from .asymptotics import CheckpointSeries, DecayReport, check_decay, check_ladder
-from .density import DensitySpec, discretize
-from .errors import ConstructionError, RangeError
+from .density import LOG_DOUBLE_MAX, DensitySpec, discretize
+from .errors import ConstructionError, ParameterError, RangeError
 from .grid import LogGrid
 from .measure import (
     Measure,
@@ -203,7 +203,14 @@ def build_system(spec: SystemSpec, method: str = "auto") -> NumberSystem:
     of magnitude.  The inverse law convolve(dN, dM) = delta is checked on
     the weighted pair for the same reason.  Pi(1) = 0 and N(1) = 1 hold up
     to the half-cell mass that the lattice attributes to the point u = 1.
+    The raw dN carries e^{kh}, so a grid past log u = LOG_DOUBLE_MAX is
+    refused (ParameterError) before anything is built, for every base.
     """
+    if spec.grid.log_end > LOG_DOUBLE_MAX:
+        raise ParameterError(
+            f"raw dN on a grid to log u = {spec.grid.log_end:.6g} overflows a "
+            f"double past log u ~ {LOG_DOUBLE_MAX:g}; shorten the grid, or use "
+            "hypotheses, which stays in the u^{-1}-weighted representation")
     pi = assemble_pi(spec)
     n_w, m_w = exp_star_pair(tilt(pi, 1.0), method=method)
     n_meas = tilt(n_w, -1.0)

@@ -10,6 +10,7 @@ from beurling import (CheckpointSeries, EULER_GAMMA, FitError, LogGrid,
                       check_decay, check_growth, delta_one, exp_star,
                       fit_de_haan, fit_loglog_model, fit_mellin_expansion,
                       kahane_tail, negate, sample_ratio, zero)
+from beurling import asymptotics
 from beurling.measure import Measure, add
 
 LADDER = np.arange(5.0, 55.0, 5.0)
@@ -167,6 +168,47 @@ def test_fit_mellin_expansion_of_zero_measure():
     rep = fit_mellin_expansion(zero(g), [1.5, 1.6, 1.7, 1.8, 1.9])
     assert rep.constants["alpha"] == pytest.approx(0.0, abs=1e-12)
     assert rep.residual_rms <= 1e-12
+
+
+def _tail_estimate_per_term(coeffs, h, decay):
+    # the estimate with each weighted term formed outright
+    n = len(coeffs)
+    lo = max(1, int(0.9 * n))
+    k = np.arange(lo, n)
+    terms = np.abs(coeffs[lo:]) * np.exp(-decay * h * k)
+    half = len(terms) // 2
+    if half < 1:
+        return 0.0
+    m1, m2 = float(terms[:half].max()), float(terms[half:].max())
+    if m1 <= 0.0 or m2 <= 0.0:
+        return 0.0
+    step = (m2 / m1) ** (1.0 / half)
+    if step >= 1.0:
+        return math.inf
+    return float(terms[-1]) * step / (1.0 - step)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tail_estimates_match_the_per_term_formula(seed):
+    # random signed coefficients under a decaying envelope, a few zeros in
+    # the decade; decays from below the envelope's rate (growing terms,
+    # infinite estimate) to well above it.  Going through log t_k costs
+    # about |log t_k| eps ~ 1e-14 relative (measured worst 1.1e-14)
+    rng = np.random.default_rng(seed)
+    n, h = 5000, 0.01
+    k = np.arange(n)
+    coeffs = rng.standard_normal(n) * np.exp(-0.3 * h * k) * (1 + k) ** -0.5
+    coeffs[rng.integers(4500, n, 20)] = 0.0
+    decays = [-0.5, 0.0, 0.2, 0.31, 0.5, 1.0, 3.0]
+    got = asymptotics._tail_estimates(coeffs, h, decays)
+    for d, g in zip(decays, got):
+        want = _tail_estimate_per_term(coeffs, h, d)
+        if math.isinf(want):
+            assert g == want
+        else:
+            assert g == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert asymptotics._tail_estimates(np.zeros(n), h, decays) == [0.0] * 7
+    assert asymptotics._tail_estimates(coeffs[:3], h, decays) == [0.0] * 7
 
 
 # ------------------------------------------------------------ de Haan fit

@@ -180,6 +180,25 @@ def test_cli_build_refuses_an_overflowing_grid(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("FAIL parameters error=ParameterError(")
 
 
+def test_cli_build_refuses_an_overflowing_classical_grid(tmp_path, capsys,
+                                                         monkeypatch):
+    # the sieved classical base is finite on any grid, but the raw dN it
+    # builds carries e^{kh}; the refusal comes before any exponential runs
+    from beurling import kernels
+
+    def no_exp(*args, **kwargs):
+        raise AssertionError("an exponential ran before the grid check")
+
+    for name in ("exp_recurrence", "exp_newton", "exp_newton_pair"):
+        monkeypatch.setattr(kernels, name, no_exp)
+    cfg = write_config(tmp_path, ("base = classical\ngrid.h = 0.01\n"
+                                  "grid.n = 80000\nsieve_limit = 1000000\n"))
+    assert main(["build", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("FAIL parameters error=ParameterError(")
+    assert "hypotheses" in err
+
+
 def test_cli_build_is_deterministic(tmp_path):
     cfg = write_config(tmp_path, "base = li\ngrid.h = 0.001\ngrid.n = 4096\n")
     outs = []
@@ -278,9 +297,9 @@ def test_cli_hypotheses_pass_and_fail(tmp_path, capsys):
     assert "FAIL hypothesis_i" in captured.err
 
 
-def test_cli_hypotheses_fft_flag_reaches_every_exp(tmp_path, monkeypatch):
-    # n = 8192 is below the automatic switch to the FFT path, so a
-    # recurrence call here means an exp that --fft on did not reach
+def _hypotheses_exp_calls(tmp_path, monkeypatch, flag):
+    # counts of Newton and recurrence exps in `hypotheses` on li + E at
+    # n = 8192, whose two exps are well conditioned: auto runs Newton on both
     from beurling import kernels
 
     calls = {"fft": 0, "recurrence": 0}
@@ -298,8 +317,19 @@ def test_cli_hypotheses_fft_flag_reaches_every_exp(tmp_path, monkeypatch):
         "base = li\ngrid.h = 0.01\ngrid.n = 8192\n"
         "e.density = indicator(e**e) / (log(u) * loglog(u))\n"))
     assert main(["hypotheses", "--config", cfg, "--out", str(tmp_path / "o"),
-                 "--fft", "on"]) == 0
-    assert calls == {"fft": 2, "recurrence": 0}
+                 "--fft", flag]) == 0
+    return calls
+
+
+def test_cli_hypotheses_fft_flag_reaches_every_exp(tmp_path, monkeypatch):
+    assert _hypotheses_exp_calls(tmp_path, monkeypatch, "on") == \
+        {"fft": 2, "recurrence": 0}
+
+
+def test_cli_hypotheses_fft_off_reaches_every_exp(tmp_path, monkeypatch):
+    # auto would run Newton here; --fft off keeps both on the recurrence
+    assert _hypotheses_exp_calls(tmp_path, monkeypatch, "off") == \
+        {"fft": 0, "recurrence": 2}
 
 
 def test_cli_mellin_fit_needs_grid_room(tmp_path, capsys):
@@ -368,6 +398,22 @@ def test_cli_identities(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "identity suite: 100 measures" in out
     assert "pass" in out
+
+
+def test_cli_identities_check_only_the_recurrence(tmp_path, capsys,
+                                                  monkeypatch):
+    # the suite checks the reference path; its uniform(-1, 1) inputs would
+    # not reach Newton under auto either, but it must not rely on that
+    from beurling import kernels
+
+    def no_newton(*args, **kwargs):
+        raise AssertionError("the identity suite reached the Newton exp")
+
+    for name in ("exp_newton", "exp_newton_pair"):
+        monkeypatch.setattr(kernels, name, no_newton)
+    monkeypatch.setattr(kernels, "_NEWTON_MAX_EXCESS", math.inf)
+    assert main(["identities", "--out", str(tmp_path)]) == 0
+    assert "pass" in capsys.readouterr().out
 
 
 def test_cli_unknown_command():

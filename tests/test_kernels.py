@@ -173,3 +173,85 @@ def test_pair_costs_about_one_exp_in_transforms(monkeypatch):
     # direct, so only the 8 rounds reaching precision 512 .. 2^16 transform
     assert one <= 8 * 8
     assert pair < 1.1 * one
+
+
+# ------------------------------------------------- the "auto" exp* rule
+
+@pytest.fixture
+def exp_paths(monkeypatch):
+    """Counts of the exp kernels that ran, by name."""
+    ran = Counter()
+
+    def spy(name):
+        fn = getattr(kernels, name)
+
+        def wrapped(*args, **kwargs):
+            ran[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("exp_recurrence", "exp_newton", "exp_newton_pair"):
+        monkeypatch.setattr(kernels, name, spy(name))
+    return ran
+
+
+@pytest.mark.parametrize("n, path", [(kernels._NEWTON_MIN_N - 1, "exp_recurrence"),
+                                     (kernels._NEWTON_MIN_N, "exp_newton")])
+def test_auto_runs_newton_from_its_minimum_length(exp_paths, n, path):
+    a = build_li_pi(LogGrid(0.01, n), weight_sigma=1.0).coeffs
+    kernels.exp_star(a, 0.01)
+    assert exp_paths == {path: 1}
+
+
+def test_auto_keeps_cancelling_input_on_the_recurrence(exp_paths):
+    rng = np.random.default_rng(40)
+    a = rng.uniform(-1.0, 1.0, 4096)
+    excess = kernels._log_envelope(a, 0.01)[2]
+    assert 30.0 <= excess <= 50.0
+    kernels.exp_star(a, 0.01)
+    kernels.exp_star_pair(a, 0.01)
+    assert exp_paths == {"exp_recurrence": 3}
+
+
+def test_explicit_methods_ignore_the_rule(exp_paths):
+    # "recurrence" on a well-conditioned input, "fft" on a cancelling one
+    a = build_li_pi(LogGrid(0.01, 4096), weight_sigma=1.0).coeffs
+    kernels.exp_star(a, 0.01, "recurrence")
+    kernels.exp_star_pair(a, 0.01, "recurrence")
+    assert exp_paths == {"exp_recurrence": 3}
+    exp_paths.clear()
+    b = np.random.default_rng(41).uniform(-1.0, 1.0, 64)
+    kernels.exp_star(b, 0.01, "fft")
+    kernels.exp_star_pair(b, 0.01, "fft")
+    assert exp_paths == {"exp_newton": 1, "exp_newton_pair": 1}
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_auto_runs_newton_on_weighted_li_at_the_systems_size(exp_paths, sign):
+    grid = LogGrid(0.01, 16_383)
+    a = sign * build_li_pi(grid, weight_sigma=1.0).coeffs
+    got = kernels.exp_star(a, grid.h)
+    assert exp_paths == {"exp_newton": 1}
+    ref = exp_recurrence(a)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("pair", [False, True])
+def test_auto_decision_adds_no_weights_pass(monkeypatch, pair):
+    # from 2^15 up auto runs Newton as before; the decision reuses the one
+    # weights pass the envelope check makes, and the result is that of
+    # exp_newton to the bit
+    passes = Counter()
+    log_envelope = kernels._log_envelope
+
+    def counted(*args):
+        passes["log_envelope"] += 1
+        return log_envelope(*args)
+
+    monkeypatch.setattr(kernels, "_log_envelope", counted)
+    grid = LogGrid(0.01, 1 << 15)
+    a = build_li_pi(grid, weight_sigma=1.0).coeffs
+    got = (kernels.exp_star_pair if pair else kernels.exp_star)(a, grid.h)
+    assert passes["log_envelope"] == 1
+    want = (exp_newton_pair if pair else exp_newton)(a, grid.h)
+    assert np.array_equal(np.asarray(got), np.asarray(want))

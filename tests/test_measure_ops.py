@@ -161,12 +161,14 @@ def test_exp_rejects_unknown_method():
 
 
 def test_exp_pair_is_exp_of_both_signs():
-    # the recurrence path (automatic below n = 2^15) is unchanged to the bit;
-    # from 2^15 up the pair comes from one Newton run
+    # the recurrence path runs the recurrence once per sign, unchanged to
+    # the bit; auto takes the large well-conditioned input to Newton, where
+    # the pair comes from one run
     small = random_measure(LogGrid(0.01, 256), seed=12)
-    pos, neg = exp_star_pair(small)
-    assert np.array_equal(pos.coeffs, exp_star(small).coeffs)
-    assert np.array_equal(neg.coeffs, exp_star(negate(small)).coeffs)
+    pos, neg = exp_star_pair(small, method="recurrence")
+    assert np.array_equal(pos.coeffs, exp_star(small, method="recurrence").coeffs)
+    assert np.array_equal(neg.coeffs,
+                          exp_star(negate(small), method="recurrence").coeffs)
     large = random_measure(LogGrid(0.01, 1 << 15), seed=13, amplitude=1e-4)
     pos, neg = exp_star_pair(large)
     assert relative_gap(pos, exp_star(large)) <= 1e-13
