@@ -6,7 +6,7 @@ starting with # are ignored.  Recognized keys:
     base          li | classical | kahane | custom
     grid.h        positive float
     grid.n        positive integer
-    sieve_limit   positive integer, classical base only
+    sieve_limit   integer >= 2, classical base only
     base.density  density expression, custom base only
     e.density     density expression, optional signed perturbation
     r.density     density expression, optional signed perturbation

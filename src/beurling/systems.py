@@ -123,20 +123,44 @@ def kahane_tail_exp(grid: LogGrid, sign: int, weight_sigma: float = 0.0,
     return tilt(e_w, -rest)
 
 
-def build_classical_pi(grid: LogGrid, sieve_limit: int,
-                       segment: int = sievemod.DEFAULT_SEGMENT) -> Measure:
+def _snap(x: np.ndarray, h: float) -> np.ndarray:
+    """Lattice index, as a float, of each integer x >= 1 in log scale."""
+    return np.rint(np.log(x.astype(float)) / h)
+
+
+def _cell_edges(ks: np.ndarray, h: float) -> np.ndarray:
+    """B_k, the smallest integer p >= 2 with _snap(p) >= k, for each k.
+
+    ceil(e^{(k - 1/2)h}) is B_k unless log p / h falls within rounding of
+    k - 1/2; there the snap of the guess and of its predecessor moves it,
+    so every integer lands in the cell that _snap names.
+    """
+    b = np.maximum(np.ceil(np.exp((ks - 0.5) * h)), 2.0).astype(np.int64)
+    while True:
+        up = _snap(b, h) < ks
+        down = (b > 2) & (_snap(b - 1, h) >= ks)
+        if not (up.any() or down.any()):
+            return b
+        b += up.astype(np.int64) - down
+
+
+def build_classical_pi(grid: LogGrid, sieve_limit: int) -> Measure:
     """Prime powers p^j <= sieve_limit with mass 1/j, snapped to the nearest
     lattice point in log scale.  Zero beyond the limit (documented
-    truncation of the infinite prime-power measure)."""
+    truncation of the infinite prime-power measure).
+
+    The primes are counted per lattice cell [B_k, B_{k+1}) straight from
+    the sieve, so no prime list is built."""
     if sieve_limit < 2:
-        raise ValueError("sieve limit must be at least 2")
+        raise ParameterError(f"sieve limit must be at least 2, got {sieve_limit}")
     if math.log(sieve_limit) > (grid.n - 1) * grid.h + 1e-9:
         raise RangeError(f"sieve limit {sieve_limit} beyond the last lattice point")
     h, n = grid.h, grid.n
     coeffs = np.zeros(n)
-    for seg in sievemod.iter_primes(sieve_limit, segment):
-        ks = np.rint(np.log(seg.astype(float)) / h).astype(np.int64)
-        coeffs += np.bincount(ks, minlength=n)[:n]
+    k0, k1 = _snap(np.array([2, sieve_limit]), h).astype(np.int64).tolist()
+    k1 = min(k1, n - 1)
+    edges = _cell_edges(np.arange(k0, k1 + 2), h)
+    coeffs[k0:k1 + 1] = sievemod.count_primes_in_ranges(edges, sieve_limit)
     for p in sievemod.simple_sieve(math.isqrt(sieve_limit)).tolist():
         pj, j = p * p, 2
         while pj <= sieve_limit:

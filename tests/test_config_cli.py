@@ -199,6 +199,16 @@ def test_cli_build_refuses_an_overflowing_classical_grid(tmp_path, capsys,
     assert "hypotheses" in err
 
 
+@pytest.mark.parametrize("command", ["build", "hypotheses"])
+def test_cli_refuses_a_sieve_limit_below_two(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, ("base = classical\ngrid.h = 0.01\n"
+                                  "grid.n = 5001\nsieve_limit = 1\n"))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("FAIL parameters error=ParameterError(")
+    assert "at least 2" in err
+
+
 def test_cli_build_is_deterministic(tmp_path):
     cfg = write_config(tmp_path, "base = li\ngrid.h = 0.001\ngrid.n = 4096\n")
     outs = []

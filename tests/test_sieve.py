@@ -7,13 +7,16 @@ independent rational-arithmetic oracle with zero tolerance.
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 
-from beurling import (LogGrid, RangeError, build_classical_pi, prime_count,
-                      prime_power_mass, primitive)
-from beurling.sieve import iter_primes, prime_powers, simple_sieve
+from beurling import (LogGrid, ParameterError, RangeError, build_classical_pi,
+                      prime_count, prime_power_mass, primitive)
+from beurling import sieve
+from beurling.sieve import (count_primes_in_ranges, iter_primes, prime_powers,
+                            simple_sieve)
 
 
 def iroot(x: int, k: int) -> int:
@@ -46,6 +49,99 @@ def test_segmented_matches_simple():
     assert all(len(seg) > 0 for seg in parts)
     joined = np.concatenate(parts)
     assert np.array_equal(joined, simple_sieve(10 ** 5))
+
+
+@pytest.mark.parametrize("segment", [2, 3, 97, sieve.DEFAULT_SEGMENT])
+def test_prime_count_and_iter_primes_match_simple_sieve(segment):
+    for x in range(201):
+        assert prime_count(x, segment) == len(simple_sieve(x)), x
+        joined = np.concatenate([np.empty(0, np.int64), *iter_primes(x, segment)])
+        assert joined.dtype == np.int64
+        assert np.array_equal(joined, simple_sieve(x)), x
+
+
+def test_prime_count_powers_of_ten():
+    pi = [0, 4, 25, 168, 1_229, 9_592, 78_498, 664_579]
+    assert [prime_count(10 ** k) for k in range(8)] == pi
+
+
+def test_sieve_refuses_segments_below_two():
+    for segment in (1, 0, -5):
+        with pytest.raises(ParameterError):
+            prime_count(100, segment)
+        with pytest.raises(ParameterError):
+            next(iter_primes(100, segment))
+        with pytest.raises(ParameterError):
+            count_primes_in_ranges([0, 50, 101], 100, segment)
+
+
+def test_count_primes_in_ranges_small():
+    edges = [-3, 0, 2, 3, 4, 10, 10, 11, 30, 31]
+    # [-3,0) [0,2) [2,3) [3,4) [4,10) [10,10) [10,11) [11,30) [30,31)
+    want = [0, 0, 1, 1, 2, 0, 0, 6, 0]
+    for segment in (2, 3, 4, 5, 97):
+        assert count_primes_in_ranges(edges, 30, segment).tolist() == want
+    assert count_primes_in_ranges(edges, 12, 3).tolist() == [0, 0, 1, 1, 2, 0, 0, 1, 0]
+    assert count_primes_in_ranges([5], 100).size == 0
+
+
+def parent_pi(h: float, n: int, limit: int) -> np.ndarray:
+    """The lattice projection written out from a full prime list: every
+    prime snapped by rint(log p / h) and counted by bincount, then the
+    prime powers p^j (j >= 2) with mass 1/j."""
+    coeffs = np.zeros(n)
+    ks = np.rint(np.log(simple_sieve(limit).astype(float)) / h).astype(np.int64)
+    coeffs += np.bincount(ks, minlength=n)[:n]
+    for p in simple_sieve(math.isqrt(limit)).tolist():
+        pj, j = p * p, 2
+        while pj <= limit:
+            coeffs[int(round(math.log(pj) / h))] += 1.0 / j
+            j += 1
+            pj *= p
+    return coeffs
+
+
+def first_in_cell(h: float, k: int) -> int:
+    """B_k: the smallest integer p >= 2 with rint(log p / h) >= k, by scan."""
+    p = 2
+    while np.rint(np.log(float(p)) / h) < k:
+        p += 1
+    return p
+
+
+@pytest.mark.parametrize("segment", [2, 3, 97, 9_973])
+@pytest.mark.parametrize("h", [1e-4, 4e-3, 0.1, 0.37])
+def test_cell_counts_match_the_prime_list(h, segment, monkeypatch):
+    # build_classical_pi sieves with the default segment; pin a short one so
+    # cells straddle segments (small h) and segments sit inside a cell (large h)
+    monkeypatch.setattr(sieve, "count_primes_in_ranges",
+                        partial(count_primes_in_ranges, segment=segment))
+    b_k = first_in_cell(h, int(np.rint(math.log(1200) / h)))
+    assert b_k not in (1000, 1001)
+    for limit in (2, 3, 4, 1000, 1001, b_k - 1, b_k):
+        n = int(math.log(limit) / h) + 2
+        got = build_classical_pi(LogGrid(h, n), limit).coeffs
+        assert got.tobytes() == parent_pi(h, n, limit).tobytes(), limit
+
+
+@pytest.mark.parametrize("m", [3, 5, 11, 13, 19, 997])
+@pytest.mark.parametrize("k", [5, 8, 13, 20])
+def test_cell_counts_match_the_prime_list_at_half_step_ties(m, k):
+    # h = log(m)/(k - 1/2) puts log m / h on a rounding tie, so e^{(k-1/2)h}
+    # and the snap of m and m +- 1 decide B_k by the last bit either way
+    h = math.log(m) / (k - 0.5)
+    for limit in (m - 1, m, m + 1, 3_000):
+        n = int(math.log(limit) / h) + 2
+        got = build_classical_pi(LogGrid(h, n), limit).coeffs
+        assert got.tobytes() == parent_pi(h, n, limit).tobytes(), limit
+
+
+@pytest.mark.parametrize("h", [1e-4, 4e-3, 0.1, 0.37])
+def test_classical_pi_matches_the_prime_list_at_default_segment(h):
+    for limit in (10 ** 6, 10 ** 6 + 3):
+        n = int(math.log(limit) / h) + 2
+        got = build_classical_pi(LogGrid(h, n), limit).coeffs
+        assert got.tobytes() == parent_pi(h, n, limit).tobytes(), limit
 
 
 def test_prime_powers_up_to_ten():
