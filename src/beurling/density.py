@@ -126,5 +126,6 @@ def discretize(spec, grid: LogGrid, weight_sigma: float = 0.0) -> Measure:
 
     if not np.all(np.isfinite(coeffs)):
         bad = int(np.flatnonzero(~np.isfinite(coeffs))[0])
-        raise ValueError(f"density produced a non-finite mass in cell {bad} (log u ~ {bad * h:.6g})")
+        raise ParameterError(f"density produced a non-finite mass in cell {bad} "
+                             f"(log u ~ {bad * h:.6g})")
     return Measure(grid, coeffs)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import RangeError
+from .errors import ParameterError, RangeError
 from .grid import LogGrid
 
 FORMAT_TAG = "beurling-measure-v1"
@@ -46,9 +46,9 @@ class Measure:
     def __post_init__(self):
         arr = np.asarray(self.coeffs, dtype=float)
         if arr.shape != (self.grid.n,):
-            raise ValueError(f"expected {self.grid.n} coefficients, got shape {arr.shape}")
+            raise ParameterError(f"expected {self.grid.n} coefficients, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("measure coefficients must be finite")
+            raise ParameterError("measure coefficients must be finite")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)

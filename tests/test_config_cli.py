@@ -209,6 +209,20 @@ def test_cli_refuses_a_sieve_limit_below_two(tmp_path, capsys, command):
     assert "at least 2" in err
 
 
+@pytest.mark.parametrize("command", ["build", "hypotheses"])
+def test_cli_refuses_a_density_with_a_non_finite_cell(tmp_path, capsys, command):
+    # the pole at u = e^3 falls on the lattice point of cell 300; densities
+    # from a config file evaluate with numpy warnings off, and discretize
+    # refuses the infinite mass they give there
+    cfg = write_config(tmp_path, ("base = li\ngrid.h = 0.01\ngrid.n = 2000\n"
+                                  "e.density = 1/(log(u) - 3)\n"))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("FAIL parameters error=ParameterError(")
+    assert "non-finite mass in cell 300" in lines[0]
+
+
 def test_cli_build_is_deterministic(tmp_path):
     cfg = write_config(tmp_path, "base = li\ngrid.h = 0.001\ngrid.n = 4096\n")
     outs = []

@@ -168,11 +168,60 @@ def test_pair_costs_about_one_exp_in_transforms(monkeypatch):
     forward.clear()
     exp_newton_pair(a, grid.h)
     pair = forward["rfft"]
-    # a round takes at most 8 forward transforms (3 to refine r, 5 for the
-    # update sharing the spectrum of e); products of at most 2^16 work are
-    # direct, so only the 8 rounds reaching precision 512 .. 2^16 transform
-    assert one <= 8 * 8
+    # a round takes 7 forward transforms: 2 to refine r (e and the
+    # correction; the spectrum of r is carried from the previous round's
+    # update) and 5 for the update (L a, e, the product q, r, and the step,
+    # which reuses the spectrum of e).  Products of at most 2^16 work are
+    # direct, so the round to precision 512 transforms only (L a) e, and
+    # the 7 rounds to 1024 .. 2^16 take 7 each (at 1024 nothing is carried
+    # yet, so the refine transforms r and multiplies the correction
+    # directly): 2 + 7 * 7 = 51.  The pair's full-length refine adds 2,
+    # since it reads the carried spectrum of r.
+    assert one == 51
+    assert pair == 53
     assert pair < 1.1 * one
+
+
+def _is_5_smooth(k):
+    for p in (2, 3, 5):
+        while k % p == 0:
+            k //= p
+    return k == 1
+
+
+@pytest.mark.parametrize("n", [5000, (1 << 15) + 1, 1 << 16])
+def test_every_transform_length_is_5_smooth(monkeypatch, n):
+    # pocketfft's real transforms run generic, slow passes on factors 7
+    # and 11, which next_fast_len admits unless asked for real lengths
+    lengths = []
+
+    def recording(fn):
+        def wrapped(x, size=None, *args, **kwargs):
+            lengths.append(size)
+            return fn(x, size, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(kernels, "rfft", recording(scipy.fft.rfft))
+    monkeypatch.setattr(kernels, "irfft", recording(scipy.fft.irfft))
+    grid = LogGrid(0.01, n)
+    a = build_li_pi(grid, weight_sigma=1.0).coeffs
+    exp_newton(a, grid.h)
+    exp_newton_pair(a, grid.h)
+    for m in (n, n // 3):
+        mul_trunc(a, a[::-1], m)
+    assert lengths
+    assert [k for k in lengths if not _is_5_smooth(k)] == []
+
+
+def test_product_refuses_a_spectrum_of_another_length():
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal(600)
+    y = rng.standard_normal(600)
+    want, fy = kernels._product(x, y, 0, 600, 1200)
+    again, _ = kernels._product(x, y, 0, 600, 1200, fy)
+    assert np.array_equal(again, want)
+    with pytest.raises(ValueError, match="601 bins .* length 1250"):
+        kernels._product(x, y, 0, 600, 1250, fy)
 
 
 # ------------------------------------------------- the "auto" exp* rule

@@ -12,12 +12,13 @@ import math
 import numpy as np
 import pytest
 
-from beurling import (GridMismatchError, LogGrid, Measure, RangeError, add,
-                      apply_log, cancellation_envelope, checkpoint_sums,
-                      convolve, delta_one, exp_star, exp_star_pair,
-                      harmonic_primitive, invert, kahane_tail, load_measure,
-                      log_star, mellin, negate, primitive, relative_gap,
-                      save_measure, scale, subtract, variation, zero)
+from beurling import (GridMismatchError, LogGrid, Measure, ParameterError,
+                      RangeError, add, apply_log, cancellation_envelope,
+                      checkpoint_sums, convolve, delta_one, exp_star,
+                      exp_star_pair, harmonic_primitive, invert, kahane_tail,
+                      load_measure, log_star, mellin, negate, primitive,
+                      relative_gap, save_measure, scale, subtract, variation,
+                      zero)
 
 H = 1e-3
 GRID = LogGrid(H, 12_001)
@@ -73,6 +74,14 @@ def test_grid_mismatch_is_rejected():
         add(a, b)
     with pytest.raises(GridMismatchError):
         convolve(a, b)
+
+
+def test_measure_refusals_are_typed():
+    g = LogGrid(0.1, 8)
+    with pytest.raises(ParameterError, match="expected 8 coefficients"):
+        Measure(g, np.zeros(7))
+    with pytest.raises(ParameterError, match="finite"):
+        Measure(g, np.array([0.0] * 7 + [np.inf]))
 
 
 def test_harmonic_square_primitive():
