@@ -3,10 +3,12 @@ systems on a logarithmic lattice.
 
 Measures on [1, inf) are represented by coefficient vectors at the points
 u_k = e^{kh}; multiplicative convolution is exact truncated sequence
-convolution, and the exponential/logarithm/inverse of measures are exact
-lattice recurrences.  On top of the algebra sit the stock prime measures
-(logarithmic integral, sieved rational primes, Kahane's example), the
-checkpoint asymptotics toolkit, and end-to-end experiment pipelines.
+convolution.  The exponential of a measure runs an FFT Newton iteration
+where the input is well conditioned and the exact lattice recurrence
+elsewhere; the logarithm and inverse are lattice recurrences.  On top of
+the algebra sit the stock prime measures (logarithmic integral, sieved
+rational primes, Kahane's example), the checkpoint asymptotics toolkit, and
+end-to-end experiment pipelines.
 """
 
 from .asymptotics import (CheckpointSeries, DecayReport, EULER_GAMMA,

@@ -11,6 +11,7 @@ machine-readable line per failure to stderr, of the form
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -38,17 +39,9 @@ def _parse_checkpoints(text: str):
         ts = tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise ConfigError(f"bad checkpoint list {text!r}") from None
-    if not ts or any(t <= 0 for t in ts):
-        raise ConfigError(f"checkpoints must be positive, got {text!r}")
+    if not ts or not all(math.isfinite(t) and t > 0 for t in ts):
+        raise ConfigError(f"checkpoints must be finite and positive, got {text!r}")
     return ts
-
-
-def _method(args) -> str:
-    if args.fft == "on":
-        return "fft"
-    if args.fft == "off":
-        return "recurrence"
-    return "auto"
 
 
 def _outdir(args) -> str:
@@ -58,7 +51,7 @@ def _outdir(args) -> str:
 
 def cmd_build(args) -> int:
     spec = load_spec(args.config, h=args.h, n=args.n)
-    system = build_system(spec, method=_method(args))
+    system = build_system(spec)
     out = _outdir(args)
     paths = {}
     for name, meas in (("pi", system.pi), ("n", system.n), ("m", system.m)):
@@ -91,7 +84,7 @@ def cmd_kahane(args) -> int:
     grid = LogGrid(args.h, args.n)
     checkpoints = _parse_checkpoints(args.checkpoints)
     report = kahane_pipeline(grid=grid, checkpoints=checkpoints,
-                             method=_method(args), identity_tol=args.tol)
+                             identity_tol=args.tol)
     out = _outdir(args)
     for name, series in report.series.items():
         write_series_csv(os.path.join(out, f"{name}.csv"), series, grid)
@@ -124,7 +117,7 @@ def cmd_hypotheses(args) -> int:
     spec = load_spec(args.config, h=args.h, n=args.n)
     checkpoints = _parse_checkpoints(args.checkpoints)
     report = hypothesis_report(spec, a=args.a, checkpoints=checkpoints,
-                               sigma0=args.sigma0, method=_method(args))
+                               sigma0=args.sigma0)
     out = _outdir(args)
     for name, series in report.series.items():
         write_series_csv(os.path.join(out, f"{name}.csv"), series, spec.grid)
@@ -209,11 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=int, default=n, help="grid size")
         if "tol" in flags:
             p.add_argument("--tol", type=float, default=tol, help="tolerance override")
-        if "fft" in flags:
-            p.add_argument("--fft", choices=("on", "off", "auto"), default="auto",
-                           help="exp-star path: auto = FFT Newton unless n < 128 "
-                           "or the input cancels strongly, on = always Newton, "
-                           "off = the O(n^2) reference recurrence")
         if "seed" in flags:
             p.add_argument("--seed", type=int, default=2026, help="rng seed")
         if "checkpoints" in flags:
@@ -223,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="build a system from config and serialize it")
     p.add_argument("--config", required=True)
-    common(p, "grid", "fft")
+    common(p, "grid")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("identities", help="run the random measure-algebra suite")
@@ -231,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_identities)
 
     p = sub.add_parser("kahane", help="run the Kahane system experiment suite")
-    common(p, "grid", "tol", "fft", "checkpoints",
+    common(p, "grid", "tol", "checkpoints",
            h=KAHANE_GRID.h, n=KAHANE_GRID.n, tol=1e-6)
     p.set_defaults(func=cmd_kahane)
 
@@ -242,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exponent in the |M0(x)| log^a x / x check")
     p.add_argument("--sigma0", type=float, default=None,
                    help="also check the u^{-sigma0}-weighted tail integral")
-    common(p, "grid", "fft", "checkpoints")
+    common(p, "grid", "checkpoints")
     p.set_defaults(func=cmd_hypotheses)
 
     p = sub.add_parser("mellin-fit",

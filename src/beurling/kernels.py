@@ -39,9 +39,9 @@ exp*) and weights back itself.  Inputs that grow too fast drive the Newton
 intermediates out of the double range; the result is then checked against
 the a priori envelope bound and refused.
 
-exp_star with method "auto" picks the path by size and by conditioning.
-Time of the recurrence over the Newton time on weighted li (h = 0.01, one
-core of an AMD EPYC, one BLAS thread):
+exp_star picks the path by size and by conditioning.  Time of the
+recurrence over the Newton time on weighted li (h = 0.01, one core of an
+AMD EPYC, one BLAS thread):
 
     n       16    32    64    128   256   4096  16,383
     ratio   0.37  0.60  0.98  1.6   2.4   9.2   29 (57 ms against 2 ms)
@@ -55,7 +55,7 @@ c * uniform(-1, 1) inputs at n = 256, h = 0.01 grows with it:
     excess     <= 8    8-12    17-20   40-50   57-75
     max gap    2e-16   1e-15   3e-15   2e-12   2e-8
 
-So "auto" runs Newton from _NEWTON_MIN_N = 128 on inputs with excess
+So exp_star runs Newton from _NEWTON_MIN_N = 128 on inputs with excess
 <= _NEWTON_MAX_EXCESS = 8, and the recurrence otherwise.  Weighted prime
 densities have excess near 0; the uniform(-1, 1) inputs of the identity
 suite about 40.  The excess comes from the weights pass that the envelope
@@ -70,7 +70,7 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
 _DIRECT_WORK_LIMIT = 1 << 16
-# method "auto" runs Newton from this length up, on inputs whose
+# exp_star runs Newton from this length up, on inputs whose
 # cancellation excess (see _log_envelope) is at most _NEWTON_MAX_EXCESS
 _NEWTON_MIN_N = 128
 _NEWTON_MAX_EXCESS = 8.0
@@ -216,7 +216,8 @@ def _finish(e: np.ndarray, a0: float, kh: np.ndarray,
     # exp*(|a_j| e^{-jh}) exceeds its total mass.  A result more than a
     # factor e above it is the garbage of an iteration whose intermediates
     # left the double range (ValueError); a result within it that is too
-    # large for a double raises OverflowError.
+    # large for a double, or that holds a NaN, which no comparison with the
+    # bound catches, raises OverflowError.
     with np.errstate(divide="ignore"):
         log_mag = np.log(np.abs(e)) + a0
     if float(np.max(log_mag - kh)) > log_bound + 1.0:
@@ -224,9 +225,9 @@ def _finish(e: np.ndarray, a0: float, kh: np.ndarray,
             "exp* result exceeds its a priori envelope bound: the FFT "
             "iteration left the double range; use a weighted (tilted) input"
         )
-    if float(np.max(log_mag)) > 708.0:
+    if not float(np.max(log_mag)) <= 708.0:
         raise OverflowError(
-            "exp* result exceeds the double range; keep the computation in a "
+            "exp* result left the double range; keep the computation in a "
             "weighted (tilted) representation instead"
         )
     e *= math.exp(a0)
@@ -242,31 +243,29 @@ def _log_envelope(a: np.ndarray, h: float):
     return kh, log_bound, log_bound - abs(float(np.dot(a, w)))
 
 
-def _newton_envelope(a: np.ndarray, h: float, method: str):
-    # _log_envelope(a, h) when `method` sends a to Newton, None when it
-    # sends a to the recurrence
-    if method not in ("auto", "recurrence", "fft"):
-        raise ValueError(f"unknown exp* method {method!r}")
-    if method == "recurrence" or (method == "auto" and len(a) < _NEWTON_MIN_N):
+def _newton_envelope(a: np.ndarray, h: float):
+    # _log_envelope(a, h) when a goes to Newton, None when it goes to the
+    # recurrence: too short, or cancelling too strongly
+    if len(a) < _NEWTON_MIN_N:
         return None
     envelope = _log_envelope(a, h)
-    if method == "auto" and envelope[2] > _NEWTON_MAX_EXCESS:
+    if envelope[2] > _NEWTON_MAX_EXCESS:
         return None
     return envelope
 
 
-def exp_star(a: np.ndarray, h: float, method: str = "auto") -> np.ndarray:
-    """exp* by `method`: "recurrence", "fft" (Newton) or "auto", which runs
-    Newton only where it is fast and accurate (see the module docstring)."""
-    envelope = _newton_envelope(a, h, method)
+def exp_star(a: np.ndarray, h: float) -> np.ndarray:
+    """exp* by Newton where it is fast and accurate, by the recurrence
+    elsewhere (see the module docstring)."""
+    envelope = _newton_envelope(a, h)
     if envelope is None:
         return exp_recurrence(a)
     return exp_newton(a, h, envelope)
 
 
-def exp_star_pair(a: np.ndarray, h: float, method: str = "auto"):
-    """(exp* a, exp* -a), by `method` as in exp_star."""
-    envelope = _newton_envelope(a, h, method)
+def exp_star_pair(a: np.ndarray, h: float):
+    """(exp* a, exp* -a), on the path exp_star picks."""
+    envelope = _newton_envelope(a, h)
     if envelope is None:
         return exp_recurrence(a), exp_recurrence(-a)
     return exp_newton_pair(a, h, envelope)

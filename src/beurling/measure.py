@@ -124,28 +124,25 @@ def tilt(a: Measure, sigma: float) -> Measure:
     return Measure(a.grid, a.coeffs * np.exp(-sigma * a.grid.h * k))
 
 
-def exp_star(a: Measure, method: str = "auto") -> Measure:
+def exp_star(a: Measure) -> Measure:
     """The convolution exponential exp*(dA) = sum dA^{*m} / m!.
 
-    method "recurrence" is the derivation-identity triangular solve, the
-    reference algorithm; "fft" is the Newton iteration in kernels; "auto"
-    runs Newton from n = 128 up unless dA cancels strongly, and the
+    Newton from n = 128 up unless dA cancels strongly, the reference
     recurrence otherwise (kernels.exp_star has the rule and its numbers).
     Neither path reweights: a raw, growing dA is the caller's to weight, by
     exponentiating tilt(dA, s) and tilting the result back by -s.
     """
-    return Measure(a.grid, kernels.exp_star(a.coeffs, a.grid.h, method))
+    return Measure(a.grid, kernels.exp_star(a.coeffs, a.grid.h))
 
 
-def exp_star_pair(a: Measure, method: str = "auto") -> tuple[Measure, Measure]:
+def exp_star_pair(a: Measure) -> tuple[Measure, Measure]:
     """(exp*(dA), exp*(-dA)) for the price of about one exp_star.
 
-    The Newton path, chosen by method as in exp_star, finishes the
-    reciprocal the iteration tracks, since exp*(-dA) is the convolution
-    inverse of exp*(dA); the recurrence path runs the reference recurrence
-    on both signs.
+    On Newton, chosen as in exp_star, it finishes the reciprocal the
+    iteration tracks, since exp*(-dA) is the convolution inverse of
+    exp*(dA); on the recurrence it runs the recurrence on both signs.
     """
-    pos, neg = kernels.exp_star_pair(a.coeffs, a.grid.h, method)
+    pos, neg = kernels.exp_star_pair(a.coeffs, a.grid.h)
     return Measure(a.grid, pos), Measure(a.grid, neg)
 
 

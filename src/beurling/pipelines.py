@@ -55,7 +55,7 @@ class GrowthDiagnostics:
 
 
 def kahane_pipeline(grid: LogGrid | None = None, checkpoints=DEFAULT_CHECKPOINTS,
-                    method: str = "auto", identity_tol: float = 1e-6) -> KahaneReport:
+                    identity_tol: float = 1e-6) -> KahaneReport:
     """Reproduce the Kahane-system experiment suite on one grid.
 
     Two independent routes to the same identity: m_K(x) as the summed
@@ -73,8 +73,8 @@ def kahane_pipeline(grid: LogGrid | None = None, checkpoints=DEFAULT_CHECKPOINTS
 
     pi_w = build_kahane_pi(grid, weight_sigma=1.0)
     a_w = kahane_tail(grid, weight_sigma=1.0)
-    n_w, m_w = exp_star_pair(pi_w, method=method)
-    bp_w, bm_w = exp_star_pair(a_w, method=method)
+    n_w, m_w = exp_star_pair(pi_w)
+    bp_w, bm_w = exp_star_pair(a_w)
 
     m_harm = checkpoint_sums(m_w, ts)
     s_vals = checkpoint_sums(bm_w, ts)
@@ -131,8 +131,7 @@ def kahane_pipeline(grid: LogGrid | None = None, checkpoints=DEFAULT_CHECKPOINTS
 
 
 def growth_diagnostics(e: Measure, checkpoints=DEFAULT_CHECKPOINTS,
-                       eps=(0.1, 0.5), weight_sigma: float = 0.0,
-                       method: str = "auto") -> GrowthDiagnostics:
+                       eps=(0.1, 0.5), weight_sigma: float = 0.0) -> GrowthDiagnostics:
     """Exponentiate a nonnegative perturbation and track its growth.
 
     For dF+ = exp*(dE) and dH+ = L dF+, reports int dF+/u / log^eps x and
@@ -145,7 +144,7 @@ def growth_diagnostics(e: Measure, checkpoints=DEFAULT_CHECKPOINTS,
         raise ValueError("perturbation must be nonnegative coefficient-wise")
     ts = np.asarray(sorted(checkpoints), dtype=float)
     e_w = tilt(e, 1.0 - weight_sigma)
-    f_w = exp_star(e_w, method=method)
+    f_w = exp_star(e_w)
     f_harm = checkpoint_sums(f_w, ts)
     h_over_x = checkpoint_sums(apply_log(f_w), ts, 1.0)
     series, bounded = {}, {}
@@ -187,8 +186,7 @@ def mellin_alpha_experiment(grid: LogGrid | None = None, sigma_grid=None,
 
 
 def de_haan_experiment(grid: LogGrid | None = None, checkpoints=None,
-                       sigma_grid=None, method: str = "auto",
-                       b1_tol: float = 0.05,
+                       sigma_grid=None, b1_tol: float = 0.05,
                        intercept_tol: float = 0.10) -> FitReport:
     """Cross-check the slow-variation law for dB+ = exp*(dA) on both sides.
 
@@ -206,7 +204,7 @@ def de_haan_experiment(grid: LogGrid | None = None, checkpoints=None,
     sigma_grid = np.asarray(sigma_grid, dtype=float)
 
     a_w = kahane_tail(grid, weight_sigma=1.0)
-    bp_w = exp_star(a_w, method=method)
+    bp_w = exp_star(a_w)
     ts = np.asarray(sorted(checkpoints), dtype=float)
     series = CheckpointSeries(ts, checkpoint_sums(bp_w, ts), "int dB+/u")
     mell = mellin(bp_w, sigma_grid - 1.0)

@@ -107,8 +107,7 @@ def build_kahane_pi(grid: LogGrid, weight_sigma: float = 0.0) -> Measure:
     return add(build_li_pi(grid, weight_sigma), kahane_tail(grid, weight_sigma))
 
 
-def kahane_tail_exp(grid: LogGrid, sign: int, weight_sigma: float = 0.0,
-                    method: str = "auto") -> Measure:
+def kahane_tail_exp(grid: LogGrid, sign: int, weight_sigma: float = 0.0) -> Measure:
     """exp*(sign * tail): the positive/negative exponentials of the added
     component.  The harmonic primitive of the sign = -1 case is the
     alternating sum studied by the decay pipeline.
@@ -119,7 +118,7 @@ def kahane_tail_exp(grid: LogGrid, sign: int, weight_sigma: float = 0.0,
         raise ValueError("sign must be +1 or -1")
     a = kahane_tail(grid, weight_sigma)
     rest = 1.0 - weight_sigma
-    e_w = exp_star(tilt(a if sign == 1 else negate(a), rest), method=method)
+    e_w = exp_star(tilt(a if sign == 1 else negate(a), rest))
     return tilt(e_w, -rest)
 
 
@@ -218,7 +217,7 @@ def assemble_pi(spec: SystemSpec, weight_sigma: float = 0.0) -> Measure:
     return pi
 
 
-def build_system(spec: SystemSpec, method: str = "auto") -> NumberSystem:
+def build_system(spec: SystemSpec) -> NumberSystem:
     """Assemble a system and verify its defining invariants.
 
     dN and dM come from one exp_star_pair of the u^{-1}-weighted dPi,
@@ -236,7 +235,7 @@ def build_system(spec: SystemSpec, method: str = "auto") -> NumberSystem:
             f"double past log u ~ {LOG_DOUBLE_MAX:g}; shorten the grid, or use "
             "hypotheses, which stays in the u^{-1}-weighted representation")
     pi = assemble_pi(spec)
-    n_w, m_w = exp_star_pair(tilt(pi, 1.0), method=method)
+    n_w, m_w = exp_star_pair(tilt(pi, 1.0))
     n_meas = tilt(n_w, -1.0)
 
     half_cell_tol = max(1e-12, 10.0 * spec.grid.h)
@@ -262,8 +261,7 @@ class HypothesisReport:
 
 def hypothesis_report(spec: SystemSpec, a: float = 1.0,
                       checkpoints=DEFAULT_CHECKPOINTS, tail_k: int = 5,
-                      sigma0: float | None = None,
-                      method: str = "auto") -> HypothesisReport:
+                      sigma0: float | None = None) -> HypothesisReport:
     """Checkpoint diagnostics for the three density hypotheses and the
     conclusion they support.
 
@@ -275,8 +273,7 @@ def hypothesis_report(spec: SystemSpec, a: float = 1.0,
     below 1% of the total).  Diagnostics are always produced; failures only
     show up in the flags.  The conclusion series m_ratio, M(x)/x of the full
     assembled system, carries its own decay check in `conclusion`; it is
-    not one of the hypotheses, so `passed` does not include it.  method
-    selects the exp* path of both exponentials.
+    not one of the hypotheses, so `passed` does not include it.
     """
     grid = spec.grid
     ts = np.asarray(sorted(checkpoints), dtype=float)
@@ -308,13 +305,13 @@ def hypothesis_report(spec: SystemSpec, a: float = 1.0,
         flags["ii_sigma0"] = _converges(vals_s0)
 
     pi0_w = _base_pi(spec, weight_sigma=1.0)
-    m0_w = exp_star(negate(pi0_w), method=method)
+    m0_w = exp_star(negate(pi0_w))
     vals_iii = np.abs(checkpoint_sums(m0_w, ts, 1.0)) * ts ** a
     series["m0_ratio"] = CheckpointSeries(ts, vals_iii, f"|M0(x)| log^{a} x / x")
     flags["iii"] = _decays(series["m0_ratio"], tail_k)
 
     # the assemble_pi sum, in its order, from the measures built above
-    m_w = exp_star(negate(add(add(pi0_w, e_w), r_w)), method=method)
+    m_w = exp_star(negate(add(add(pi0_w, e_w), r_w)))
     series["m_ratio"] = CheckpointSeries(ts, checkpoint_sums(m_w, ts, 1.0), "M(x)/x")
 
     passed = flags["i"] and flags["ii"] and flags["iii"]

@@ -155,8 +155,7 @@ def test_cli_build_roundtrips(tmp_path, capsys):
 def test_cli_build_fft_path(tmp_path):
     cfg = write_config(tmp_path, "base = li\ngrid.h = 0.001\ngrid.n = 4096\n")
     out = tmp_path / "fft"
-    assert main(["build", "--config", cfg, "--out", str(out),
-                 "--fft", "on"]) == 0
+    assert main(["build", "--config", cfg, "--out", str(out)]) == 0
 
 
 def test_cli_build_fft_path_on_a_long_grid(tmp_path, capsys):
@@ -167,10 +166,21 @@ def test_cli_build_fft_path_on_a_long_grid(tmp_path, capsys):
         "e.density = indicator(e) * (0.3 / log(u)**2)\n"
         "r.density = indicator(e) * (-0.2 / log(u)**1.7)\n"))
     out = tmp_path / "fft"
-    assert main(["build", "--config", cfg, "--out", str(out), "--fft", "on"]) == 0
+    assert main(["build", "--config", cfg, "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
     for name in ("pi", "n", "m"):
         assert load_measure(out / f"{name}.csv").grid == LogGrid(0.004, 32768)
+
+
+@pytest.mark.parametrize("command", ["build", "hypotheses"])
+def test_cli_reports_a_nan_exp_as_overflow(tmp_path, capsys, command):
+    # weighted u^2 still grows like e^{kh}: its envelope bound is no bound,
+    # and the Newton iteration overflows into NaN, which the guard refuses
+    cfg = write_config(tmp_path, ("base = li\ngrid.h = 0.004\ngrid.n = 32768\n"
+                                  "e.density = u**2\n"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("FAIL overflow error=OverflowError(")
 
 
 def test_cli_build_refuses_an_overflowing_grid(tmp_path, capsys):
@@ -282,6 +292,17 @@ def test_cli_kahane_rejects_bad_checkpoints(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["kahane", "hypotheses"])
+@pytest.mark.parametrize("last", ["nan", "inf"])
+def test_cli_refuses_non_finite_checkpoints(tmp_path, capsys, command, last):
+    # NaN fails every comparison, so a positivity test alone passes it
+    grid = (["--config", write_config(tmp_path, "base = li\n")]
+            if command == "hypotheses" else [])
+    assert main([command, *grid, *COARSE, "--out", str(tmp_path / "o"),
+                 "--checkpoints", f"5,10,15,20,{last}"]) == 2
+    assert capsys.readouterr().err.startswith("FAIL config error=ConfigError(")
+
+
+@pytest.mark.parametrize("command", ["kahane", "hypotheses"])
 def test_cli_refuses_a_ladder_shorter_than_the_decay_tail(tmp_path, capsys,
                                                         monkeypatch, command):
     # the decay proxy reads the last 5 checkpoints; two cannot carry it, and
@@ -321,9 +342,8 @@ def test_cli_hypotheses_pass_and_fail(tmp_path, capsys):
     assert "FAIL hypothesis_i" in captured.err
 
 
-def _hypotheses_exp_calls(tmp_path, monkeypatch, flag):
-    # counts of Newton and recurrence exps in `hypotheses` on li + E at
-    # n = 8192, whose two exps are well conditioned: auto runs Newton on both
+def test_cli_hypotheses_runs_newton_on_both_exps(tmp_path, monkeypatch):
+    # li + E at n = 8192: both exps are well conditioned
     from beurling import kernels
 
     calls = {"fft": 0, "recurrence": 0}
@@ -340,20 +360,8 @@ def _hypotheses_exp_calls(tmp_path, monkeypatch, flag):
     cfg = write_config(tmp_path, (
         "base = li\ngrid.h = 0.01\ngrid.n = 8192\n"
         "e.density = indicator(e**e) / (log(u) * loglog(u))\n"))
-    assert main(["hypotheses", "--config", cfg, "--out", str(tmp_path / "o"),
-                 "--fft", flag]) == 0
-    return calls
-
-
-def test_cli_hypotheses_fft_flag_reaches_every_exp(tmp_path, monkeypatch):
-    assert _hypotheses_exp_calls(tmp_path, monkeypatch, "on") == \
-        {"fft": 2, "recurrence": 0}
-
-
-def test_cli_hypotheses_fft_off_reaches_every_exp(tmp_path, monkeypatch):
-    # auto would run Newton here; --fft off keeps both on the recurrence
-    assert _hypotheses_exp_calls(tmp_path, monkeypatch, "off") == \
-        {"fft": 0, "recurrence": 2}
+    assert main(["hypotheses", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert calls == {"fft": 2, "recurrence": 0}
 
 
 def test_cli_mellin_fit_needs_grid_room(tmp_path, capsys):
@@ -392,13 +400,16 @@ def test_cli_mellin_fit_refuses_lone_grid_flag(tmp_path, capsys, flag):
     ("build", "--tol", "1e-3"),
     ("build", "--seed", "7"),
     ("build", "--checkpoints", "5,10"),
+    ("build", "--fft", "on"),
     ("identities", "--h", "0.01"),
     ("identities", "--n", "512"),
     ("identities", "--fft", "on"),
     ("identities", "--checkpoints", "5,10"),
     ("kahane", "--seed", "7"),
+    ("kahane", "--fft", "off"),
     ("hypotheses", "--tol", "1e-3"),
     ("hypotheses", "--seed", "7"),
+    ("hypotheses", "--fft", "auto"),
     ("bench", "--h", "0.01"),
     ("bench", "--n", "512"),
     ("bench", "--tol", "1e-3"),
@@ -427,7 +438,8 @@ def test_cli_identities(tmp_path, capsys):
 def test_cli_identities_check_only_the_recurrence(tmp_path, capsys,
                                                   monkeypatch):
     # the suite checks the reference path; its uniform(-1, 1) inputs would
-    # not reach Newton under auto either, but it must not rely on that
+    # not reach Newton under the exp_star rule either, but it must not rely
+    # on that
     from beurling import kernels
 
     def no_newton(*args, **kwargs):

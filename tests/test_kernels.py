@@ -10,7 +10,10 @@ from beurling import kernels
 from beurling.grid import LogGrid
 from beurling.kernels import (exp_newton, exp_newton_pair, exp_recurrence,
                               invert_recurrence, log_recurrence, mul_trunc)
+from beurling.config import parse_density
+from beurling.density import discretize
 from beurling.pipelines import KAHANE_GRID
+from beurling.selfcheck import run_identity_suite
 from beurling.systems import build_kahane_pi, build_li_pi, kahane_tail
 
 
@@ -144,6 +147,17 @@ def test_envelope_guard_refuses_raw_long_grid_inverse():
         exp_newton_pair(pi, grid.h)
 
 
+def test_envelope_guard_refuses_a_nan_result():
+    # weighted u^2 still grows like e^{kh}, so its envelope bound, about
+    # exp(8e56), bounds nothing; with no cancellation Newton runs, overflows
+    # into NaN, and no comparison with the bound catches a NaN
+    grid = LogGrid(4e-3, 32_768)
+    a = discretize(parse_density("u**2"), grid, 1.0).coeffs
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(OverflowError, match="double range"):
+        kernels.exp_star(a, grid.h)
+
+
 @pytest.mark.parametrize("build", [build_kahane_pi, kahane_tail])
 def test_envelope_guard_is_silent_on_weighted_kahane_inputs(build):
     a = build(KAHANE_GRID, weight_sigma=1.0).coeffs
@@ -224,7 +238,7 @@ def test_product_refuses_a_spectrum_of_another_length():
         kernels._product(x, y, 0, 600, 1250, fy)
 
 
-# ------------------------------------------------- the "auto" exp* rule
+# --------------------------------------------------------- the exp* rule
 
 @pytest.fixture
 def exp_paths(monkeypatch):
@@ -262,17 +276,10 @@ def test_auto_keeps_cancelling_input_on_the_recurrence(exp_paths):
     assert exp_paths == {"exp_recurrence": 3}
 
 
-def test_explicit_methods_ignore_the_rule(exp_paths):
-    # "recurrence" on a well-conditioned input, "fft" on a cancelling one
-    a = build_li_pi(LogGrid(0.01, 4096), weight_sigma=1.0).coeffs
-    kernels.exp_star(a, 0.01, "recurrence")
-    kernels.exp_star_pair(a, 0.01, "recurrence")
-    assert exp_paths == {"exp_recurrence": 3}
-    exp_paths.clear()
-    b = np.random.default_rng(41).uniform(-1.0, 1.0, 64)
-    kernels.exp_star(b, 0.01, "fft")
-    kernels.exp_star_pair(b, 0.01, "fft")
-    assert exp_paths == {"exp_newton": 1, "exp_newton_pair": 1}
+def test_identity_suite_runs_only_the_recurrence(exp_paths):
+    # the suite checks the reference path by name, whatever the rule picks
+    run_identity_suite(count=3)
+    assert set(exp_paths) == {"exp_recurrence"}
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -287,7 +294,7 @@ def test_auto_runs_newton_on_weighted_li_at_the_systems_size(exp_paths, sign):
 
 @pytest.mark.parametrize("pair", [False, True])
 def test_auto_decision_adds_no_weights_pass(monkeypatch, pair):
-    # from 2^15 up auto runs Newton as before; the decision reuses the one
+    # from 2^15 up exp_star runs Newton as before; the decision reuses the one
     # weights pass the envelope check makes, and the result is that of
     # exp_newton to the bit
     passes = Counter()

@@ -19,6 +19,7 @@ from beurling import (GridMismatchError, LogGrid, Measure, ParameterError,
                       load_measure, log_star, mellin, negate, primitive,
                       relative_gap, save_measure, scale, subtract, variation,
                       zero)
+from beurling.kernels import exp_recurrence
 
 H = 1e-3
 GRID = LogGrid(H, 12_001)
@@ -162,22 +163,14 @@ def test_log_needs_positive_mass_at_one():
         log_star(Measure(g, c))
 
 
-def test_exp_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        exp_star(zero(LogGrid(0.1, 8)), method="simpson")
-    with pytest.raises(ValueError):
-        exp_star_pair(zero(LogGrid(0.1, 8)), method="simpson")
-
-
 def test_exp_pair_is_exp_of_both_signs():
-    # the recurrence path runs the recurrence once per sign, unchanged to
-    # the bit; auto takes the large well-conditioned input to Newton, where
-    # the pair comes from one run
-    small = random_measure(LogGrid(0.01, 256), seed=12)
-    pos, neg = exp_star_pair(small, method="recurrence")
-    assert np.array_equal(pos.coeffs, exp_star(small, method="recurrence").coeffs)
-    assert np.array_equal(neg.coeffs,
-                          exp_star(negate(small), method="recurrence").coeffs)
+    # below n = 128 the pair runs the recurrence once per sign, unchanged to
+    # the bit; the large well-conditioned input goes to Newton, where the
+    # pair comes from one run
+    small = random_measure(LogGrid(0.01, 100), seed=12)
+    pos, neg = exp_star_pair(small)
+    assert np.array_equal(pos.coeffs, exp_recurrence(small.coeffs))
+    assert np.array_equal(neg.coeffs, exp_recurrence(-small.coeffs))
     large = random_measure(LogGrid(0.01, 1 << 15), seed=13, amplitude=1e-4)
     pos, neg = exp_star_pair(large)
     assert relative_gap(pos, exp_star(large)) <= 1e-13

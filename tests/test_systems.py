@@ -21,13 +21,14 @@ import numpy as np
 import pytest
 import scipy.special
 
-from beurling import (ConstructionError, DensitySpec, LogGrid, RangeError,
-                      SystemSpec, add, assemble_pi, build_classical_pi,
-                      build_kahane_pi, build_li_pi, build_system, check_decay,
-                      convolve, delta_one, discretize, exp_star,
-                      hypothesis_report, kahane_tail, kahane_tail_exp, negate,
-                      prime_power_mass, primitive, relative_gap, sample_ratio,
-                      tilt, zero)
+from beurling import (ConstructionError, DensitySpec, LogGrid, Measure,
+                      RangeError, SystemSpec, add, assemble_pi,
+                      build_classical_pi, build_kahane_pi, build_li_pi,
+                      build_system, check_decay, convolve, delta_one,
+                      discretize, exp_star, hypothesis_report, kahane_tail,
+                      kahane_tail_exp, negate, prime_power_mass, primitive,
+                      relative_gap, sample_ratio, tilt, zero)
+from beurling.kernels import exp_recurrence
 from beurling.systems import TAIL_CUT, _tail_density_log, kahane_tail_density
 
 H = 1e-3
@@ -50,8 +51,8 @@ def tail_spec():
 def test_li_system_closed_forms():
     # exp*(dPi) integrates to x and exp*(-dPi) to 1 - log x for the li base
     pi = build_li_pi(GRID)
-    n_meas = exp_star(pi, method="recurrence")
-    m_meas = exp_star(negate(pi), method="recurrence")
+    n_meas = Measure(GRID, exp_recurrence(pi.coeffs))
+    m_meas = Measure(GRID, exp_recurrence(-pi.coeffs))
     for t in (2.0, 5.0, 8.0, 11.0):
         k = GRID.index_of_log(t)
         t_eff = (k + 0.5) * H
@@ -105,12 +106,14 @@ def test_fft_build_matches_recurrence_grid_build(base):
     # raw dPi grows like e^{kh}, and exp* of its negation cancels to 1 -
     # log x; the n = 32,768 grid reaches log x = 131, where a raw Newton exp
     # leaves the double range.  A lattice build does not depend on where the
-    # grid ends, so the n = 16,383 recurrence build is its reference to t = 50
-    fft = build_system(perturbed_spec(base, 32_768), method="fft")
-    rec = build_system(perturbed_spec(base, 16_383), method="recurrence")
+    # grid ends, so dN from the recurrence on the u^{-1}-weighted dPi of the
+    # n = 16,383 grid is the reference of the Newton build to t = 50
+    fft = build_system(perturbed_spec(base, 32_768))
+    pi = assemble_pi(perturbed_spec(base, 16_383))
+    n_ref = tilt(Measure(pi.grid, exp_recurrence(tilt(pi, 1.0).coeffs)), -1.0)
     for t in range(5, 55, 5):
         x = math.exp(t)
-        for got, want in ((fft.pi, rec.pi), (fft.n, rec.n)):
+        for got, want in ((fft.pi, pi), (fft.n, n_ref)):
             assert abs(primitive(got, x) - primitive(want, x)) \
                 <= 1e-12 * abs(primitive(want, x))
     law = convolve(tilt(fft.n, 1.0), tilt(fft.m, 1.0))
@@ -179,24 +182,32 @@ def test_tail_exponentials_invert_each_other():
     assert relative_gap(probe, delta_one(GRID)) <= 1e-8
 
 
+def tail_exp_recurrence(grid, sign, weight_sigma=0.0):
+    """kahane_tail_exp with the reference recurrence in place of exp_star."""
+    rest = 1.0 - weight_sigma
+    a_w = tilt(kahane_tail(grid, weight_sigma), rest).coeffs
+    return tilt(Measure(grid, exp_recurrence(sign * a_w)), -rest)
+
+
 @pytest.mark.parametrize("weight_sigma", [0.0, 0.5])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_tail_exp_fft_tracks_recurrence(sign, weight_sigma):
     # exp*(+tail) at the same weight is the envelope of both signs; below
-    # the cutoff cell the exact values are 0 and the Newton exp leaves
-    # rounding noise relative to the unit mass at u = 1
+    # the cutoff cell the exact values are 0 and the Newton exp, which
+    # kahane_tail_exp runs at this size, leaves rounding noise relative to
+    # the unit mass at u = 1
     g = LogGrid(BUILD_H, 1 << 15)
-    env = kahane_tail_exp(g, 1, weight_sigma, method="recurrence").coeffs
-    rec = kahane_tail_exp(g, sign, weight_sigma, method="recurrence").coeffs
-    fft = kahane_tail_exp(g, sign, weight_sigma, method="fft").coeffs
+    env = tail_exp_recurrence(g, 1, weight_sigma).coeffs
+    rec = tail_exp_recurrence(g, sign, weight_sigma).coeffs
+    fft = kahane_tail_exp(g, sign, weight_sigma).coeffs
     assert np.all(np.abs(fft - rec) <= 1e-12 * env + 1e-15)
 
 
 def test_tail_cosh_combination_is_nonnegative():
     # exp*(dA) + exp*(-dA) = 2 cosh*(dA) has nonnegative coefficients; the
     # recurrence path preserves this exactly
-    bp = kahane_tail_exp(GRID, sign=+1, method="recurrence")
-    bm = kahane_tail_exp(GRID, sign=-1, method="recurrence")
+    bp = tail_exp_recurrence(GRID, +1)
+    bm = tail_exp_recurrence(GRID, -1)
     assert np.all(add(bp, bm).coeffs >= 0.0)
 
 
@@ -204,20 +215,20 @@ def test_weighted_s_values_match_quadrature():
     # S(x) = int_1^x dB-/u; weighted coefficients of exp*(-dA) sum to it
     g = LogGrid(H, 11_001)
     a_w = kahane_tail(g, weight_sigma=1.0)
-    bm_w = exp_star(negate(a_w), method="recurrence")
-    cs = np.cumsum(bm_w.coeffs)
+    bm_w = exp_recurrence(-a_w.coeffs)
+    cs = np.cumsum(bm_w)
     s5 = cs[g.index_of_log(5.0)]
     s10 = cs[g.index_of_log(10.0)]
     assert s5 == pytest.approx(S_E5, abs=5e-4)
     assert s10 == pytest.approx(S_E10, abs=5e-4)
 
-    bp_w = exp_star(a_w, method="recurrence")
-    bp10 = float(np.cumsum(bp_w.coeffs)[g.index_of_log(10.0)])
+    bp_w = exp_recurrence(a_w.coeffs)
+    bp10 = float(np.cumsum(bp_w)[g.index_of_log(10.0)])
     assert bp10 == pytest.approx(BPLUS_E10, abs=5e-4)
 
     k = g.index_of_log(10.0)
     w_cell = np.exp(np.arange(k + 1) * H - k * H)
-    b_over_x = float(np.dot(bm_w.coeffs[: k + 1], w_cell)) * math.exp(-H / 2 - (10.0 - k * H))
+    b_over_x = float(np.dot(bm_w[: k + 1], w_cell)) * math.exp(-H / 2 - (10.0 - k * H))
     assert b_over_x == pytest.approx(BMINUS_OVER_X_E10, rel=1e-3)
 
 
@@ -225,9 +236,8 @@ def test_s_converges_under_grid_refinement():
     vals = {}
     for h, n in ((2e-3, 5501), (1e-3, 11_001)):
         g = LogGrid(h, n)
-        bm_w = exp_star(negate(kahane_tail(g, weight_sigma=1.0)),
-                        method="recurrence")
-        vals[h] = float(np.cumsum(bm_w.coeffs)[g.index_of_log(10.0)])
+        bm_w = exp_recurrence(-kahane_tail(g, weight_sigma=1.0).coeffs)
+        vals[h] = float(np.cumsum(bm_w)[g.index_of_log(10.0)])
     assert abs(vals[1e-3] - S_E10) < abs(vals[2e-3] - S_E10)
 
 
@@ -290,7 +300,7 @@ def test_hypothesis_report_sigma0_partial_on_long_grid(sigma0):
                          log_density=lambda t: np.exp(-2.0 * t))
     ts = (100.0, 200.0, 300.0, 400.0, 450.0)
     rep = hypothesis_report(SystemSpec(base="li", grid=g, r_part=r_part),
-                            checkpoints=ts, sigma0=sigma0, method="fft")
+                            checkpoints=ts, sigma0=sigma0)
     rvar = np.abs(discretize(r_part, g, 1.0).coeffs).astype(np.longdouble)
     weights = np.exp(np.longdouble(1.0 - sigma0) * g.h * np.arange(g.n))
     ref = np.array([np.sum((rvar * weights)[: g.index_of_log(t) + 1]) for t in ts])

@@ -84,3 +84,25 @@ def test_checker_flags_an_unreferenced_definition():
 def test_every_definition_is_referenced():
     sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     assert unreferenced_definitions(sources) == []
+
+
+# the modules that may name the O(n^2) reference exp: kernels, whose
+# exp_star applies the one size-and-conditioning rule, and selfcheck, whose
+# identity suite and bench check the reference path by name
+REFERENCE_EXP_USERS = {"kernels.py", "selfcheck.py"}
+
+
+def modules_naming(name: str, sources: dict) -> list:
+    return sorted(mod for mod, src in sources.items() if name in references(src))
+
+
+def test_checker_finds_a_named_kernel():
+    sources = {"a.py": "from .kernels import exp_recurrence\n",
+               "b.py": "kernels.exp_recurrence(x)\n",
+               "c.py": "kernels.exp_star(x, h)\n"}
+    assert modules_naming("exp_recurrence", sources) == ["a.py", "b.py"]
+
+
+def test_only_the_rule_and_the_oracle_name_the_recurrence():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert set(modules_naming("exp_recurrence", sources)) <= REFERENCE_EXP_USERS
