@@ -19,11 +19,11 @@ from .density import DensitySpec, discretize
 from .errors import (BeurlingError, ConfigError, ConstructionError, FitError,
                      GridMismatchError, ParameterError, RangeError)
 from .grid import LogGrid
-from .measure import (Measure, add, apply_log, cancellation_envelope,
-                      checkpoint_sums, convolve, delta_one, exp_star, exp_star_pair,
-                      harmonic_primitive, invert, load_measure, log_star,
-                      mellin, negate, primitive, relative_gap, save_measure,
-                      scale, subtract, tilt, variation, zero)
+from .measure import (Measure, add, apply_log, checkpoint_sums, convolve,
+                      delta_one, exp_star, exp_star_pair, harmonic_primitive,
+                      invert, load_measure, log_star, mellin, negate,
+                      primitive, relative_gap, save_measure, scale, subtract,
+                      tilt, variation, zero)
 from .pipelines import (GrowthDiagnostics, KahaneReport, de_haan_experiment,
                         growth_diagnostics, kahane_pipeline,
                         mellin_alpha_experiment)
@@ -33,8 +33,7 @@ from .sieve import iter_primes, prime_count, prime_power_mass, prime_powers
 from .systems import (DEFAULT_CHECKPOINTS, HypothesisReport, NumberSystem,
                       SystemSpec, assemble_pi, build_classical_pi,
                       build_kahane_pi, build_li_pi, build_system,
-                      hypothesis_report, kahane_tail, kahane_tail_exp,
-                      li_density, kahane_tail_density)
+                      hypothesis_report, kahane_tail, kahane_tail_exp)
 from .config import load_spec, parse_density, spec_from_text
 
 __version__ = "0.1.0"

@@ -12,8 +12,8 @@ starting with # are ignored.  Recognized keys:
     r.density     density expression, optional signed perturbation
 
 Density expressions are functions of u on [1, inf) built from: numbers,
-u, log(u), loglog(u), exp(..), sqrt(..), indicator(a) (value 1 for u >= a
-and 0 below), the constants e and pi, and + - * / ** with parentheses.
+u, log(u), loglog(u), exp(..), sqrt(..), indicator(a) (a > 0 constant;
+value 1 for u >= a and 0 below), the constants e and pi, and + - * / ** with parentheses.
 Expressions compile through an ast whitelist; any other syntax is
 rejected.  Every indicator cutoff above 1 is recorded as a breakpoint so
 discretization integrates the straddling cell piecewise exactly.
@@ -24,7 +24,7 @@ even where X is undefined there (loglog(u) below u = e, say).  An
 indicator buried elsewhere in a term is just a 0/1 value and does not
 protect its cofactors.
 
-Each expression is also compiled to an equivalent form in t = log u
+Each expression compiles to one form, the same function of t = log u
 (log(u) becomes t, u**c becomes exp(c t), and so on), so configured
 densities discretize correctly on grids extending past log u = 709 where
 u itself overflows; only a genuinely u-sized density overflows there.
@@ -74,8 +74,8 @@ def _check_node(node, breakpoints, allow_u=True):
             # cutoffs must be fixed numbers so they can become breakpoints
             _check_node(node.args[0], breakpoints, allow_u=False)
             cut = _eval_scalar(node.args[0])
-            if not math.isfinite(cut):
-                raise ConfigError("indicator cutoff must be finite")
+            if not (math.isfinite(cut) and cut > 0):
+                raise ConfigError("indicator cutoff must be positive and finite")
             breakpoints.append(cut)
         else:
             _check_node(node.args[0], breakpoints, allow_u)
@@ -83,20 +83,19 @@ def _check_node(node, breakpoints, allow_u=True):
         raise ConfigError(f"disallowed syntax: {ast.dump(node)[:60]}")
 
 
-def _env(coord: str, x):
-    """Names an expression sees when evaluated at x in coordinate coord:
-    "u" itself, or "logu" = log u, where indicator cutoffs move to log a."""
-    cut = (lambda a: a) if coord == "u" else math.log
+def _env(t):
+    """Names an expression sees when evaluated at t = log u, where
+    indicator cutoffs move to log a."""
     return {
-        coord: x,
+        "logu": t,
         "e": math.e,
         "pi": math.pi,
         "log": np.log,
         "loglog": lambda y: np.log(np.log(y)),
         "exp": np.exp,
         "sqrt": np.sqrt,
-        "indicator": lambda a: np.where(np.asarray(x, dtype=float) >= cut(a), 1.0, 0.0),
-        "gate": lambda a, y: np.where(np.asarray(x, dtype=float) >= cut(a), y, 0.0),
+        "indicator": lambda a: np.where(np.asarray(t, dtype=float) >= math.log(a), 1.0, 0.0),
+        "gate": lambda a, y: np.where(np.asarray(t, dtype=float) >= math.log(a), y, 0.0),
     }
 
 
@@ -159,7 +158,7 @@ def _eval_scalar(node) -> float:
     expr = ast.Expression(body=node)
     ast.fix_missing_locations(expr)
     code = compile(expr, "<cutoff>", "eval")
-    return float(eval(code, {"__builtins__": {}}, _env("u", 0.0)))
+    return float(eval(code, {"__builtins__": {}}, _env(0.0)))
 
 
 def parse_density(text: str) -> DensitySpec:
@@ -170,25 +169,16 @@ def parse_density(text: str) -> DensitySpec:
         raise ConfigError(f"cannot parse density {text!r}: {exc}") from None
     breakpoints: list[float] = []
     _check_node(tree, breakpoints)
-    tree = _GateLeadingIndicators().visit(tree)
+    tree = _GateLeadingIndicators().visit(_LogCoordinates().visit(tree))
     ast.fix_missing_locations(tree)
     code = compile(tree, "<density>", "eval")
 
-    log_tree = _GateLeadingIndicators().visit(
-        _LogCoordinates().visit(ast.parse(text, mode="eval")))
-    ast.fix_missing_locations(log_tree)
-    log_code = compile(log_tree, "<density-log>", "eval")
-
-    def density(u):
-        with np.errstate(all="ignore"):
-            return eval(code, {"__builtins__": {}}, _env("u", u))
-
     def log_density(t):
         with np.errstate(all="ignore"):
-            return eval(log_code, {"__builtins__": {}}, _env("logu", t))
+            return eval(code, {"__builtins__": {}}, _env(t))
 
     cuts = tuple(sorted(b for b in breakpoints if b > 1.0))
-    return DensitySpec(density=density, breakpoints=cuts, log_density=log_density)
+    return DensitySpec(breakpoints=cuts, log_density=log_density)
 
 
 def parse_config(text: str) -> dict:

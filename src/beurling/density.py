@@ -13,13 +13,11 @@ the coefficients of the weighted measure u^{-sigma} dA.  For midpoint cells
 k >= 1 this equals tilting the unweighted discretization, exactly; cell 0
 evaluates at t = h/4, off-lattice, so there the two differ by e^{-sigma h/4}.
 
-Grids may extend far past log u = 709, where u itself overflows a double.
-A DensitySpec can therefore carry log_density, the same density as a
-function of t = log u; when present it is used for every evaluation and
-u is never formed.  Without it, cells beyond the overflow point would
-silently see u = inf.  The cell masses themselves carry e^{(1 - sigma) t},
-so a grid on which that factor overflows is refused before any density is
-evaluated; weight such grids with sigma close enough to 1.
+A density is given as log_density, a function of t = log u, so grids may
+extend far past log u = 709, where u itself overflows a double.  The cell
+masses carry e^{(1 - sigma) t}, so a grid on which that factor overflows
+is refused before the density is evaluated; weight such grids with sigma
+close enough to 1.
 """
 
 from __future__ import annotations
@@ -40,32 +38,19 @@ LOG_DOUBLE_MAX = 709.0
 
 @dataclass(frozen=True)
 class DensitySpec:
-    density: Callable[[np.ndarray], np.ndarray] | None = None
     atoms: Sequence[tuple[float, float]] = ()
     rule: str = "midpoint"
     breakpoints: Sequence[float] = ()
     log_density: Callable[[np.ndarray], np.ndarray] | None = None
 
 
-def _evaluate(density, u):
-    try:
-        vals = np.asarray(density(u), dtype=float)
-        if vals.shape != np.shape(u):
-            raise ValueError
-        return vals
-    except (TypeError, ValueError):
-        return np.array([float(density(x)) for x in np.atleast_1d(u)])
-
-
-def discretize(spec, grid: LogGrid, weight_sigma: float = 0.0) -> Measure:
-    if callable(spec):
-        spec = DensitySpec(density=spec)
+def discretize(spec: DensitySpec, grid: LogGrid, weight_sigma: float = 0.0) -> Measure:
     if spec.rule not in ("midpoint", "quad"):
         raise ValueError(f"unknown integration rule {spec.rule!r}")
     h, n = grid.h, grid.n
     coeffs = np.zeros(n)
 
-    if spec.density is not None or spec.log_density is not None:
+    if spec.log_density is not None:
         growth = 1.0 - weight_sigma
         if growth * grid.log_end > LOG_DOUBLE_MAX:
             first = min(n - 1, int(LOG_DOUBLE_MAX / (growth * h)) + 1)
@@ -73,22 +58,12 @@ def discretize(spec, grid: LogGrid, weight_sigma: float = 0.0) -> Measure:
                 f"cell masses overflow a double from cell {first} (log u ~ "
                 f"{first * h:.6g}); discretize with weight_sigma > "
                 f"{1.0 - LOG_DOUBLE_MAX / grid.log_end:.6g} instead")
-        if spec.log_density is not None:
-            fl = spec.log_density
+        fl = spec.log_density
 
-            def g(t):
-                return _evaluate(fl, t) * np.exp((1.0 - weight_sigma) * t)
-
-            def g_scalar(t):
-                return float(fl(t)) * np.exp((1.0 - weight_sigma) * t)
-        else:
-            f = spec.density
-
-            def g(t):
-                return _evaluate(f, np.exp(t)) * np.exp((1.0 - weight_sigma) * t)
-
-            def g_scalar(t):
-                return float(f(np.exp(t))) * np.exp((1.0 - weight_sigma) * t)
+        def g(t):
+            # a constant density may come back as a scalar
+            vals = np.broadcast_to(np.asarray(fl(t), dtype=float), np.shape(t))
+            return vals * np.exp(growth * t)
 
         if spec.rule == "midpoint":
             ts = np.arange(1, n) * h
@@ -116,7 +91,7 @@ def discretize(spec, grid: LogGrid, weight_sigma: float = 0.0) -> Measure:
             total = 0.0
             for a, b in zip(pieces[:-1], pieces[1:]):
                 if b > a:
-                    val, _ = quad(g_scalar, a, b, epsabs=1e-14, epsrel=1e-11, limit=200)
+                    val, _ = quad(g, a, b, epsabs=1e-14, epsrel=1e-11, limit=200)
                     total += val
             coeffs[k] = total
 

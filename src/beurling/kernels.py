@@ -47,20 +47,25 @@ AMD EPYC, one BLAS thread):
     ratio   0.37  0.60  0.98  1.6   2.4   9.2   29 (57 ms against 2 ms)
 
 Newton needs a well-conditioned input.  The cancellation excess
-sum |a_j| e^{-jh} - |sum a_j e^{-jh}| is, untruncated, the log of the
-ratio of the weighted masses of exp*(|a|) and exp*(a).  The largest
-Newton-vs-recurrence gap (measure.relative_gap) over 300 random
-c * uniform(-1, 1) inputs at n = 256, h = 0.01 grows with it:
+S - s, with S = sum |a_j| e^{-jh} and s = sum a_j e^{-jh}, is, untruncated,
+the log of the ratio of the weighted masses of exp*(|a|) and exp*(a), since
+the weighted mass of exp*(a) is e^s > 0.  The largest Newton-vs-recurrence
+gap (measure.relative_gap) over 300 inputs c * uniform(-1, 1) at n = 256,
+h = 0.01 (c = 0.006 i, seed i, i = 1..300) grows with it, unevenly:
 
-    excess     <= 8    8-12    17-20   40-50   57-75
-    max gap    2e-16   1e-15   3e-15   2e-12   2e-8
+    excess     <= 8    8-16    16-24   24-32   32-48   48-64   64-100
+    max gap    3e-16   2e-15   4e-15   6e-14   1e-12   4e-8    9e-10
 
 So exp_star runs Newton from _NEWTON_MIN_N = 128 on inputs with excess
-<= _NEWTON_MAX_EXCESS = 8, and the recurrence otherwise.  Weighted prime
-densities have excess near 0; the uniform(-1, 1) inputs of the identity
-suite about 40.  The excess comes from the weights pass that the envelope
-check of the Newton path makes anyway.  invert and log_star still run
-their recurrences on every size.
+<= _NEWTON_MAX_EXCESS = 8, and the recurrence otherwise; exp_star_pair
+runs Newton only if both signs pass, S + |s| <= 8, as exp*(-a) has excess
+S + s.  Weighted prime densities have excess at most 1.52, either sign;
+the uniform(-1, 1) inputs of the identity suite 33 to 60.  The excess
+comes from the weights pass that the envelope check of Newton makes
+anyway.  A badly conditioned input takes the recurrence at every size, at
+O(n^2) cost: 57 ms at n = 16,383 (above), four times that per doubling of
+n, some 45 s at n = 500,001.  A recurrence result holding an inf or NaN
+raises OverflowError, as a Newton result out of the double range does.  invert and log_star run their recurrences on every size.
 """
 from __future__ import annotations
 
@@ -74,6 +79,8 @@ _DIRECT_WORK_LIMIT = 1 << 16
 # cancellation excess (see _log_envelope) is at most _NEWTON_MAX_EXCESS
 _NEWTON_MIN_N = 128
 _NEWTON_MAX_EXCESS = 8.0
+_LEFT_THE_RANGE = ("exp* result left the double range; keep the computation "
+                   "in a weighted (tilted) representation instead")
 
 
 def _fast_len(m: int) -> int:
@@ -226,21 +233,27 @@ def _finish(e: np.ndarray, a0: float, kh: np.ndarray,
             "iteration left the double range; use a weighted (tilted) input"
         )
     if not float(np.max(log_mag)) <= 708.0:
-        raise OverflowError(
-            "exp* result left the double range; keep the computation in a "
-            "weighted (tilted) representation instead"
-        )
+        raise OverflowError(_LEFT_THE_RANGE)
     e *= math.exp(a0)
     return e
 
 
+def _recurrence(a: np.ndarray) -> np.ndarray:
+    # exp_recurrence where the rule picks it; an inf or NaN in the result
+    # raises as a Newton result out of the double range does
+    e = exp_recurrence(a)
+    if not np.all(np.isfinite(e)):
+        raise OverflowError(_LEFT_THE_RANGE)
+    return e
+
+
 def _log_envelope(a: np.ndarray, h: float):
-    # kh, the log envelope bound sum |a_j| e^{-jh} of _finish, and the
-    # cancellation excess: that bound minus |sum a_j e^{-jh}|
+    # kh, the log envelope bound S = sum |a_j| e^{-jh} of _finish, and the
+    # cancellation excess of exp*(a): S minus s = sum a_j e^{-jh}
     kh = h * np.arange(len(a))
     w = np.exp(-kh)
     log_bound = float(np.dot(np.abs(a), w))
-    return kh, log_bound, log_bound - abs(float(np.dot(a, w)))
+    return kh, log_bound, log_bound - float(np.dot(a, w))
 
 
 def _newton_envelope(a: np.ndarray, h: float):
@@ -259,15 +272,16 @@ def exp_star(a: np.ndarray, h: float) -> np.ndarray:
     elsewhere (see the module docstring)."""
     envelope = _newton_envelope(a, h)
     if envelope is None:
-        return exp_recurrence(a)
+        return _recurrence(a)
     return exp_newton(a, h, envelope)
 
 
 def exp_star_pair(a: np.ndarray, h: float):
-    """(exp* a, exp* -a), on the path exp_star picks."""
+    """(exp* a, exp* -a), by Newton only where exp_star would run Newton on
+    both: the excess of exp*(-a) is S + s, so the pair's is S + |s|."""
     envelope = _newton_envelope(a, h)
-    if envelope is None:
-        return exp_recurrence(a), exp_recurrence(-a)
+    if envelope is None or 2.0 * envelope[1] - envelope[2] > _NEWTON_MAX_EXCESS:
+        return _recurrence(a), _recurrence(-a)
     return exp_newton_pair(a, h, envelope)
 
 

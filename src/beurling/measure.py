@@ -156,15 +156,6 @@ def invert(a: Measure) -> Measure:
     return Measure(a.grid, kernels.invert_recurrence(a.coeffs))
 
 
-def cancellation_envelope(a: Measure) -> Measure:
-    """exp*(|dA|), the positive envelope dominating exp*(dA) coefficient-wise.
-
-    When eps times the envelope is comparable to the exponential itself the
-    signed result is cancellation-dominated and should not be trusted.
-    """
-    return exp_star(variation(a))
-
-
 def checkpoint_sums(a: Measure, ts, rate: float = 0.0) -> np.ndarray:
     """sum_{k <= K_j} c_k e^{rate (kh - t_j)} at each ascending log point t_j,
     where K_j = grid.index_of_log(t_j).

@@ -65,11 +65,6 @@ def _li_density_log(t):
     return out if out.shape else float(out)
 
 
-def li_density(u):
-    """Density of the logarithmic-integral prime measure."""
-    return _li_density_log(np.log(np.asarray(u, dtype=float)))
-
-
 def _tail_density_log(t):
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
@@ -79,13 +74,8 @@ def _tail_density_log(t):
     return out if out.shape else float(out)
 
 
-def kahane_tail_density(u):
-    """The added slowly-decaying component of Kahane's prime measure."""
-    return _tail_density_log(np.log(np.asarray(u, dtype=float)))
-
-
 def build_li_pi(grid: LogGrid, weight_sigma: float = 0.0) -> Measure:
-    spec = DensitySpec(density=li_density, log_density=_li_density_log)
+    spec = DensitySpec(log_density=_li_density_log)
     return discretize(spec, grid, weight_sigma)
 
 
@@ -96,8 +86,7 @@ def kahane_tail(grid: LogGrid, weight_sigma: float = 0.0) -> Measure:
     """
     if grid.log_end <= math.e:
         raise RangeError("grid ends below the tail cutoff e^e")
-    spec = DensitySpec(density=kahane_tail_density, breakpoints=(TAIL_CUT,),
-                       log_density=_tail_density_log)
+    spec = DensitySpec(breakpoints=(TAIL_CUT,), log_density=_tail_density_log)
     return discretize(spec, grid, weight_sigma)
 
 

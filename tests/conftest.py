@@ -1,4 +1,5 @@
-"""Session-scoped fixtures for the expensive acceptance artifacts.
+"""Session-scoped fixtures for the expensive acceptance artifacts, and
+u_density, which writes a test density as a function of u.
 
 The full-resolution Kahane run, the two transform-side experiments, and the
 exp-star benchmark each take seconds to minutes; they are built once per
@@ -21,9 +22,16 @@ from scipy.fft import irfft, next_fast_len, rfft
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
+from beurling.density import DensitySpec
 from beurling.pipelines import (de_haan_experiment, kahane_pipeline,
                                 mellin_alpha_experiment)
 from beurling.selfcheck import benchmark_exp
+
+
+def u_density(f, **fields):
+    """The DensitySpec of a density f given as a function of u: its
+    log_density evaluates f at u = e^t."""
+    return DensitySpec(log_density=lambda t: f(np.exp(t)), **fields)
 
 
 def _timed(builder):

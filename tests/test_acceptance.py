@@ -31,7 +31,7 @@ from beurling import (DensitySpec, LogGrid, SystemSpec, assemble_pi,
                       prime_count, prime_power_mass, sample_ratio, tilt)
 from beurling.kernels import exp_recurrence
 from beurling.selfcheck import fft_scaling_exponent, run_identity_suite
-from beurling.systems import TAIL_CUT, _tail_density_log, kahane_tail_density
+from beurling.systems import TAIL_CUT, _tail_density_log
 
 
 def announce(capsys, num, ok, detail):
@@ -40,8 +40,7 @@ def announce(capsys, num, ok, detail):
 
 
 def tail_spec():
-    return DensitySpec(density=kahane_tail_density, breakpoints=(TAIL_CUT,),
-                       log_density=_tail_density_log)
+    return DensitySpec(breakpoints=(TAIL_CUT,), log_density=_tail_density_log)
 
 
 def test_criterion_01_identity_suite(capsys):
@@ -255,9 +254,7 @@ def test_criterion_10_harness_discriminates(capsys):
     m_raw = tilt(m_w, -1.0)  # exact unweighting; raw coefficients stay finite
     conclusion = check_decay(sample_ratio(m_raw, "1/x", ladder))
 
-    fat = DensitySpec(
-        density=lambda u: 1.0 / np.log(np.maximum(u, 1.0 + 1e-12)),
-        log_density=lambda t: 1.0 / np.maximum(t, 1e-12))
+    fat = DensitySpec(log_density=lambda t: 1.0 / np.maximum(t, 1e-12))
     bad_rep = hypothesis_report(SystemSpec(base="li", grid=grid, e_part=fat))
 
     accepts = good_rep.passed and conclusion.passed

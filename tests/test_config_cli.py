@@ -16,7 +16,8 @@ from beurling import (ConfigError, LogGrid, build_li_pi, kahane_tail,
 from beurling.cli import main
 from beurling.config import parse_config, parse_density, spec_from_text
 from beurling.density import discretize
-from beurling.systems import assemble_pi, li_density
+from beurling.systems import _li_density_log, assemble_pi
+from conftest import u_density
 
 COARSE = ["--h", "1e-3", "--n", "50001"]
 
@@ -74,7 +75,8 @@ def test_custom_base_expression_matches_stock_li():
                           "base.density = (1 - 1/u)/log(u)\n")
     got = assemble_pi(spec)
     assert relative_gap(got, build_li_pi(spec.grid)) <= 1e-9
-    assert spec.custom.density(7.5) == pytest.approx(li_density(7.5), rel=1e-12)
+    t = math.log(7.5)
+    assert spec.custom.log_density(t) == pytest.approx(_li_density_log(t), rel=1e-12)
 
 
 def test_tail_expression_matches_stock_tail():
@@ -88,23 +90,40 @@ def test_tail_expression_matches_stock_tail():
 def test_leading_indicator_gates_undefined_cofactors():
     d = parse_density("indicator(e**e) / (log(u) * loglog(u))")
     # below the cutoff loglog(u) is undefined; the gate must return exact 0
-    assert float(d.density(2.0)) == 0.0
+    assert float(d.log_density(math.log(2.0))) == 0.0
     assert float(d.log_density(0.5)) == 0.0
-    above = math.exp(4.0)
-    assert float(d.density(above)) == pytest.approx(
+    cut = math.log(math.e ** math.e)
+    assert float(d.log_density(cut * (1 - 1e-15))) == 0.0
+    assert float(d.log_density(cut)) == pytest.approx(
+        1.0 / (cut * math.log(cut)), rel=1e-15)
+    assert float(d.log_density(4.0)) == pytest.approx(
         1.0 / (4.0 * math.log(4.0)), rel=1e-12)
 
 
 def test_log_form_agrees_and_survives_long_grids():
     d = parse_density("u**-2")
     for t in (0.5, 2.0, 5.0):
-        assert float(d.log_density(t)) == pytest.approx(
-            float(d.density(math.exp(t))), rel=1e-13)
+        assert float(d.log_density(t)) == pytest.approx(math.exp(-2.0 * t),
+                                                        rel=1e-13)
     assert float(d.log_density(800.0)) == 0.0  # exp(-1600) underflows to 0
 
     d2 = parse_density("u**2")
-    assert float(d2.density(3.0)) == pytest.approx(9.0, rel=1e-15)
+    assert float(d2.log_density(math.log(3.0))) == pytest.approx(9.0, rel=1e-15)
     assert float(d2.log_density(0.5)) == pytest.approx(math.e, rel=1e-15)
+
+    d3 = parse_density("sqrt(u) * loglog(u) + log(u) / u")
+    for t in (1.5, 4.0):
+        u = math.exp(t)
+        assert float(d3.log_density(t)) == pytest.approx(
+            math.sqrt(u) * math.log(t) + t / u, rel=1e-13)
+
+
+def test_constant_density_is_broadcast():
+    # the log form of a constant is a scalar; every cell still gets it
+    g = LogGrid(0.01, 300)
+    got = discretize(parse_density("0.5"), g)
+    want = discretize(u_density(lambda u: np.full_like(u, 0.5)), g)
+    assert np.array_equal(got.coeffs, want.coeffs)
 
 
 def test_indicator_bookkeeping():
@@ -120,6 +139,7 @@ def test_indicator_bookkeeping():
     "x + 1",                   # unknown name
     "u(2)",                    # u is not callable
     "indicator(u)",            # cutoff must be constant
+    "indicator(0)",            # cutoff must be positive
     "log(u, 2)",               # arity
     "[1, 2]",                  # container literal
     "lambda u: u",             # function syntax
@@ -172,15 +192,34 @@ def test_cli_build_fft_path_on_a_long_grid(tmp_path, capsys):
         assert load_measure(out / f"{name}.csv").grid == LogGrid(0.004, 32768)
 
 
-@pytest.mark.parametrize("command", ["build", "hypotheses"])
-def test_cli_reports_a_nan_exp_as_overflow(tmp_path, capsys, command):
-    # weighted u^2 still grows like e^{kh}: its envelope bound is no bound,
-    # and the Newton iteration overflows into NaN, which the guard refuses
-    cfg = write_config(tmp_path, ("base = li\ngrid.h = 0.004\ngrid.n = 32768\n"
-                                  "e.density = u**2\n"))
+@pytest.mark.parametrize("command, grid, density", [
+    # the pair of a huge perturbation cancels in exp*(-dPi), so both halves
+    # run the recurrence, whose sums overflow into inf and NaN
+    ("build", "grid.h = 0.004\ngrid.n = 4096", "indicator(2) * 1e60 * u**2"),
+    # weighted u^2 still grows like e^{kh}: in exp*(u^2 - li) nothing
+    # cancels and its envelope bound is no bound, so Newton runs and
+    # overflows into NaN, which no comparison with the bound catches
+    ("hypotheses", "grid.h = 0.004\ngrid.n = 32768", "-u**2"),
+], ids=["build", "hypotheses"])
+def test_cli_reports_a_nan_exp_as_overflow(tmp_path, capsys, command, grid,
+                                           density):
+    cfg = write_config(tmp_path, f"base = li\n{grid}\ne.density = {density}\n")
     with np.errstate(over="ignore", invalid="ignore"):
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith("FAIL overflow error=OverflowError(")
+
+
+def test_cli_build_reports_a_cancelling_pair_as_a_failed_check(tmp_path, capsys):
+    # exp*(-dPi) of li + u^2 cancels, so the pair runs the recurrence: the
+    # inverse law then fails by a finite deviation, about 1e98, instead of
+    # Newton's overflowing product
+    cfg = write_config(tmp_path, ("base = li\ngrid.h = 0.004\ngrid.n = 16384\n"
+                                  "e.density = u**2\n"))
+    assert main(["build", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("FAIL check error=ConstructionError("
+                               "'dM fails to invert dN: max deviation ")
 
 
 def test_cli_build_refuses_an_overflowing_grid(tmp_path, capsys):

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from beurling import (DensitySpec, LogGrid, delta_one, discretize,
-                      kahane_tail, kahane_tail_density, li_density, primitive,
-                      tilt)
+                      kahane_tail, primitive, tilt)
 from beurling.systems import _li_density_log, _tail_density_log, build_li_pi
+from conftest import u_density
 
 
 def test_atom_at_one_is_delta():
@@ -42,14 +42,14 @@ def test_atom_weighting():
 
 def test_harmonic_density_cells_are_exact():
     g = LogGrid(1e-3, 2000)
-    m = discretize(lambda u: 1.0 / u, g)
+    m = discretize(u_density(lambda u: 1.0 / u), g)
     assert np.allclose(m.coeffs[1:], g.h, rtol=1e-13, atol=0)
     assert m.coeffs[0] == pytest.approx(g.h / 2.0, rel=1e-13)
 
 
 def test_quad_rule_on_harmonic_density():
     g = LogGrid(0.05, 40)
-    m = discretize(DensitySpec(density=lambda u: 1.0 / u, rule="quad"), g)
+    m = discretize(u_density(lambda u: 1.0 / u, rule="quad"), g)
     assert np.allclose(m.coeffs[1:], g.h, rtol=1e-9, atol=0)
     assert m.coeffs[0] == pytest.approx(g.h / 2.0, rel=1e-9)
 
@@ -57,29 +57,19 @@ def test_quad_rule_on_harmonic_density():
 def test_unknown_rule_rejected():
     g = LogGrid(0.1, 8)
     with pytest.raises(ValueError):
-        discretize(DensitySpec(density=lambda u: 1.0 / u, rule="simpson"), g)
-
-
-def test_scalar_only_density_falls_back():
-    g = LogGrid(0.01, 300)
-
-    def scalar_only(u):
-        return 1.0 / math.exp(2.0 * math.log(u))  # fails on arrays
-
-    got = discretize(scalar_only, g)
-    want = discretize(lambda u: u ** -2.0, g)
-    assert np.allclose(got.coeffs, want.coeffs, rtol=1e-12, atol=0)
+        discretize(u_density(lambda u: 1.0 / u, rule="simpson"), g)
 
 
 def test_li_density_limit_and_smoothness():
-    assert li_density(1.0) == 1.0
+    assert _li_density_log(0.0) == 1.0
     # series and direct branches meet smoothly at t = 1e-4
     below = _li_density_log(1e-4 * (1 - 1e-9))
     above = _li_density_log(1e-4 * (1 + 1e-9))
     assert abs(below - above) <= 1e-12
     # closed form at a generic point
     u = 7.5
-    assert li_density(u) == pytest.approx((1 - 1 / u) / math.log(u), rel=1e-14)
+    assert _li_density_log(math.log(u)) == pytest.approx(
+        (1 - 1 / u) / math.log(u), rel=1e-14)
 
 
 def test_li_cell_zero_carries_half_cell():
@@ -90,17 +80,17 @@ def test_li_cell_zero_carries_half_cell():
 
 def test_kahane_density_at_e_to_e_squared():
     u = math.exp(math.e ** 2)
-    li = li_density(u)
-    tail = kahane_tail_density(u)
+    li = _li_density_log(math.e ** 2)
+    tail = _tail_density_log(math.e ** 2)
     assert li == pytest.approx((1 - 1 / u) / math.e ** 2, rel=1e-12)
     assert tail == pytest.approx(1.0 / (2.0 * math.e ** 2), rel=1e-12)
     assert li + tail == pytest.approx(0.20294, abs=5e-5)
 
 
 def test_tail_density_vanishes_below_cutoff():
-    assert kahane_tail_density(2.0) == 0.0
-    assert kahane_tail_density(math.exp(math.e) * 0.999) == 0.0
-    assert kahane_tail_density(math.exp(math.e) * 1.001) > 0.0
+    assert _tail_density_log(math.log(2.0)) == 0.0
+    assert _tail_density_log(math.e + math.log(0.999)) == 0.0
+    assert _tail_density_log(math.e + math.log(1.001)) > 0.0
 
 
 def test_tail_cutoff_cell_gets_exact_partial_mass():
@@ -118,14 +108,6 @@ def test_tail_cutoff_cell_gets_exact_partial_mass():
     assert np.all(raw.coeffs[:27] == 0.0)
     assert raw.coeffs[28] == pytest.approx(
         0.1 * math.exp(2.8) / (2.8 * math.log(2.8)), rel=1e-13)
-
-
-def test_log_density_agrees_with_density():
-    for t in (0.5, 2.0, 5.0, 50.0):
-        assert _li_density_log(t) == pytest.approx(li_density(math.exp(t)),
-                                                   rel=1e-12)
-        assert _tail_density_log(t) == pytest.approx(
-            kahane_tail_density(math.exp(t)), rel=1e-12)
 
 
 def test_long_grids_work_in_weighted_form():
@@ -146,8 +128,9 @@ def test_long_grids_work_in_weighted_form():
 
 def test_weighted_discretize_matches_tilt():
     g = LogGrid(0.01, 2000)
-    direct = discretize(DensitySpec(density=li_density), g, weight_sigma=1.0)
-    tilted = tilt(discretize(DensitySpec(density=li_density), g), 1.0)
+    li = DensitySpec(log_density=_li_density_log)
+    direct = discretize(li, g, weight_sigma=1.0)
+    tilted = tilt(discretize(li, g), 1.0)
     # midpoint cells evaluate at the lattice point kh, so folding the weight
     # into the integrand and tilting afterwards agree to rounding; cell 0
     # integrates at t = h/4 while the tilt weight sits at the lattice t = 0
@@ -158,17 +141,16 @@ def test_weighted_discretize_matches_tilt():
 
 def test_breakpoints_outside_grid_are_ignored():
     g = LogGrid(0.1, 30)
-    plain = discretize(DensitySpec(density=lambda u: 1.0 / u), g)
+    plain = discretize(u_density(lambda u: 1.0 / u), g)
     # 0.5 sits below u = 1, 1e300 far past the last cell; neither may
     # perturb the midpoint masses
-    cut = discretize(DensitySpec(density=lambda u: 1.0 / u,
-                                 breakpoints=(0.5, 1e300)), g)
+    cut = discretize(u_density(lambda u: 1.0 / u, breakpoints=(0.5, 1e300)), g)
     assert np.array_equal(plain.coeffs, cut.coeffs)
 
 
 def test_non_finite_density_is_reported_with_cell():
     g = LogGrid(0.1, 16)
-    bad = DensitySpec(density=lambda u: np.where(u > 2.0, np.nan, 1.0))
+    bad = u_density(lambda u: np.where(u > 2.0, np.nan, 1.0))
     with pytest.raises(ValueError, match="cell"):
         discretize(bad, g)
 
@@ -199,7 +181,7 @@ def test_discretization_error_is_second_order():
     errs = []
     for h in (0.02, 0.01, 0.005):
         g = LogGrid(h, int(3.0 / h) + 1)
-        m = discretize(lambda u: u ** -2.0, g)
+        m = discretize(u_density(lambda u: u ** -2.0), g)
         k = g.index_of_log(2.0)
         t_eff = (k + 0.5) * h
         errs.append(abs(primitive(m, math.exp(2.0)) - (1.0 - math.exp(-t_eff))))

@@ -1,4 +1,5 @@
 import math
+import operator
 from collections import Counter
 
 import numpy as np
@@ -10,11 +11,12 @@ from beurling import kernels
 from beurling.grid import LogGrid
 from beurling.kernels import (exp_newton, exp_newton_pair, exp_recurrence,
                               invert_recurrence, log_recurrence, mul_trunc)
-from beurling.config import parse_density
+from beurling.measure import negate, relative_gap, tilt
+from beurling.config import parse_density, spec_from_text
 from beurling.density import discretize
 from beurling.pipelines import KAHANE_GRID
 from beurling.selfcheck import run_identity_suite
-from beurling.systems import build_kahane_pi, build_li_pi, kahane_tail
+from beurling.systems import assemble_pi, build_kahane_pi, build_li_pi, kahane_tail
 
 
 def test_mul_trunc_matches_direct_convolution():
@@ -269,8 +271,10 @@ def test_auto_runs_newton_from_its_minimum_length(exp_paths, n, path):
 def test_auto_keeps_cancelling_input_on_the_recurrence(exp_paths):
     rng = np.random.default_rng(40)
     a = rng.uniform(-1.0, 1.0, 4096)
-    excess = kernels._log_envelope(a, 0.01)[2]
-    assert 30.0 <= excess <= 50.0
+    _, log_bound, excess = kernels._log_envelope(a, 0.01)
+    # the signed excesses of exp*(a) and exp*(-a): 53 and 41
+    assert 30.0 <= excess <= 60.0
+    assert 30.0 <= 2.0 * log_bound - excess <= 60.0
     kernels.exp_star(a, 0.01)
     kernels.exp_star_pair(a, 0.01)
     assert exp_paths == {"exp_recurrence": 3}
@@ -280,6 +284,51 @@ def test_identity_suite_runs_only_the_recurrence(exp_paths):
     # the suite checks the reference path by name, whatever the rule picks
     run_identity_suite(count=3)
     assert set(exp_paths) == {"exp_recurrence"}
+
+
+def _exact_exp(a, bits=320):
+    """exp* of the float coefficients a by the recurrence
+    m e_m = sum_k k a_k e_{m-k} in integer fixed point with 2^-bits
+    resolution; each float converts exactly, and the result is rounded to
+    floats once at the end."""
+    one = 1 << bits
+    fixed = [int(math.ldexp(x, bits)) for x in a.tolist()]
+    e0, term, k = 0, one, 0
+    while term:
+        e0 += term
+        k += 1
+        term = term * fixed[0] // (k * one)
+    w = [k * c for k, c in enumerate(fixed)]
+    e = [e0]
+    for m in range(1, len(a)):
+        e.append(sum(map(operator.mul, w[1:m + 1], reversed(e))) // (m * one))
+    return np.array([x / one for x in e])
+
+
+def test_cancelling_exp_matches_an_exact_reference():
+    # exp*(-dPi) for li + u^2, weighted by u^{-1}: sum |a_j| e^{-jh} is 3.6e3
+    # and the signed excess twice that, so the rule must pick the
+    # recurrence, alone or in a pair; Newton on this input is off by 1.6e-11,
+    # and 1.4e-10 in the pair
+    spec = spec_from_text("base = li\ngrid.h = 0.004\ngrid.n = 2048\n"
+                          "e.density = u**2\n")
+    a = negate(tilt(assemble_pi(spec), 1.0)).coeffs
+    ref = _exact_exp(a)
+    assert relative_gap(kernels.exp_star(a, 0.004), ref) <= 1e-13
+    assert relative_gap(kernels.exp_star_pair(-a, 0.004)[1], ref) <= 1e-13
+
+
+def test_weighted_kahane_pair_runs_newton(monkeypatch):
+    # both signs of the Kahane pi_w are well conditioned (excess of
+    # exp*(-pi_w) 1.42), so the pair rule keeps the headline on Newton;
+    # the paths are stubbed, since only the decision is under test
+    ran = []
+    monkeypatch.setattr(kernels, "exp_newton_pair", lambda *args: ran.append("newton"))
+    monkeypatch.setattr(kernels, "_recurrence", lambda *args: ran.append("recurrence"))
+    a = build_kahane_pi(KAHANE_GRID, weight_sigma=1.0).coeffs
+    assert kernels._newton_envelope(a, KAHANE_GRID.h) is not None
+    kernels.exp_star_pair(a, KAHANE_GRID.h)
+    assert ran == ["newton"]
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])

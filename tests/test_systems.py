@@ -29,7 +29,8 @@ from beurling import (ConstructionError, DensitySpec, LogGrid, Measure,
                       kahane_tail_exp, negate, prime_power_mass, primitive,
                       relative_gap, sample_ratio, tilt, zero)
 from beurling.kernels import exp_recurrence
-from beurling.systems import TAIL_CUT, _tail_density_log, kahane_tail_density
+from beurling.systems import TAIL_CUT, _tail_density_log
+from conftest import u_density
 
 H = 1e-3
 GRID = LogGrid(H, 12_001)
@@ -42,8 +43,7 @@ PI0_1E6 = 78597.111684
 
 
 def tail_spec():
-    return DensitySpec(density=kahane_tail_density, breakpoints=(TAIL_CUT,),
-                       log_density=_tail_density_log)
+    return DensitySpec(breakpoints=(TAIL_CUT,), log_density=_tail_density_log)
 
 
 # ------------------------------------------------------------ li system
@@ -135,7 +135,7 @@ def test_kahane_pi_is_li_plus_tail():
 def test_perturbation_assembly_is_componentwise():
     g = LogGrid(H, 6001)
     e_spec = tail_spec()
-    r_spec = DensitySpec(density=lambda u: u ** -2.0)
+    r_spec = u_density(lambda u: u ** -2.0)
     spec = SystemSpec(base="li", grid=g, e_part=e_spec, r_part=r_spec)
     got = assemble_pi(spec)
     want = add(add(build_li_pi(g), discretize(e_spec, g)),
@@ -146,7 +146,7 @@ def test_perturbation_assembly_is_componentwise():
 def test_zero_perturbations_match_either_slot():
     g = LogGrid(H, 3001)
     none_spec = SystemSpec(base="li", grid=g)
-    empty = DensitySpec(density=lambda u: np.zeros_like(np.asarray(u, float)))
+    empty = u_density(np.zeros_like)
     as_e = SystemSpec(base="li", grid=g, e_part=empty)
     as_r = SystemSpec(base="li", grid=g, r_part=empty)
     base = assemble_pi(none_spec)
@@ -256,8 +256,7 @@ def test_hypothesis_report_accepts_kahane_decomposition():
 def test_hypothesis_report_rejects_fat_perturbation():
     # dE = du/log u has A_E(x) log x / x -> 1, far from decaying
     g = LogGrid(H, 50_001)
-    fat = DensitySpec(density=lambda u: 1.0 / np.log(np.maximum(u, 1.0 + 1e-12)),
-                      log_density=lambda t: 1.0 / np.maximum(t, 1e-12))
+    fat = DensitySpec(log_density=lambda t: 1.0 / np.maximum(t, 1e-12))
     spec = SystemSpec(base="li", grid=g, e_part=fat)
     rep = hypothesis_report(spec)
     assert rep.flags["i"] is False
@@ -267,7 +266,7 @@ def test_hypothesis_report_rejects_fat_perturbation():
 def test_hypothesis_report_r_part_converges():
     g = LogGrid(H, 50_001)
     spec = SystemSpec(base="li", grid=g,
-                      r_part=DensitySpec(density=lambda u: u ** -2.0))
+                      r_part=u_density(lambda u: u ** -2.0))
     rep = hypothesis_report(spec, sigma0=0.5)
     assert rep.flags["ii"] is True
     assert rep.flags["ii_sigma0"] is True
@@ -296,8 +295,7 @@ def test_hypothesis_report_sigma0_partial_on_long_grid(sigma0):
     # the last checkpoint for sigma0 = 0.5, e^{(1 - sigma0)(t - kh)} within
     # the checkpoints for sigma0 = 3; neither may reach the sums
     g = LogGrid(0.1, 16_001)
-    r_part = DensitySpec(density=lambda u: u ** -2.0,
-                         log_density=lambda t: np.exp(-2.0 * t))
+    r_part = DensitySpec(log_density=lambda t: np.exp(-2.0 * t))
     ts = (100.0, 200.0, 300.0, 400.0, 450.0)
     rep = hypothesis_report(SystemSpec(base="li", grid=g, r_part=r_part),
                             checkpoints=ts, sigma0=sigma0)
