@@ -63,7 +63,9 @@ def discretize(spec: DensitySpec, grid: LogGrid, weight_sigma: float = 0.0) -> M
         def g(t):
             # a constant density may come back as a scalar
             vals = np.broadcast_to(np.asarray(fl(t), dtype=float), np.shape(t))
-            return vals * np.exp(growth * t)
+            # an overflowing cell is reported by the non-finite check below
+            with np.errstate(over="ignore"):
+                return vals * np.exp(growth * t)
 
         if spec.rule == "midpoint":
             ts = np.arange(1, n) * h

@@ -211,6 +211,7 @@ def _exp_newton_monic(a: np.ndarray, keep_inverse_spectrum: bool = False):
             fr = None
         step, _ = _product(k_eps / np.arange(m, m2), e, 0, m2 - m, size, fe)
         e = np.concatenate([e, step])
+        del q, k_eps, step, fe
     return e, r, fr
 
 

@@ -213,7 +213,8 @@ def build_system(spec: SystemSpec) -> NumberSystem:
     weighted back: tilting is an exact homomorphism fixing delta, and the
     weighted coefficients stay of order one where raw ones span many orders
     of magnitude.  The inverse law convolve(dN, dM) = delta is checked on
-    the weighted pair for the same reason.  Pi(1) = 0 and N(1) = 1 hold up
+    the weighted pair for the same reason; a product that overflows a
+    double fails it too (ConstructionError).  Pi(1) = 0 and N(1) = 1 hold up
     to the half-cell mass that the lattice attributes to the point u = 1.
     The raw dN carries e^{kh}, so a grid past log u = LOG_DOUBLE_MAX is
     refused (ParameterError) before anything is built, for every base.
@@ -233,7 +234,13 @@ def build_system(spec: SystemSpec) -> NumberSystem:
     if abs(float(n_meas.coeffs[0]) - 1.0) > half_cell_tol:
         raise ConstructionError(f"N(1) = {n_meas.coeffs[0]} too far from 1")
 
-    dev = convolve(n_w, m_w).coeffs - delta_one(spec.grid).coeffs
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            product = convolve(n_w, m_w)
+        except ParameterError:  # Measure refuses the product's inf or NaN
+            raise ConstructionError(
+                "dM fails to invert dN: their product overflows a double") from None
+    dev = product.coeffs - delta_one(spec.grid).coeffs
     worst = float(np.max(np.abs(dev)))
     if worst > 1e-8:
         raise ConstructionError(f"dM fails to invert dN: max deviation {worst:.3e}")

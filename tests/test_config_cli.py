@@ -222,6 +222,16 @@ def test_cli_build_reports_a_cancelling_pair_as_a_failed_check(tmp_path, capsys)
                                "'dM fails to invert dN: max deviation ")
 
 
+def test_cli_build_reports_an_overflowing_inverse_law_as_a_failed_check(tmp_path, capsys):
+    # li + u^3: the pair's halves are finite, their product is not
+    cfg = write_config(tmp_path, ("base = li\ngrid.h = 0.004\ngrid.n = 32768\n"
+                                  "e.density = u**3\n"))
+    assert main(["build", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("FAIL check error=ConstructionError(")
+
+
 def test_cli_build_refuses_an_overflowing_grid(tmp_path, capsys):
     # raw cell masses of li pass the double range near log u = 709
     cfg = write_config(tmp_path, "base = li\ngrid.h = 0.004\ngrid.n = 200000\n")

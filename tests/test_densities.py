@@ -14,6 +14,7 @@ import pytest
 
 from beurling import (DensitySpec, LogGrid, delta_one, discretize,
                       kahane_tail, primitive, tilt)
+from beurling.errors import ParameterError
 from beurling.systems import _li_density_log, _tail_density_log, build_li_pi
 from conftest import u_density
 
@@ -153,6 +154,15 @@ def test_non_finite_density_is_reported_with_cell():
     bad = u_density(lambda u: np.where(u > 2.0, np.nan, 1.0))
     with pytest.raises(ValueError, match="cell"):
         discretize(bad, g)
+
+
+def test_overflowing_cell_is_reported_without_a_warning():
+    # 1e300 e^t leaves the double range at t = 20 on a grid numpy accepts
+    spec = DensitySpec(log_density=lambda t: 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ParameterError, match=r"cell 20 \(log u ~ 20\)"):
+            discretize(spec, LogGrid(1.0, 40))
 
 
 def test_overflowing_grid_is_refused_before_evaluation():

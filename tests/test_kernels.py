@@ -11,11 +11,11 @@ from beurling import kernels
 from beurling.grid import LogGrid
 from beurling.kernels import (exp_newton, exp_newton_pair, exp_recurrence,
                               invert_recurrence, log_recurrence, mul_trunc)
-from beurling.measure import negate, relative_gap, tilt
+from beurling.measure import Measure, negate, relative_gap, tilt
 from beurling.config import parse_density, spec_from_text
 from beurling.density import discretize
 from beurling.pipelines import KAHANE_GRID
-from beurling.selfcheck import run_identity_suite
+from beurling.selfcheck import exp_series_oracle, run_identity_suite, series_terms
 from beurling.systems import assemble_pi, build_kahane_pi, build_li_pi, kahane_tail
 
 
@@ -281,9 +281,29 @@ def test_auto_keeps_cancelling_input_on_the_recurrence(exp_paths):
 
 
 def test_identity_suite_runs_only_the_recurrence(exp_paths):
-    # the suite checks the reference path by name, whatever the rule picks
-    run_identity_suite(count=3)
-    assert set(exp_paths) == {"exp_recurrence"}
+    # the suite checks the reference path by name, whatever the rule picks:
+    # one exp per pool measure, plus exp(a + b) and exp(-a) per step
+    count = 3
+    run_identity_suite(count=count)
+    assert exp_paths == {"exp_recurrence": 3 * count}
+
+
+def test_series_oracle_sums_53_terms_on_the_suites_inputs():
+    # the suite's pool: n = 256, |a_j| <= 1
+    rng = np.random.default_rng(2026)
+    pool = [rng.uniform(-1.0, 1.0, 256) for _ in range(100)]
+    assert {series_terms(256, float(np.max(np.abs(a[1:])))) for a in pool} == {53}
+    assert series_terms(256, 1.0) == 53
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_series_oracle_of_a_point_mass_at_one_is_exact(n):
+    c = np.zeros(n)
+    c[0] = 0.7
+    got = exp_series_oracle(Measure(LogGrid(0.01, n), c)).coeffs
+    want = np.zeros(n)
+    want[0] = math.exp(0.7)
+    assert np.array_equal(got, want)
 
 
 def _exact_exp(a, bits=320):
@@ -303,6 +323,18 @@ def _exact_exp(a, bits=320):
     for m in range(1, len(a)):
         e.append(sum(map(operator.mul, w[1:m + 1], reversed(e))) // (m * one))
     return np.array([x / one for x in e])
+
+
+@pytest.mark.parametrize("scale, terms", [(5.0, 49), (20.0, 63)])
+def test_series_oracle_matches_an_exact_reference(scale, terms):
+    # at scale 20 the tail bound stays above 1e-16 and all n - 1 terms run;
+    # the oracle's rounding is relative to exp*(|a|), which dominates every
+    # term, as the terms cancel to a far smaller exp*(a)
+    a = np.random.default_rng(64).uniform(-scale, scale, 64)
+    assert series_terms(64, float(np.max(np.abs(a[1:])))) == terms
+    got = exp_series_oracle(Measure(LogGrid(0.01, 64), a)).coeffs
+    envelope = exp_recurrence(np.abs(a))
+    assert np.max(np.abs(got - _exact_exp(a)) / envelope) <= 1e-13
 
 
 def test_cancelling_exp_matches_an_exact_reference():
