@@ -11,10 +11,9 @@ rational primes, Kahane's example), the checkpoint asymptotics toolkit, and
 end-to-end experiment pipelines.
 """
 
-from .asymptotics import (CheckpointSeries, DecayReport, EULER_GAMMA,
-                          FitReport, GrowthReport, check_decay, check_growth,
-                          fit_de_haan, fit_loglog_model, fit_mellin_expansion,
-                          sample_ratio)
+from .asymptotics import (CheckpointSeries, EULER_GAMMA, FitReport, Verdict,
+                          check_decay, check_growth, fit_de_haan,
+                          fit_loglog_model, fit_mellin_expansion, sample_ratio)
 from .density import DensitySpec, discretize
 from .errors import (BeurlingError, ConfigError, ConstructionError, FitError,
                      GridMismatchError, ParameterError, RangeError)

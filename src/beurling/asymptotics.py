@@ -30,6 +30,24 @@ from .measure import Measure, checkpoint_sums, mellin
 
 EULER_GAMMA = float(np.euler_gamma)
 TAIL_RULE = 14.0  # (sigma - 1) * n * h >= 14 keeps e^{-(sigma-1) n h} < 1e-6
+DECAY_BOUND = 0.5  # the decay proxy's bound on final |value| / max |value|
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """One check, decided where its numbers are computed: whether it passed,
+    and the measured numbers and thresholds it compared, by name."""
+    name: str
+    passed: bool
+    values: dict
+
+
+class Checked:
+    """A report that passes when all of its verdicts pass."""
+
+    @property
+    def passed(self) -> bool:
+        return all(v.passed for v in self.verdicts)
 
 
 @dataclass(frozen=True)
@@ -50,28 +68,13 @@ class CheckpointSeries:
 
 
 @dataclass(frozen=True)
-class FitReport:
+class FitReport(Checked):
     model_name: str
     constants: dict
     residual_rms: float
-    passed: bool
+    verdicts: tuple
     criterion: str
     details: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class DecayReport:
-    passed: bool
-    tail_decreasing: bool
-    final_over_max: float
-    tail_values: np.ndarray
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    passed: bool
-    strictly_increasing: bool
-    gain: float
 
 
 def sample_ratio(a: Measure, weight: str, checkpoints, b: float | None = None) -> CheckpointSeries:
@@ -94,17 +97,23 @@ def sample_ratio(a: Measure, weight: str, checkpoints, b: float | None = None) -
     return CheckpointSeries(ts, prims * w, f"{weight} ratio")
 
 
-def check_ladder(count: int, tail_k: int = 5) -> None:
-    """Refuse a ladder of count checkpoints too short for the decay proxy's
-    tail of tail_k; pipelines call it before any exponential runs."""
+def check_ladder(log_points, tail_k: int = 5) -> None:
+    """Refuse a sorted checkpoint ladder that repeats a point or is too
+    short for the decay proxy's tail of tail_k; pipelines call it before
+    any exponential runs."""
+    count = len(log_points)
     if not (3 <= tail_k <= count):
         raise ParameterError(f"{count} checkpoints cannot carry a decay tail of "
                              f"tail_k={tail_k}: need 3 <= tail_k <= {count}")
+    if np.any(np.diff(log_points) <= 0):
+        raise ParameterError("checkpoints must be distinct, got "
+                             f"{np.asarray(log_points).tolist()}")
 
 
-def check_decay(series: CheckpointSeries, tail_k: int = 5) -> DecayReport:
+def check_decay(series: CheckpointSeries, tail_k: int = 5,
+                name: str = "decay") -> Verdict:
     """The decay proxy: |values| strictly decreasing over the last tail_k
-    checkpoints and final |value| < 0.5 * max |value|.
+    checkpoints and final |value| < 0.5 * max |value|, as a verdict.
 
     The halving half only means something when the checkpoints span the
     series' decay scale.  For S(x) ~ 1/loglog x, log t must about double:
@@ -112,23 +121,21 @@ def check_decay(series: CheckpointSeries, tail_k: int = 5) -> DecayReport:
     so a ladder ending at t = 50 fails the proxy on correct values.
     """
     vals = np.abs(series.values)
-    check_ladder(len(vals), tail_k)
-    tail = vals[-tail_k:]
-    decreasing = bool(np.all(np.diff(tail) < 0))
+    check_ladder(series.log_points, tail_k)
+    decreasing = bool(np.all(np.diff(vals[-tail_k:]) < 0))
     top = float(vals.max())
     ratio = float(vals[-1] / top) if top > 0 else 0.0
-    return DecayReport(
-        passed=decreasing and ratio < 0.5,
-        tail_decreasing=decreasing,
-        final_over_max=ratio,
-        tail_values=tail,
-    )
+    return Verdict(name, decreasing and ratio < DECAY_BOUND,
+                   {"final_over_max": ratio, "bound": DECAY_BOUND,
+                    "tail_decreasing": decreasing})
 
 
 def check_growth(series: CheckpointSeries, min_gain: float = 1.5,
-                 baseline_t: float | None = None) -> GrowthReport:
+                 baseline_t: float | None = None,
+                 name: str = "growth") -> Verdict:
     """Strict increase over all checkpoints plus a minimum gain of the final
-    value over the value at baseline_t (default: the first checkpoint)."""
+    value over the value at baseline_t (default: the first checkpoint), as
+    a verdict."""
     vals = series.values
     increasing = bool(np.all(np.diff(vals) > 0))
     if baseline_t is None:
@@ -137,8 +144,9 @@ def check_growth(series: CheckpointSeries, min_gain: float = 1.5,
         idx = int(np.argmin(np.abs(series.log_points - baseline_t)))
         base = float(vals[idx])
     gain = float(vals[-1] / base) if base != 0 else math.inf
-    return GrowthReport(passed=increasing and gain > min_gain,
-                        strictly_increasing=increasing, gain=gain)
+    return Verdict(name, increasing and gain > min_gain,
+                   {"gain": gain, "min_gain": min_gain,
+                    "strictly_increasing": increasing})
 
 
 def _tail_estimates(coeffs: np.ndarray, h: float, decays) -> list[float]:
@@ -200,7 +208,7 @@ def fit_mellin_expansion(a: Measure, sigma_grid, weight_sigma: float = 0.0,
     details = dict(report.details)
     details["sigma_clipped"] = clipped
     return FitReport(report.model_name, report.constants, report.residual_rms,
-                     report.passed, report.criterion, details)
+                     report.verdicts, report.criterion, details)
 
 
 def fit_loglog_model(sigmas, values, alpha_tol: float | None = None) -> FitReport:
@@ -223,11 +231,13 @@ def fit_loglog_model(sigmas, values, alpha_tol: float | None = None) -> FitRepor
     rms = float(np.sqrt(np.mean(resid ** 2)))
     constants = {"alpha": float(coef[0]), "c1": float(coef[1]), "c2": float(coef[2])}
     if alpha_tol is None:
-        passed, criterion = True, "least-squares solve"
+        verdicts, criterion = (), "least-squares solve"
     else:
-        passed = abs(constants["alpha"] - 1.0) <= alpha_tol
+        verdicts = (Verdict("mellin_alpha",
+                            abs(constants["alpha"] - 1.0) <= alpha_tol,
+                            {"alpha": constants["alpha"], "tol": alpha_tol}),)
         criterion = f"|alpha - 1| <= {alpha_tol}"
-    return FitReport("mellin-loglog-expansion", constants, rms, passed, criterion,
+    return FitReport("mellin-loglog-expansion", constants, rms, verdicts, criterion,
                      details={"sigma_used": sig.tolist(),
                               "max_abs_residual": float(np.max(np.abs(resid)))})
 
@@ -252,7 +262,7 @@ def fit_de_haan(series: CheckpointSeries, mellin_sigmas=None, mellin_values=None
     constants = {"b1_checkpoint": b1_chk, "beta": beta}
 
     if mellin_sigmas is None:
-        return FitReport("de-haan-checkpoint", constants, rms, True,
+        return FitReport("de-haan-checkpoint", constants, rms, (),
                          "checkpoint fit only")
 
     sig = np.asarray(mellin_sigmas, dtype=float)
@@ -273,7 +283,10 @@ def fit_de_haan(series: CheckpointSeries, mellin_sigmas=None, mellin_values=None
     constants.update({"b1_relative_deviation": b1_dev,
                       "intercept_gap": beta - b2,
                       "intercept_gap_predicted": predicted})
-    passed = b1_dev <= b1_tol and gamma_dev <= intercept_tol
+    verdicts = (Verdict("de_haan_b1", b1_dev <= b1_tol,
+                        {"deviation": b1_dev, "tol": b1_tol}),
+                Verdict("de_haan_intercept", gamma_dev <= intercept_tol,
+                        {"deviation": gamma_dev, "tol": intercept_tol}))
     criterion = f"b1 agreement within {b1_tol}, intercept gap b1*gamma within {intercept_tol}"
-    return FitReport("de-haan-consistency", constants, rms, passed, criterion,
+    return FitReport("de-haan-consistency", constants, rms, verdicts, criterion,
                      details={"b1_deviation": b1_dev, "gamma_deviation": gamma_dev})

@@ -1,11 +1,11 @@
 """Command-line front end.
 
-Subcommands: build, identities, kahane, hypotheses, mellin-fit, bench.
-Exit status is 0 when every requested check passes, 1 when a check fails,
-and 2 on configuration errors; failed checks additionally print one
-machine-readable line per failure to stderr, of the form
-
-    FAIL <check> key=value ...
+Subcommands: build, identities, kahane, hypotheses, mellin-fit, bench.  A
+checking subcommand prints the verdicts its report decided, one stdout line
+`<check>: key=value ... pass|FAIL` each, with what the check measured and
+its thresholds, plus one machine-readable stderr line per failed check,
+`FAIL <check> key=value ...`.  Exit status is 0 when every check passes, 1
+when one fails, and 2 on configuration or parameter errors.
 """
 
 from __future__ import annotations
@@ -29,9 +29,20 @@ from .selfcheck import benchmark_exp, fft_scaling_exponent, run_identity_suite
 from .systems import DEFAULT_CHECKPOINTS, build_system, hypothesis_report
 
 
-def _fail(check: str, **kv):
-    parts = " ".join(f"{k}={v}" for k, v in kv.items())
-    print(f"FAIL {check} {parts}".rstrip(), file=sys.stderr)
+def _fail(check: str, detail: str):
+    print(f"FAIL {check} {detail}", file=sys.stderr)
+
+
+def _report(verdicts) -> int:
+    """Print each verdict as `name: key=value ... pass|FAIL`, with a FAIL line
+    on stderr for each failed one; the exit status, 1 when any failed."""
+    for v in verdicts:
+        kv = " ".join(f"{k}={x:.4g}" if isinstance(x, float) else f"{k}={x}"
+                      for k, x in v.values.items())
+        print(f"{v.name}: {kv} {'pass' if v.passed else 'FAIL'}")
+        if not v.passed:
+            _fail(v.name, kv)
+    return 0 if all(v.passed for v in verdicts) else 1
 
 
 def _parse_checkpoints(text: str):
@@ -59,7 +70,7 @@ def cmd_build(args) -> int:
         save_measure(meas, path)
         back = load_measure(path)
         if not np.array_equal(back.coeffs, meas.coeffs):
-            _fail("serialization_roundtrip", measure=name)
+            _fail("serialization_roundtrip", f"measure={name}")
             return 1
         paths[name] = path
     print(f"built {spec.base} system on h={spec.grid.h!r} n={spec.grid.n}")
@@ -70,14 +81,9 @@ def cmd_build(args) -> int:
 
 def cmd_identities(args) -> int:
     result = run_identity_suite(seed=args.seed, tol=args.tol)
-    for law, gap in result.worst.items():
-        status = "pass" if gap <= result.tol else "FAIL"
-        print(f"{law}: worst={gap:.3e} tol={result.tol:.1e} {status}")
-        if gap > result.tol:
-            _fail(f"identity_{law}", worst=f"{gap:.3e}", tol=f"{result.tol:.1e}")
-    print(f"identity suite: {result.count} measures in {result.runtime:.2f}s "
-          f"-> {'pass' if result.passed else 'FAIL'}")
-    return 0 if result.passed else 1
+    status = _report(result.verdicts)
+    print(f"identity suite: {result.count} measures in {result.runtime:.2f}s")
+    return status
 
 
 def cmd_kahane(args) -> int:
@@ -88,29 +94,7 @@ def cmd_kahane(args) -> int:
     out = _outdir(args)
     for name, series in report.series.items():
         write_series_csv(os.path.join(out, f"{name}.csv"), series, grid)
-    print(f"identity |m_K - B-/x|: max relative {report.identity_max_rel:.3e} "
-          f"(tol {args.tol:.1e}) {'pass' if report.identity_passed else 'FAIL'}")
-    print(f"m_K two-route agreement: {report.mk_route_gap:.3e}")
-    for name, decay in report.decay.items():
-        print(f"decay {name}: final/max={decay.final_over_max:.4f} "
-              f"{'pass' if decay.passed else 'FAIL'}")
-    print(f"growth nk_ratio: gain={report.growth.gain:.4f} "
-          f"{'pass' if report.growth.passed else 'FAIL'}")
-    print(f"g_ratio final={report.g_final:.4f} (want within 10% of 1) "
-          f"{'pass' if report.g_passed else 'FAIL'}")
-    if not report.identity_passed:
-        _fail("kahane_identity", max_rel=f"{report.identity_max_rel:.3e}",
-              tol=f"{args.tol:.1e}")
-    if report.mk_route_gap > args.tol:
-        _fail("mk_two_routes", gap=f"{report.mk_route_gap:.3e}")
-    for name, decay in report.decay.items():
-        if not decay.passed:
-            _fail(f"decay_{name}", final_over_max=f"{decay.final_over_max:.4f}")
-    if not report.growth.passed:
-        _fail("growth_nk_ratio", gain=f"{report.growth.gain:.4f}")
-    if not report.g_passed:
-        _fail("g_ratio", final=f"{report.g_final:.4f}")
-    return 0 if report.passed else 1
+    return _report(report.verdicts)
 
 
 def cmd_hypotheses(args) -> int:
@@ -121,17 +105,7 @@ def cmd_hypotheses(args) -> int:
     out = _outdir(args)
     for name, series in report.series.items():
         write_series_csv(os.path.join(out, f"{name}.csv"), series, spec.grid)
-
-    for name, flag in report.flags.items():
-        print(f"hypothesis {name}: {'pass' if flag else 'FAIL'}")
-        if not flag:
-            _fail(f"hypothesis_{name}")
-    decay = report.conclusion
-    print(f"conclusion M(x)/x decay: final/max={decay.final_over_max:.4f} "
-          f"{'pass' if decay.passed else 'FAIL'}")
-    if not decay.passed:
-        _fail("conclusion_m_ratio", final_over_max=f"{decay.final_over_max:.4f}")
-    return 0 if (report.passed and decay.passed) else 1
+    return _report(report.verdicts)
 
 
 def cmd_mellin_fit(args) -> int:
@@ -140,28 +114,11 @@ def cmd_mellin_fit(args) -> int:
                              "give both or neither")
     grid = None if args.h is None else LogGrid(args.h, args.n)
     out = _outdir(args)
-    status = 0
     mrep = mellin_alpha_experiment(grid=grid, alpha_tol=args.tol)
     write_keyvalue(os.path.join(out, "mellin_fit.txt"), report_to_mapping(mrep))
-    print(f"mellin fit: alpha={mrep.constants['alpha']:.4f} "
-          f"c1={mrep.constants['c1']:.4f} c2={mrep.constants['c2']:.4f} "
-          f"({mrep.criterion}) {'pass' if mrep.passed else 'FAIL'}")
-    if not mrep.passed:
-        _fail("mellin_alpha", alpha=f"{mrep.constants['alpha']:.4f}",
-              criterion=mrep.criterion)
-        status = 1
-
     drep = de_haan_experiment()
     write_keyvalue(os.path.join(out, "de_haan_fit.txt"), report_to_mapping(drep))
-    print(f"slow-variation fit: b1_checkpoint={drep.constants['b1_checkpoint']:.4f} "
-          f"b1_mellin={drep.constants['b1_mellin']:.4f} "
-          f"{'pass' if drep.passed else 'FAIL'}")
-    if not drep.passed:
-        _fail("de_haan_consistency",
-              b1_dev=f"{drep.details['b1_deviation']:.4f}",
-              gamma_dev=f"{drep.details['gamma_deviation']:.4f}")
-        status = 1
-    return status
+    return _report(mrep.verdicts + drep.verdicts)
 
 
 def cmd_bench(args) -> int:
@@ -254,16 +211,16 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        _fail("config", error=f"{exc!r}")
+        _fail("config", f"error={exc!r}")
         return 2
     except (ConstructionError, FitError) as exc:
-        _fail("check", error=f"{exc!r}")
+        _fail("check", f"error={exc!r}")
         return 1
     except BeurlingError as exc:
-        _fail("parameters", error=f"{exc!r}")
+        _fail("parameters", f"error={exc!r}")
         return 2
     except OverflowError as exc:
-        _fail("overflow", error=f"{exc!r}")
+        _fail("overflow", f"error={exc!r}")
         return 1
 
 

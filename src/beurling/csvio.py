@@ -30,10 +30,8 @@ def write_series_csv(path, series: CheckpointSeries, grid: LogGrid | None = None
             writer.writerow([repr(float(t)), repr(float(v))])
 
 
-def write_keyvalue(path, mapping: dict, comments=()):
+def write_keyvalue(path, mapping: dict):
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
         for key in mapping:
             fh.write(f"{key}={_fmt(mapping[key])}\n")
 

@@ -240,9 +240,10 @@ def _finish(e: np.ndarray, a0: float, kh: np.ndarray,
 
 
 def _recurrence(a: np.ndarray) -> np.ndarray:
-    # exp_recurrence where the rule picks it; an inf or NaN in the result
-    # raises as a Newton result out of the double range does
-    e = exp_recurrence(a)
+    # exp_recurrence where the rule picks it, unwarned: an inf or NaN in
+    # the result raises as a Newton result out of the double range does
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = exp_recurrence(a)
     if not np.all(np.isfinite(e)):
         raise OverflowError(_LEFT_THE_RANGE)
     return e
@@ -299,7 +300,9 @@ def exp_newton(a: np.ndarray, h: float, envelope=None) -> np.ndarray:
     az = a.astype(float, copy=True)
     a0 = float(az[0])
     az[0] = 0.0
-    e, _, _ = _exp_newton_monic(az)
+    # unwarned: _finish refuses an iteration that left the double range
+    with np.errstate(over="ignore", invalid="ignore"):
+        e, _, _ = _exp_newton_monic(az)
     return _finish(e, a0, kh, log_bound)
 
 
@@ -315,8 +318,9 @@ def exp_newton_pair(a: np.ndarray, h: float, envelope=None):
     az = a.astype(float, copy=True)
     a0 = float(az[0])
     az[0] = 0.0
-    e, r, fr = _exp_newton_monic(az, keep_inverse_spectrum=True)
-    if len(r) < len(e):
-        r = _refine_inverse(e, r, len(e), fr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e, r, fr = _exp_newton_monic(az, keep_inverse_spectrum=True)
+        if len(r) < len(e):
+            r = _refine_inverse(e, r, len(e), fr)
     return (_finish(e, a0, kh, log_bound),
             _finish(r, -a0, kh, log_bound))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import (CheckpointSeries, FitReport, GrowthReport,
+from .asymptotics import (Checked, CheckpointSeries, FitReport, Verdict,
                           check_decay, check_growth, check_ladder, fit_de_haan,
                           fit_mellin_expansion)
 from .errors import RangeError
@@ -35,17 +35,17 @@ MELLIN_GRID = LogGrid(0.25, 5_600_001)
 
 
 @dataclass(frozen=True)
-class KahaneReport:
+class KahaneReport(Checked):
     grid: LogGrid
     series: dict
     decay: dict
-    growth: GrowthReport
+    growth: Verdict
     identity_max_rel: float
     identity_passed: bool
     g_final: float
     g_passed: bool
     mk_route_gap: float
-    passed: bool
+    verdicts: tuple
 
 
 @dataclass(frozen=True)
@@ -61,12 +61,12 @@ def kahane_pipeline(grid: LogGrid | None = None, checkpoints=DEFAULT_CHECKPOINTS
     Two independent routes to the same identity: m_K(x) as the summed
     harmonic primitive of dM_K = exp*(-dPi_K), and B-(x)/x from
     dB- = exp*(-dA) where dA is the tail part alone.  The report carries
-    every checkpoint series plus decay/growth flags.
+    every checkpoint series and one verdict per check.
     """
     if grid is None:
         grid = KAHANE_GRID
     ts = np.asarray(sorted(checkpoints), dtype=float)
-    check_ladder(len(ts))
+    check_ladder(ts)
     if ts[-1] > grid.log_end:
         raise RangeError(f"checkpoint t={ts[-1]} beyond grid end {grid.log_end}")
     h = grid.h
@@ -97,10 +97,9 @@ def kahane_pipeline(grid: LogGrid | None = None, checkpoints=DEFAULT_CHECKPOINTS
     mk_route_gap = float(np.max(np.abs(mk_abel - m_over_x)
                                 / (np.abs(m_over_x) + 1e-12)))
 
-    resid = np.abs(m_harm - b_over_xeff)
-    rel_resid = resid / (np.abs(b_over_xeff) + 1e-12)
+    rel_resid = np.abs(m_harm - b_over_xeff) / (np.abs(b_over_xeff) + 1e-12)
     identity_max_rel = float(rel_resid.max())
-    identity_passed = bool(np.all(resid <= identity_tol * (np.abs(b_over_xeff) + 1e-12)))
+    identity_passed = identity_max_rel <= identity_tol
 
     series = {
         "m_harmonic": CheckpointSeries(ts, m_harm, "m_K(x) = int dM_K/u"),
@@ -116,18 +115,23 @@ def kahane_pipeline(grid: LogGrid | None = None, checkpoints=DEFAULT_CHECKPOINTS
         "g_ratio": CheckpointSeries(ts, g_over_x * np.log(ts), "G(x) loglog x / x"),
     }
 
-    decay = {name: check_decay(series[name])
+    decay = {name: check_decay(series[name], name=f"decay_{name}")
              for name in ("mk_ratio", "bminus_ratio", "s_of_x", "mk_over_x",
                           "blog_over_x")}
-    growth = check_growth(series["nk_ratio"], min_gain=1.5, baseline_t=10.0)
-    g_final = float(series["g_ratio"].values[-1])
-    g_passed = abs(g_final - 1.0) <= 0.10
+    growth = check_growth(series["nk_ratio"], min_gain=1.5, baseline_t=10.0,
+                          name="growth_nk_ratio")
+    g_final, g_tol = float(series["g_ratio"].values[-1]), 0.10
+    g_passed = abs(g_final - 1.0) <= g_tol
 
-    passed = (identity_passed and growth.passed and g_passed
-              and mk_route_gap <= identity_tol
-              and all(r.passed for r in decay.values()))
+    verdicts = (Verdict("kahane_identity", identity_passed,
+                        {"max_rel": identity_max_rel, "tol": identity_tol}),
+                Verdict("mk_two_routes", mk_route_gap <= identity_tol,
+                        {"gap": mk_route_gap, "tol": identity_tol}),
+                *decay.values(), growth,
+                Verdict("g_ratio", g_passed, {"final": g_final, "tol": g_tol}))
     return KahaneReport(grid, series, decay, growth, identity_max_rel,
-                        identity_passed, g_final, g_passed, mk_route_gap, passed)
+                        identity_passed, g_final, g_passed, mk_route_gap,
+                        verdicts)
 
 
 def growth_diagnostics(e: Measure, checkpoints=DEFAULT_CHECKPOINTS,

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .asymptotics import Checked, Verdict
 from .grid import LogGrid
 from .measure import (Measure, add, apply_log, convolve, delta_one, invert,
                       negate, relative_gap)
@@ -31,12 +32,12 @@ RECURRENCE_CAP = 1 << 14  # O(n^2) beyond this is minutes, not seconds
 
 
 @dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(Checked):
     worst: dict
     tol: float
-    passed: bool
     count: int
     runtime: float
+    verdicts: tuple
 
 
 def series_terms(n: int, peak: float) -> int:
@@ -90,7 +91,8 @@ def _exp_reference(a: Measure) -> Measure:
 
 def run_identity_suite(seed: int = 2026, count: int = 100, n: int = 256,
                        h: float = 0.01, tol: float = 1e-10) -> SuiteResult:
-    """Worst relative deviation per law over seeded random measures."""
+    """Worst relative deviation per law over seeded random measures, and
+    one verdict per law, named by the law."""
     t0 = time.perf_counter()
     grid = LogGrid(h, n)
     rng = np.random.default_rng(seed)
@@ -120,8 +122,9 @@ def run_identity_suite(seed: int = 2026, count: int = 100, n: int = 256,
              convolve(ea, eb))
         note("inverse_law", invert(ea), _exp_reference(negate(a)))
 
-    passed = all(g <= tol for g in worst.values())
-    return SuiteResult(worst, tol, passed, count, time.perf_counter() - t0)
+    verdicts = tuple(Verdict(law, gap <= tol, {"worst": gap, "tol": tol})
+                     for law, gap in worst.items())
+    return SuiteResult(worst, tol, count, time.perf_counter() - t0, verdicts)
 
 
 def benchmark_exp(sizes=None, h: float = 0.01) -> list:

@@ -24,13 +24,13 @@ is exact on the lattice, not an approximation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import sieve as sievemod
-from .asymptotics import CheckpointSeries, DecayReport, check_decay, check_ladder
+from .asymptotics import CheckpointSeries, Verdict, check_decay, check_ladder
 from .density import LOG_DOUBLE_MAX, DensitySpec, discretize
 from .errors import ConstructionError, ParameterError, RangeError
 from .grid import LogGrid
@@ -249,10 +249,20 @@ def build_system(spec: SystemSpec) -> NumberSystem:
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    series: dict = field(default_factory=dict)
-    flags: dict = field(default_factory=dict)
-    passed: bool = False
-    conclusion: Optional[DecayReport] = None
+    series: dict
+    verdicts: tuple
+    conclusion: Verdict
+
+    @property
+    def flags(self) -> dict:
+        """{item: passed} per hypothesis: i, ii, ii_sigma0 if asked, iii."""
+        return {v.name.removeprefix("hypothesis_"): v.passed
+                for v in self.verdicts if v.name.startswith("hypothesis_")}
+
+    @property
+    def passed(self) -> bool:
+        """Hypotheses i-iii, not the sigma0 variant or the conclusion."""
+        return all(self.flags[k] for k in ("i", "ii", "iii"))
 
 
 def hypothesis_report(spec: SystemSpec, a: float = 1.0,
@@ -267,26 +277,27 @@ def hypothesis_report(spec: SystemSpec, a: float = 1.0,
     series is flagged by the monotone-tail decay proxy; item (ii) instead
     requires its nondecreasing partials to have settled (last increment
     below 1% of the total).  Diagnostics are always produced; failures only
-    show up in the flags.  The conclusion series m_ratio, M(x)/x of the full
-    assembled system, carries its own decay check in `conclusion`; it is
-    not one of the hypotheses, so `passed` does not include it.
+    show up in the verdicts, hypothesis_<item>.  The conclusion series
+    m_ratio, M(x)/x of the full assembled system, has its own decay check
+    in the verdict `conclusion`; not being a hypothesis, it is left out of
+    `passed`.
     """
     grid = spec.grid
     ts = np.asarray(sorted(checkpoints), dtype=float)
-    check_ladder(len(ts), tail_k)
+    check_ladder(ts, tail_k)
     series: dict[str, CheckpointSeries] = {}
-    flags: dict[str, bool] = {}
+    verdicts = []
 
     e_w = (discretize(spec.e_part, grid, 1.0) if spec.e_part is not None else zero(grid))
     vals_i = ts * checkpoint_sums(variation(e_w), ts, 1.0)
     series["e_variation_ratio"] = CheckpointSeries(ts, vals_i, "A_E(x) log x / x")
-    flags["i"] = _decays(series["e_variation_ratio"], tail_k)
+    verdicts.append(_decays("hypothesis_i", series["e_variation_ratio"], tail_k))
 
     r_w = (discretize(spec.r_part, grid, 1.0) if spec.r_part is not None else zero(grid))
     rvar = variation(r_w)
     vals_ii = checkpoint_sums(rvar, ts)
     series["r_harmonic_partial"] = CheckpointSeries(ts, vals_ii, "int |dR|/u to x")
-    flags["ii"] = _converges(vals_ii)
+    verdicts.append(_converges("hypothesis_ii", vals_ii))
     if sigma0 is not None:
         # sum_{k <= K} |r_k| e^{(1 - sigma0) kh}.  Below sigma0 = 1 that
         # factor grows, so sum at rate 1 - sigma0 and restore e^{(1 - sigma0) t}
@@ -298,33 +309,37 @@ def hypothesis_report(spec: SystemSpec, a: float = 1.0,
         else:
             vals_s0 = checkpoint_sums(tilt(rvar, -rate), ts)
         series["r_sigma0_partial"] = CheckpointSeries(ts, vals_s0, f"int |dR|/u^{sigma0} to x")
-        flags["ii_sigma0"] = _converges(vals_s0)
+        verdicts.append(_converges("hypothesis_ii_sigma0", vals_s0))
 
     pi0_w = _base_pi(spec, weight_sigma=1.0)
     m0_w = exp_star(negate(pi0_w))
     vals_iii = np.abs(checkpoint_sums(m0_w, ts, 1.0)) * ts ** a
     series["m0_ratio"] = CheckpointSeries(ts, vals_iii, f"|M0(x)| log^{a} x / x")
-    flags["iii"] = _decays(series["m0_ratio"], tail_k)
+    verdicts.append(_decays("hypothesis_iii", series["m0_ratio"], tail_k))
 
     # the assemble_pi sum, in its order, from the measures built above
     m_w = exp_star(negate(add(add(pi0_w, e_w), r_w)))
     series["m_ratio"] = CheckpointSeries(ts, checkpoint_sums(m_w, ts, 1.0), "M(x)/x")
 
-    passed = flags["i"] and flags["ii"] and flags["iii"]
-    return HypothesisReport(series=series, flags=flags, passed=passed,
-                            conclusion=check_decay(series["m_ratio"], tail_k))
+    conclusion = check_decay(series["m_ratio"], tail_k, "conclusion_m_ratio")
+    return HypothesisReport(series, (*verdicts, conclusion), conclusion)
 
 
-def _decays(s: CheckpointSeries, tail_k: int) -> bool:
-    # these ratios are O(1)-normalized; once below 1e-12 the lattice dot
-    # products are rounding noise and the strict-decrease test is meaningless
-    if abs(float(s.values[-1])) <= 1e-12:
-        return True
-    return check_decay(s, tail_k).passed
+# these ratios are O(1)-normalized; once below NOISE_FLOOR the lattice dot
+# products are rounding noise and the decay and convergence tests meaningless
+NOISE_FLOOR = 1e-12
 
 
-def _converges(vals: np.ndarray) -> bool:
+def _decays(name: str, s: CheckpointSeries, tail_k: int) -> Verdict:
+    final = abs(float(s.values[-1]))
+    decay = check_decay(s, tail_k, name)
+    return Verdict(name, final <= NOISE_FLOOR or decay.passed,
+                   {"final": final, "floor": NOISE_FLOOR, **decay.values})
+
+
+def _converges(name: str, vals: np.ndarray) -> Verdict:
     final = float(vals[-1])
-    if final <= 1e-12:
-        return True
-    return (final - float(vals[-2])) <= 0.01 * final
+    step = final - float(vals[-2])
+    return Verdict(name, final <= NOISE_FLOOR or step <= 0.01 * final,
+                   {"final": final, "floor": NOISE_FLOOR, "last_step": step,
+                    "rel_tol": 0.01})

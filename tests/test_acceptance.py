@@ -148,10 +148,10 @@ def test_criterion_05_nk_growth(capsys, kahane_acceptance):
     rep, _ = kahane_acceptance
     ok = rep.growth.passed and rep.g_passed
     announce(capsys, 5, ok,
-             f"N_K/x increasing gain={rep.growth.gain:.3f} (>1.5) "
+             f"N_K/x increasing gain={rep.growth.values['gain']:.3f} (>1.5) "
              f"g_ratio={rep.g_final:.4f} (within 10% of 1)")
-    assert rep.growth.strictly_increasing
-    assert rep.growth.gain > 1.5
+    assert rep.growth.values["strictly_increasing"]
+    assert rep.growth.values["gain"] > 1.5
     assert rep.g_passed, rep.g_final
 
 
@@ -262,8 +262,8 @@ def test_criterion_10_harness_discriminates(capsys):
     ok = accepts and rejects
     announce(capsys, 10, ok,
              f"hypotheses {good_rep.flags} accepted, M/x final/max="
-             f"{conclusion.final_over_max:.1e}; fat perturbation rejected="
+             f"{conclusion.values['final_over_max']:.1e}; fat perturbation rejected="
              f"{rejects}")
     assert good_rep.passed, good_rep.flags
-    assert conclusion.passed, conclusion.final_over_max
+    assert conclusion.passed, conclusion.values
     assert rejects, bad_rep.flags

@@ -187,7 +187,7 @@ def test_check_decay_is_scale_invariant(values, twos):
     base = check_decay(CheckpointSeries(pts, values, "raw"))
     scaled = check_decay(CheckpointSeries(pts, values * factor, "scaled"))
     assert base.passed == scaled.passed
-    assert base.final_over_max == scaled.final_over_max
+    assert base.values == scaled.values
 
 
 @given(arrays(np.float64, 16,

@@ -65,16 +65,16 @@ def test_check_decay_passes_on_reciprocal():
     ts = np.arange(1.0, 11.0)
     rep = check_decay(CheckpointSeries(ts, 1.0 / ts))
     assert rep.passed
-    assert rep.tail_decreasing
-    assert rep.final_over_max == pytest.approx(0.1)
+    assert rep.values["tail_decreasing"]
+    assert rep.values["final_over_max"] == pytest.approx(0.1)
 
 
 def test_check_decay_fails_on_constant():
     ts = np.arange(1.0, 11.0)
     rep = check_decay(CheckpointSeries(ts, np.ones(10)))
     assert not rep.passed
-    assert not rep.tail_decreasing
-    assert rep.final_over_max == 1.0
+    assert not rep.values["tail_decreasing"]
+    assert rep.values["final_over_max"] == 1.0
 
 
 def test_check_decay_uses_absolute_values():
@@ -95,10 +95,10 @@ def test_check_decay_tail_k_validation():
 def test_check_growth():
     ts = np.arange(1.0, 6.0)
     rep = check_growth(CheckpointSeries(ts, ts.copy()))
-    assert rep.passed and rep.strictly_increasing
-    assert rep.gain == pytest.approx(5.0)
+    assert rep.passed and rep.values["strictly_increasing"]
+    assert rep.values["gain"] == pytest.approx(5.0)
     rep_base = check_growth(CheckpointSeries(ts, ts.copy()), baseline_t=3.0)
-    assert rep_base.gain == pytest.approx(5.0 / 3.0)
+    assert rep_base.values["gain"] == pytest.approx(5.0 / 3.0)
     flat = check_growth(CheckpointSeries(ts, np.ones(5)))
     assert not flat.passed
 
@@ -287,7 +287,7 @@ def test_s_decays_over_the_full_ladder():
     vals = cs[[g.index_of_log(t) for t in LADDER]]
     rep = check_decay(CheckpointSeries(LADDER, vals, "S(x)"))
     assert rep.passed
-    assert 0.4 < rep.final_over_max < 0.5
+    assert 0.4 < rep.values["final_over_max"] < 0.5
 
 
 def test_s_halves_between_t10_and_t50(tail_s_reference):
@@ -302,7 +302,7 @@ def test_s_halves_between_t10_and_t50(tail_s_reference):
     ks = [g.index_of_log(t) for t in from_ten]
     vals = cs[ks]
     rep = check_decay(CheckpointSeries(from_ten, vals, "S(x), t >= 10"))
-    assert rep.tail_decreasing
+    assert rep.values["tail_decreasing"]
     ref = tail_s_reference((np.array(ks) + 0.5) * g.h)
     assert np.max(np.abs(vals / ref - 1.0)) <= 2e-5, (vals, ref)
     ratio, ref_ratio = vals[-1] / vals[0], ref[-1] / ref[0]

@@ -5,6 +5,7 @@ emitted files); one subprocess smoke test covers the module entry point.
 """
 
 import math
+import re
 import subprocess
 import sys
 
@@ -20,6 +21,10 @@ from beurling.systems import _li_density_log, assemble_pi
 from conftest import u_density
 
 COARSE = ["--h", "1e-3", "--n", "50001"]
+# li with r = u^{-3/2} du past e: (ii) holds, and the u^{+1}-weighted (ii)
+# of --sigma0 -1 does not
+SIGMA0_CFG = ("base = li\ngrid.h = 0.004\ngrid.n = 16383\n"
+              "r.density = indicator(e) * u**(-1.5)\n")
 
 
 # ------------------------------------------------------------------ config
@@ -204,9 +209,10 @@ def test_cli_build_fft_path_on_a_long_grid(tmp_path, capsys):
 def test_cli_reports_a_nan_exp_as_overflow(tmp_path, capsys, command, grid,
                                            density):
     cfg = write_config(tmp_path, f"base = li\n{grid}\ne.density = {density}\n")
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err.startswith("FAIL overflow error=OverflowError(")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("FAIL overflow error=OverflowError(")
 
 
 def test_cli_build_reports_a_cancelling_pair_as_a_failed_check(tmp_path, capsys):
@@ -306,7 +312,7 @@ def test_cli_kahane_coarse(tmp_path, capsys):
     out = tmp_path / "kahane"
     assert main(["kahane", *COARSE, "--out", str(out)]) == 0
     captured = capsys.readouterr()
-    assert "identity |m_K - B-/x|" in captured.out
+    assert "kahane_identity: max_rel=" in captured.out
     assert captured.err == ""
     for name in ("mk_ratio", "nk_ratio", "s_of_x", "identity_residual",
                  "m_harmonic", "bminus_over_x", "bplus_harmonic", "mk_over_x",
@@ -351,18 +357,23 @@ def test_cli_refuses_non_finite_checkpoints(tmp_path, capsys, command, last):
     assert capsys.readouterr().err.startswith("FAIL config error=ConfigError(")
 
 
-@pytest.mark.parametrize("command", ["kahane", "hypotheses"])
-def test_cli_refuses_a_ladder_shorter_than_the_decay_tail(tmp_path, capsys,
-                                                        monkeypatch, command):
-    # the decay proxy reads the last 5 checkpoints; two cannot carry it, and
-    # the command says so before any exponential runs
+@pytest.fixture
+def no_exp(monkeypatch):
+    """Make any exponential fail the test: a refusal must come first."""
     from beurling import kernels
 
-    def no_exp(*args):
+    def refuse(*args):
         raise AssertionError("an exponential ran before the ladder check")
 
     for name in ("exp_recurrence", "exp_newton", "exp_newton_pair"):
-        monkeypatch.setattr(kernels, name, no_exp)
+        monkeypatch.setattr(kernels, name, refuse)
+
+
+@pytest.mark.parametrize("command", ["kahane", "hypotheses"])
+def test_cli_refuses_a_ladder_shorter_than_the_decay_tail(tmp_path, capsys,
+                                                        no_exp, command):
+    # the decay proxy reads the last 5 checkpoints; two cannot carry it, and
+    # the command says so before any exponential runs
     grid = (["--config", write_config(tmp_path, "base = li\n")]
             if command == "hypotheses" else [])
     assert main([command, *grid, *COARSE, "--out", str(tmp_path / "o"),
@@ -372,6 +383,21 @@ def test_cli_refuses_a_ladder_shorter_than_the_decay_tail(tmp_path, capsys,
     assert "tail_k=5" in err
 
 
+@pytest.mark.parametrize("command, ladder", [
+    ("kahane", "5,10,10,20,30,40"), ("hypotheses", "5,5,10,20,30,40")],
+    ids=["kahane", "hypotheses"])
+def test_cli_refuses_repeated_checkpoints(tmp_path, capsys, no_exp, command,
+                                          ladder):
+    grid = (["--config", write_config(tmp_path, "base = li\n")]
+            if command == "hypotheses" else [])
+    assert main([command, *grid, "--h", "0.01", "--n", "6000",
+                 "--out", str(tmp_path / "o"), "--checkpoints", ladder]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("FAIL parameters error=ParameterError(")
+    assert "distinct" in lines[0]
+
+
 def test_cli_hypotheses_pass_and_fail(tmp_path, capsys):
     good = write_config(tmp_path, (
         "base = li\ngrid.h = 0.001\ngrid.n = 50001\n"
@@ -379,7 +405,7 @@ def test_cli_hypotheses_pass_and_fail(tmp_path, capsys):
     out = tmp_path / "hyp"
     assert main(["hypotheses", "--config", good, "--out", str(out)]) == 0
     captured = capsys.readouterr()
-    assert "hypothesis i: pass" in captured.out
+    assert re.search(r"^hypothesis_i: .* pass$", captured.out, re.M)
     assert (out / "e_variation_ratio.csv").exists()
     assert (out / "m_ratio.csv").exists()
 
@@ -389,6 +415,37 @@ def test_cli_hypotheses_pass_and_fail(tmp_path, capsys):
     assert main(["hypotheses", "--config", bad, "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert "FAIL hypothesis_i" in captured.err
+
+
+def test_cli_hypotheses_exits_on_a_failed_sigma0_check(tmp_path, capsys):
+    cfg = write_config(tmp_path, SIGMA0_CFG)
+    assert main(["hypotheses", "--config", cfg, "--sigma0", "-1",
+                 "--out", str(tmp_path / "o")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("FAIL hypothesis_ii_sigma0 ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["identities", "--tol", "1e-15"],
+    # kahane_identity fails on this grid (6.2e-6 against 1e-6); the rest pass
+    ["kahane", "--h", "0.01", "--n", "6000"],
+    ["hypotheses", "--sigma0", "-1"],
+], ids=["identities", "kahane", "hypotheses"])
+def test_cli_fail_lines_name_the_failed_verdicts(tmp_path, capsys, argv):
+    if argv[0] == "hypotheses":
+        argv = [*argv, "--config", write_config(tmp_path, SIGMA0_CFG)]
+    code = main([*argv, "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    verdicts = [line for line in captured.out.splitlines()
+                if line.endswith((" pass", " FAIL"))]
+    failed = [line.split(":")[0] for line in verdicts if line.endswith(" FAIL")]
+    assert ([line.split()[:2] for line in captured.err.splitlines()]
+            == [["FAIL", name] for name in failed])
+    assert code == (1 if failed else 0)
+    if argv[0] == "identities":
+        laws = [re.match(r"^(\w+): worst=(\S+) tol=", line) for line in verdicts]
+        assert len(laws) == 8 and all(laws)
 
 
 def test_cli_hypotheses_runs_newton_on_both_exps(tmp_path, monkeypatch):

@@ -285,7 +285,7 @@ def test_hypothesis_report_conclusion_matches_unweighted_route():
     got = rep.series["m_ratio"].values
     assert float(np.max(np.abs(got - raw) / np.abs(raw))) <= 1e-12
     decay = check_decay(rep.series["m_ratio"])
-    assert rep.conclusion.final_over_max == decay.final_over_max
+    assert rep.conclusion.values == decay.values
     assert rep.conclusion.passed
 
 
