@@ -65,7 +65,8 @@ comes from the weights pass that the envelope check of Newton makes
 anyway.  A badly conditioned input takes the recurrence at every size, at
 O(n^2) cost: 57 ms at n = 16,383 (above), four times that per doubling of
 n, some 45 s at n = 500,001.  A recurrence result holding an inf or NaN
-raises OverflowError, as a Newton result out of the double range does.  invert and log_star run their recurrences on every size.
+raises OverflowError, as a Newton result out of the double range does.
+invert and log_star run their recurrences on every size.
 """
 from __future__ import annotations
 

@@ -265,7 +265,9 @@ def _read_measure(fh: io.TextIOBase) -> Measure:
         header = fh.readline().strip()
     fields = dict(part.split("=", 1) for part in header.split(","))
     grid = LogGrid(h=float(fields["h"]), n=int(fields["n"]))
-    coeffs = np.array([float(line) for line in fh if line.strip()])
+    # one coefficient per line; split() also drops blank lines
+    body = fh.read().split()
+    coeffs = np.fromiter(map(float, body), dtype=float, count=len(body))
     return Measure(grid, coeffs)
 
 

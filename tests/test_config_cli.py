@@ -5,6 +5,7 @@ emitted files); one subprocess smoke test covers the module entry point.
 """
 
 import math
+import os
 import re
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from beurling import (ConfigError, LogGrid, build_li_pi, kahane_tail,
+from beurling import (ConfigError, LogGrid, Measure, build_li_pi, kahane_tail,
                       load_measure, relative_gap)
 from beurling.cli import main
 from beurling.config import parse_config, parse_density, spec_from_text
@@ -171,8 +172,41 @@ def test_cli_build_roundtrips(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "built li system" in captured.out
     assert "wrote" in captured.out
+    assert [line for line in captured.out.splitlines()
+            if line.startswith("serialization_roundtrip:")] == [
+        f"serialization_roundtrip: measure={name} mismatches=0 pass"
+        for name in ("pi", "n", "m")]
+    assert captured.err == ""
     pi = load_measure(out / "pi.csv")
     assert np.array_equal(pi.coeffs, build_li_pi(LogGrid(0.001, 12001)).coeffs)
+    for name in ("pi", "n", "m"):
+        assert (out / f"{name}.csv").exists()
+
+
+def test_cli_build_reports_a_failed_roundtrip_as_a_verdict(tmp_path, capsys,
+                                                          monkeypatch):
+    # a reload that differs in two coefficients of n fails that measure's
+    # check only; every measure is still written and checked
+    def load_with_damage(path):
+        meas = load_measure(path)
+        if os.path.basename(path) != "n.csv":
+            return meas
+        coeffs = meas.coeffs.copy()
+        coeffs[[3, 7]] += 1.0
+        return Measure(meas.grid, coeffs)
+
+    monkeypatch.setattr("beurling.cli.load_measure", load_with_damage)
+    cfg = write_config(tmp_path, "base = li\ngrid.h = 0.01\ngrid.n = 512\n")
+    out = tmp_path / "out"
+    assert main(["build", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert [line for line in captured.out.splitlines()
+            if line.startswith("serialization_roundtrip:")] == [
+        "serialization_roundtrip: measure=pi mismatches=0 pass",
+        "serialization_roundtrip: measure=n mismatches=2 FAIL",
+        "serialization_roundtrip: measure=m mismatches=0 pass"]
+    assert captured.err.splitlines() == [
+        "FAIL serialization_roundtrip measure=n mismatches=2"]
     for name in ("pi", "n", "m"):
         assert (out / f"{name}.csv").exists()
 

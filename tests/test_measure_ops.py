@@ -8,6 +8,7 @@ primitive e^t (exponential series summed along the lattice).
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -413,6 +414,26 @@ def test_save_load_roundtrip_is_exact(tmp_path):
     assert np.array_equal(a.coeffs, b.coeffs)
     # -0.0 round-trips with its sign
     assert math.copysign(1.0, b.coeffs[1]) == -1.0
+
+
+def test_load_reads_every_double_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(14)
+    values = rng.uniform(-1, 1, 500) * 10.0 ** rng.uniform(-300, 300, 500)
+    extremes = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.max,
+                -sys.float_info.max, sys.float_info.min]
+    a = Measure(LogGrid(0.001, 507), np.concatenate([extremes, values]))
+    path = tmp_path / "m.txt"
+    save_measure(a, path)
+    assert load_measure(path).coeffs.tobytes() == a.coeffs.tobytes()
+
+
+def test_load_skips_blank_lines_and_refuses_a_malformed_one(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("# beurling-measure-v1\nh=0.001,n=3\n1.5\n\n  \n-2.0\n0.25\n\n")
+    assert load_measure(path).coeffs.tolist() == [1.5, -2.0, 0.25]
+    path.write_text("# beurling-measure-v1\nh=0.001,n=3\n1.5\nnot-a-number\n0.25\n")
+    with pytest.raises(ValueError):
+        load_measure(path)
 
 
 def test_save_format_header(tmp_path):

@@ -51,18 +51,49 @@ def test_segmented_matches_simple():
     assert np.array_equal(joined, simple_sieve(10 ** 5))
 
 
-@pytest.mark.parametrize("segment", [2, 3, 97, sieve.DEFAULT_SEGMENT])
+def range_counts_by_search(edges, limit):
+    """Primes <= limit per range [edges[j], edges[j+1]), from the plain sieve."""
+    return np.diff(np.searchsorted(simple_sieve(limit), edges)).astype(np.int64)
+
+
+# 30,030 integers is one presieve period (15,015 odd numbers), 30,032 one odd
+# number more, so segments start at every offset in the period; segments of
+# 2, 3 and 97 start past 3, 5, 7, 11 or 13, which the presieve must restore.
+# 8,000,000 is the earlier default, one segment for every limit below.
+SEGMENTS = [2, 3, 97, 30_030, 30_032, 8_000_000, sieve.DEFAULT_SEGMENT]
+
+
+def assert_sieve_matches_simple_sieve(x, segment):
+    assert prime_count(x, segment) == len(simple_sieve(x)), x
+    joined = np.concatenate([np.empty(0, np.int64), *iter_primes(x, segment)])
+    assert joined.dtype == np.int64
+    assert np.array_equal(joined, simple_sieve(x)), x
+    edges = np.arange(-3, x + 12, 7)
+    got = count_primes_in_ranges(edges, x, segment)
+    assert np.array_equal(got, range_counts_by_search(edges, x)), x
+
+
+@pytest.mark.parametrize("segment", SEGMENTS)
 def test_prime_count_and_iter_primes_match_simple_sieve(segment):
-    for x in range(201):
-        assert prime_count(x, segment) == len(simple_sieve(x)), x
-        joined = np.concatenate([np.empty(0, np.int64), *iter_primes(x, segment)])
-        assert joined.dtype == np.int64
-        assert np.array_equal(joined, simple_sieve(x)), x
+    for x in range(401):
+        assert_sieve_matches_simple_sieve(x, segment)
+
+
+@pytest.mark.parametrize("segment", SEGMENTS)
+def test_sieve_matches_simple_sieve_across_presieve_periods(segment):
+    # 2 * 15,015 + 3 is the first odd number of the second period; segments
+    # of 2 or 3 integers make one mask per odd number, so they stop there
+    if segment <= 3:
+        limits = [2 * 15_015 + 3]
+    else:
+        limits = [*range(2 * 15_015 - 2, 2 * 15_015 + 9), 10 ** 5]
+    for x in limits:
+        assert_sieve_matches_simple_sieve(x, segment)
 
 
 def test_prime_count_powers_of_ten():
-    pi = [0, 4, 25, 168, 1_229, 9_592, 78_498, 664_579]
-    assert [prime_count(10 ** k) for k in range(8)] == pi
+    pi = [0, 4, 25, 168, 1_229, 9_592, 78_498, 664_579, 5_761_455]
+    assert [prime_count(10 ** k) for k in range(9)] == pi
 
 
 def test_sieve_refuses_segments_below_two():
@@ -142,6 +173,17 @@ def test_classical_pi_matches_the_prime_list_at_default_segment(h):
         n = int(math.log(limit) / h) + 2
         got = build_classical_pi(LogGrid(h, n), limit).coeffs
         assert got.tobytes() == parent_pi(h, n, limit).tobytes(), limit
+
+
+def test_classical_pi_is_the_same_at_the_earlier_default_segment(monkeypatch):
+    # the systems grid and limit: 1 MiB masks against the 4 MB ones before
+    grid, limit = LogGrid(4e-3, 16_383), 10 ** 8
+    coeffs = {}
+    for segment in (2_097_152, 8_000_000):
+        monkeypatch.setattr(sieve, "count_primes_in_ranges",
+                            partial(count_primes_in_ranges, segment=segment))
+        coeffs[segment] = build_classical_pi(grid, limit).coeffs.tobytes()
+    assert coeffs[2_097_152] == coeffs[8_000_000]
 
 
 def test_prime_powers_up_to_ten():
