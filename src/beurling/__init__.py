@@ -19,10 +19,10 @@ from .errors import (BeurlingError, ConfigError, ConstructionError, FitError,
                      GridMismatchError, ParameterError, RangeError)
 from .grid import LogGrid
 from .measure import (Measure, add, apply_log, checkpoint_sums, convolve,
-                      delta_one, exp_star, exp_star_pair, harmonic_primitive,
-                      invert, load_measure, log_star, mellin, negate,
-                      primitive, relative_gap, save_measure, scale, subtract,
-                      tilt, variation, zero)
+                      delta_one, exp_star, exp_star_pair, exp_star_pairs,
+                      harmonic_primitive, invert, load_measure, log_star,
+                      mellin, negate, primitive, relative_gap, save_measure,
+                      scale, subtract, tilt, variation, zero)
 from .pipelines import (GrowthDiagnostics, KahaneReport, de_haan_experiment,
                         growth_diagnostics, kahane_pipeline,
                         mellin_alpha_experiment)

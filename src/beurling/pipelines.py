@@ -26,7 +26,7 @@ from .asymptotics import (Checked, CheckpointSeries, FitReport, Verdict,
 from .errors import RangeError
 from .grid import LogGrid
 from .measure import (Measure, apply_log, checkpoint_sums, exp_star,
-                      exp_star_pair, mellin, tilt)
+                      exp_star_pairs, mellin, tilt)
 from .systems import DEFAULT_CHECKPOINTS, build_kahane_pi, kahane_tail
 
 KAHANE_GRID = LogGrid(1e-4, 500_001)
@@ -49,9 +49,14 @@ class KahaneReport(Checked):
 
 
 @dataclass(frozen=True)
-class GrowthDiagnostics:
+class GrowthDiagnostics(Checked):
     series: dict
-    bounded: dict
+    verdicts: tuple
+
+    @property
+    def bounded(self) -> dict:
+        """{series name: whether its verdict calls it bounded}."""
+        return {v.name.removeprefix("bounded_"): v.passed for v in self.verdicts}
 
 
 def kahane_pipeline(grid: LogGrid | None = None, checkpoints=DEFAULT_CHECKPOINTS,
@@ -60,8 +65,9 @@ def kahane_pipeline(grid: LogGrid | None = None, checkpoints=DEFAULT_CHECKPOINTS
 
     Two independent routes to the same identity: m_K(x) as the summed
     harmonic primitive of dM_K = exp*(-dPi_K), and B-(x)/x from
-    dB- = exp*(-dA) where dA is the tail part alone.  The report carries
-    every checkpoint series and one verdict per check.
+    dB- = exp*(-dA) where dA is the tail part alone; the two exp* pairs
+    run in lockstep (measure.exp_star_pairs).  The report carries every
+    checkpoint series and one verdict per check.
     """
     if grid is None:
         grid = KAHANE_GRID
@@ -73,8 +79,7 @@ def kahane_pipeline(grid: LogGrid | None = None, checkpoints=DEFAULT_CHECKPOINTS
 
     pi_w = build_kahane_pi(grid, weight_sigma=1.0)
     a_w = kahane_tail(grid, weight_sigma=1.0)
-    n_w, m_w = exp_star_pair(pi_w)
-    bp_w, bm_w = exp_star_pair(a_w)
+    (n_w, m_w), (bp_w, bm_w) = exp_star_pairs([pi_w, a_w])
 
     m_harm = checkpoint_sums(m_w, ts)
     s_vals = checkpoint_sums(bm_w, ts)
@@ -139,10 +144,10 @@ def growth_diagnostics(e: Measure, checkpoints=DEFAULT_CHECKPOINTS,
     """Exponentiate a nonnegative perturbation and track its growth.
 
     For dF+ = exp*(dE) and dH+ = L dF+, reports int dF+/u / log^eps x and
-    H+(x) / (x log^eps x) at the checkpoints.  A series is flagged
-    unbounded when its last five values strictly increase and the final
-    value exceeds 1.5x the first; this is a finite-checkpoint trend call,
-    not a proof either way.
+    H+(x) / (x log^eps x) at the checkpoints, with one verdict
+    bounded_<series> per series.  A series is flagged unbounded when its
+    last five values strictly increase and the final value exceeds 1.5x the
+    first; this is a finite-checkpoint trend call, not a proof either way.
     """
     if np.any(e.coeffs < 0):
         raise ValueError("perturbation must be nonnegative coefficient-wise")
@@ -151,7 +156,7 @@ def growth_diagnostics(e: Measure, checkpoints=DEFAULT_CHECKPOINTS,
     f_w = exp_star(e_w)
     f_harm = checkpoint_sums(f_w, ts)
     h_over_x = checkpoint_sums(apply_log(f_w), ts, 1.0)
-    series, bounded = {}, {}
+    series, verdicts = {}, []
     for ep in eps:
         f_name, h_name = f"f_harmonic_eps{ep:g}", f"h_over_x_eps{ep:g}"
         series[f_name] = CheckpointSeries(ts, f_harm / ts ** ep,
@@ -160,10 +165,13 @@ def growth_diagnostics(e: Measure, checkpoints=DEFAULT_CHECKPOINTS,
                                           f"H+(x) / (x log^{ep:g} x)")
         for name in (f_name, h_name):
             vals = series[name].values
-            tail = vals[-min(5, len(vals)):]
-            rising = bool(np.all(np.diff(tail) > 0)) and vals[-1] > 1.5 * vals[0]
-            bounded[name] = not rising
-    return GrowthDiagnostics(series, bounded)
+            first, final = float(vals[0]), float(vals[-1])
+            rising_tail = bool(np.all(np.diff(vals[-min(5, len(vals)):]) > 0))
+            verdicts.append(Verdict(f"bounded_{name}",
+                                    not (rising_tail and final > 1.5 * first),
+                                    {"first": first, "final": final,
+                                     "rising_tail": rising_tail}))
+    return GrowthDiagnostics(series, tuple(verdicts))
 
 
 def mellin_alpha_experiment(grid: LogGrid | None = None, sigma_grid=None,

@@ -335,6 +335,20 @@ def test_growth_diagnostics_flags_li_sized_input_unbounded():
     assert not diag.bounded["h_over_x_eps0.5"]
 
 
+def test_growth_diagnostics_decide_by_verdicts():
+    from beurling import build_li_pi, growth_diagnostics
+
+    g = LogGrid(1e-2, 5_001)
+    diag = growth_diagnostics(build_li_pi(g, 1.0), weight_sigma=1.0)
+    assert [v.name for v in diag.verdicts] == [f"bounded_{name}" for name in diag.series]
+    for v in diag.verdicts:
+        vals = diag.series[v.name.removeprefix("bounded_")].values
+        assert v.values == {"first": vals[0], "final": vals[-1],
+                            "rising_tail": bool(np.all(np.diff(vals[-5:]) > 0))}
+        assert v.passed == diag.bounded[v.name.removeprefix("bounded_")]
+    assert not diag.passed
+
+
 def test_growth_diagnostics_rejects_signed_input():
     from beurling import growth_diagnostics
 

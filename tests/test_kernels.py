@@ -1,5 +1,6 @@
 import math
 import operator
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -172,9 +173,10 @@ def test_envelope_guard_is_silent_on_weighted_kahane_inputs(build):
 def test_pair_costs_about_one_exp_in_transforms(monkeypatch):
     forward = Counter()
 
-    def counted(*args, **kwargs):
+    def counted(x, *args, **kwargs):
         forward["rfft"] += 1
-        return scipy.fft.rfft(*args, **kwargs)
+        forward["rows"] += len(x) if x.ndim == 2 else 1
+        return scipy.fft.rfft(x, *args, **kwargs)
 
     monkeypatch.setattr(kernels, "rfft", counted)
     grid = LogGrid(0.01, 1 << 16)
@@ -196,6 +198,13 @@ def test_pair_costs_about_one_exp_in_transforms(monkeypatch):
     assert one == 51
     assert pair == 53
     assert pair < 1.1 * one
+    # two rows in lockstep transform 2 * 53 rows: the rounds to precision
+    # 2^15 and the last round's refine in 46 batched calls, the last
+    # round's update (5) and the closing refine (2) one row at a time
+    forward.clear()
+    exp_newton_pair(np.stack([a, 0.5 * a]), grid.h)
+    assert forward["rows"] == 2 * 53
+    assert forward["rfft"] == 46 + 2 * 7
 
 
 def _is_5_smooth(k):
@@ -238,6 +247,82 @@ def test_product_refuses_a_spectrum_of_another_length():
     assert np.array_equal(again, want)
     with pytest.raises(ValueError, match="601 bins .* length 1250"):
         kernels._product(x, y, 0, 600, 1250, fy)
+    # a stack of two rows: its spectrum serves that stack and no other
+    xs, ys = np.stack([x, -x]), np.stack([y, 2.0 * y])
+    want, fys = kernels._product(xs, ys, 0, 600, 1200)
+    again, _ = kernels._product(xs, ys, 0, 600, 1200, fys)
+    assert np.array_equal(again, want)
+    assert np.array_equal(want[0], kernels._product(x, y, 0, 600, 1200)[0])
+    with pytest.raises(ValueError, match="601 bins .* length 1250"):
+        kernels._product(xs, ys, 0, 600, 1250, fys)
+    with pytest.raises(ValueError, match=r"rows \(2,\) .* rows \(\)"):
+        kernels._product(x, y, 0, 600, 1200, fys)
+    with pytest.raises(ValueError, match=r"rows \(\) .* rows \(2,\)"):
+        kernels._product(xs, ys, 0, 600, 1200, fy)
+
+
+# ------------------------------------------------- rows run in lockstep
+
+def _signed_rows(b, n):
+    # well-conditioned signed rows, as in the signed Newton test above
+    rng = np.random.default_rng(1000 * b + n)
+    return rng.uniform(-1.0, 1.0, (b, n)) * (4.0 / n)
+
+
+@pytest.mark.parametrize("n", [127, 257, 5000, (1 << 15) + 1, 1 << 16])
+@pytest.mark.parametrize("b", [1, 2, 3])
+def test_stacked_pair_equals_one_pair_per_row_to_the_bit(b, n):
+    # batched transforms and per-row convolutions must round as the 1-d
+    # calls do; at n = 127 every row takes the recurrence
+    rows = _signed_rows(b, n)
+    pos, neg = kernels.exp_star_pair(rows, 0.01)
+    assert pos.shape == neg.shape == (b, n)
+    for row, p, q in zip(rows, pos, neg):
+        want_pos, want_neg = kernels.exp_star_pair(row, 0.01)
+        assert np.array_equal(p, want_pos)
+        assert np.array_equal(q, want_neg)
+
+
+@pytest.mark.parametrize("n", [257, 5000])
+def test_stack_sends_a_cancelling_row_to_the_recurrence(exp_paths, n):
+    # the middle row cancels (excess far above 8) and takes the recurrence
+    # on both signs; the other two still run Newton as one stack
+    rows = _signed_rows(3, n)
+    rows[1] = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+    pos, neg = kernels.exp_star_pair(rows, 0.01)
+    assert exp_paths == {"exp_newton_pair": 1, "exp_recurrence": 2}
+    assert np.array_equal(pos[1], exp_recurrence(rows[1]))
+    assert np.array_equal(neg[1], exp_recurrence(-rows[1]))
+    for i in (0, 2):
+        want_pos, want_neg = exp_newton_pair(rows[i], 0.01)
+        assert np.array_equal(pos[i], want_pos)
+        assert np.array_equal(neg[i], want_neg)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_lockstep_pair_peaks_near_two_sequential_pairs():
+    # the rounds below the last share each buffer between the rows, but
+    # the last round and the closing refine run one row at a time, so no
+    # buffer outgrows a single exp's largest; what the stack adds is the
+    # other row's e and 1/e at half length while a row finishes.  numpy
+    # reports its allocations to tracemalloc, so the peaks are exact: the
+    # ratio is 1.116 (running the last round in lockstep too gives 1.41)
+    grid = LogGrid(1e-3, 1 << 16)
+    stack = np.stack([build_kahane_pi(grid, weight_sigma=1.0).coeffs,
+                      kahane_tail(grid, weight_sigma=1.0).coeffs])
+    sequential = _peak_bytes(lambda: [kernels.exp_star_pair(row, grid.h)
+                                      for row in stack])
+    lockstep = _peak_bytes(lambda: kernels.exp_star_pair(stack, grid.h))
+    assert lockstep <= 1.2 * sequential
 
 
 # --------------------------------------------------------- the exp* rule

@@ -15,10 +15,11 @@ import pytest
 
 from beurling import (GridMismatchError, LogGrid, Measure, ParameterError,
                       RangeError, add, apply_log, checkpoint_sums, convolve,
-                      delta_one, exp_star, exp_star_pair, harmonic_primitive,
-                      invert, kahane_tail, load_measure, log_star, mellin,
-                      negate, primitive, relative_gap, save_measure, scale,
-                      subtract, variation, zero)
+                      delta_one, exp_star, exp_star_pair, exp_star_pairs,
+                      harmonic_primitive, invert, kahane_pipeline, kahane_tail,
+                      load_measure, log_star, mellin, negate, pipelines,
+                      primitive, relative_gap, save_measure, scale, subtract,
+                      variation, zero)
 from beurling.kernels import exp_recurrence
 
 H = 1e-3
@@ -175,6 +176,33 @@ def test_exp_pair_is_exp_of_both_signs():
     pos, neg = exp_star_pair(large)
     assert relative_gap(pos, exp_star(large)) <= 1e-13
     assert relative_gap(neg, exp_star(negate(large))) <= 1e-13
+
+
+def test_exp_pairs_equal_one_pair_per_measure_to_the_bit():
+    # the measures' rows run in lockstep on batched transforms, and the
+    # batched rows round exactly as one pair per measure does
+    grid = LogGrid(0.01, 5000)
+    measures = [random_measure(grid, seed, amplitude=1e-4) for seed in (14, 15, 16)]
+    for (pos, neg), m in zip(exp_star_pairs(measures), measures):
+        want_pos, want_neg = exp_star_pair(m)
+        assert np.array_equal(pos.coeffs, want_pos.coeffs)
+        assert np.array_equal(neg.coeffs, want_neg.coeffs)
+    with pytest.raises(GridMismatchError):
+        exp_star_pairs([measures[0], random_measure(LogGrid(0.02, 5000), seed=17)])
+
+
+def test_kahane_series_equal_those_of_one_pair_per_measure(monkeypatch):
+    # kahane_pipeline runs exp*(+-dPi_K) and exp*(+-dA) as one stack; every
+    # series it reports equals, to the bit, the one built from two
+    # separate exp_star_pair calls
+    grid = LogGrid(1e-3, 50_001)
+    stacked = kahane_pipeline(grid)
+    monkeypatch.setattr(pipelines, "exp_star_pairs",
+                        lambda measures: [exp_star_pair(m) for m in measures])
+    separate = kahane_pipeline(grid)
+    assert stacked.series.keys() == separate.series.keys()
+    for name, series in stacked.series.items():
+        assert np.array_equal(series.values, separate.series[name].values), name
 
 
 def test_envelope_dominates_exp():
