@@ -34,6 +34,8 @@ from .measure import Measure
 
 # np.exp overflows past log(max double) = 709.78
 LOG_DOUBLE_MAX = 709.0
+# midpoint cells evaluated per call of the density
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -63,13 +65,17 @@ def discretize(spec: DensitySpec, grid: LogGrid, weight_sigma: float = 0.0) -> M
         def g(t):
             # a constant density may come back as a scalar
             vals = np.broadcast_to(np.asarray(fl(t), dtype=float), np.shape(t))
+            if growth == 0.0:  # the factor e^0 = 1 changes no bit
+                return vals
             # an overflowing cell is reported by the non-finite check below
             with np.errstate(over="ignore"):
                 return vals * np.exp(growth * t)
 
         if spec.rule == "midpoint":
-            ts = np.arange(1, n) * h
-            coeffs[1:] = h * g(ts)
+            # in blocks, so that no temporary holds all n cells
+            for lo in range(1, n, _BLOCK):
+                hi = min(n, lo + _BLOCK)
+                np.multiply(h, g(np.arange(lo, hi) * h), out=coeffs[lo:hi])
             coeffs[0] = 0.5 * h * float(g(np.array([0.25 * h]))[0])
             quad_cells = set()
         else:

@@ -11,36 +11,52 @@ carries r = 1/e at half that precision alongside (Brent & Kung 1978).  A
 round refines r by one reciprocal step, gets the correction a - log e on
 the new half from ((L a) e) r, and multiplies it into e; the products that
 touch e share one spectrum, the spectrum of r taken for the correction is
-carried into the next round's refine, and each product is a cyclic FFT of
-the shortest length whose wrap-around misses the coefficients it must
-deliver (Bernstein, "Removing redundancy in high-precision Newton
-iteration", 2004; Hanrot & Zimmermann, "Newton iteration revisited",
-2004).  Since exp*(-a) = 1/exp*(a), one more reciprocal step at full
-length, reading the carried spectrum, turns the tracked r into exp*(-a):
-exp_newton_pair returns both for about the price of one exponential.
+carried into the next round's refine, and each product is taken mod
+t^N + 1 for the shortest length N whose wrap-around misses the
+coefficients it must deliver (Bernstein, "Removing redundancy in
+high-precision Newton iteration", 2004; Hanrot & Zimmermann, "Newton
+iteration revisited", 2004).  Since exp*(-a) = 1/exp*(a), one more
+reciprocal step at full length, reading the carried spectrum, turns the
+tracked r into exp*(-a): exp_newton_pair returns both for about the price
+of one exponential.
 
-Cyclic lengths are 5-smooth, next_fast_len(m, real=True): the 7- and
-11-smooth lengths it gives otherwise are slow in pocketfft's real
-transforms.  One rfft + irfft, best of 15 on one core of an AMD EPYC, and
-the sum of that over the lengths of a Newton ladder (precisions >= 512):
+Products are right-angle (Crandall & Fagin, "Discrete weighted transforms
+and large-integer arithmetic", Math. Comp. 62, 1994).  A real row x of at
+most N points packs into the complex row z_j = (x_j + i x_{M+j}) w^j of
+M = N/2 points, w = e^{i pi/N}; one complex FFT of M points per operand,
+the product of the spectra, one inverse FFT and the weights w^-j give the
+product mod t^N + 1, coefficient j < M as the real part of point j and
+coefficient M + j as its imaginary part.  The product is negacyclic: a
+coefficient at j >= N lands at j - N with its sign flipped, in the
+positions a cyclic product of length N would wrap it to, which every
+caller drops.  The weights are two short tables, of A and of B entries,
+multiplied over an (A, B) view of the row, M = A B, with B the largest
+divisor of M up to its root.  In a prototype a cached full-length table
+was faster, but it raised the peak RSS of the de Haan exp from 405 to
+464-469 MB.  N is even and N/2 is 5-smooth,
+N = 2 next_fast_len(ceil(m/2), real=True), since pocketfft runs factors 7
+and 11 through slow generic passes.  One forward and one inverse
+transform of one row, median of 25 (11 at 2.8M) interleaved, on one core
+of a 2-vCPU Intel Xeon (AVX-512), against the real-FFT products
+(rfft + irfft at the same N) this replaced:
 
-    n            next_fast_len(n)      real=True             ladder
-    500,001      500,094    10.1 ms    506,250    8.7 ms     11.1 -> 8.9 ms
-    2,800,001    2,806,650  78.3 ms    2,812,500  60.5 ms    105 -> 87 ms
+    N            real FFTs     right-angle
+    506,250      26.7 ms       21.6 ms
+    2,812,500    247 ms        198 ms
+
+In the de Haan exp (n = 2,800,001) under cProfile, the transforms took
+1.01-1.31 s in 152 complex calls, against 1.49-1.80 s in 89 r2c and 63
+c2r calls, over two alternating pairs of runs on that shared host.
 
 Independent exps run in lockstep.  exp_newton, exp_newton_pair and
 exp_star_pair take a (b, n) stack of rows as well as a single row, which is
 the one-row stack of the same ladder, and every FFT product of the ladder
-is then one rfft and one irfft along the last axis of the stack.
-pocketfft runs the rows of such a call with SIMD across them (the
-"howmany" plans of Frigo & Johnson, "The design and implementation of
-FFTW3", 2005), so one 2-row call beats two 1-D calls even on one core, and
-its rows equal the 1-D transforms to the bit.  One rfft + irfft, median of
-25 interleaved, on one core of a 2-vCPU Intel Xeon (AVX-512):
-
-    points       two 1-D calls    one 2-row call
-    506,250      54.9 ms          46.5 ms
-    2,812,500    432 ms           386 ms
+is then one forward and one inverse transform along the last axis of the
+stack, whose rows equal the 1-D transforms to the bit.  pocketfft gains
+nothing from batching complex rows: one 2-row call took 40-53 ms at
+506,250 points, two 1-D calls 35 ms (same host).  Looping over the rows
+inside the transforms measured no faster end to end on kahane_pipeline,
+in five alternating pairs of processes, so the stacks stay batched.
 
 Every round runs in lockstep up to precision ceil(n/2).  Steps 2 and 3 of
 the last round, whose products have full length, and the pair's closing
@@ -96,7 +112,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from scipy.fft import fft, ifft, next_fast_len
 
 _DIRECT_WORK_LIMIT = 1 << 16
 # exp_star runs Newton from this length up, on inputs whose
@@ -108,8 +124,65 @@ _LEFT_THE_RANGE = ("exp* result left the double range; keep the computation "
 
 
 def _fast_len(m: int) -> int:
-    # the shortest cyclic length >= m that is 5-smooth (see the docstring)
-    return next_fast_len(m, real=True)
+    # the shortest even length N >= m with N/2 5-smooth (see the docstring)
+    return 2 * next_fast_len((m + 1) // 2, real=True)
+
+
+def _weigh(z: np.ndarray, size: int, sign: float) -> None:
+    # z[..., j] *= w^(sign j) in place, w = e^{i pi / size}, for the
+    # size // 2 = A B points of each row of the fresh array z: two
+    # broadcast multiplies over its (A, B) view by the tables w^(sign B a)
+    # and w^(sign b), with B the largest divisor of A B up to its root
+    half = size // 2
+    cols = math.isqrt(half)
+    while half % cols:
+        cols -= 1
+    angle = sign * math.pi / size
+    view = z.reshape(z.shape[:-1] + (half // cols, cols))
+    view *= np.exp(1j * angle * cols * np.arange(half // cols))[:, None]
+    view *= np.exp(1j * angle * np.arange(cols))
+
+
+def rfft(x: np.ndarray, size: int) -> np.ndarray:
+    """Right-angle spectrum of the real rows x for products mod t^size + 1.
+
+    size is even and x.shape[-1] <= size.  A row x packs into the complex
+    row z_j = (x_j + i x_{M+j}) w^j of M = size // 2 points, with
+    w = e^{i pi/size}, and its spectrum is the complex FFT of z along the
+    last axis.  Products of spectra taken at one size give, through irfft,
+    the product of the rows mod t^size + 1.  An odd size, or a row longer
+    than size, which the packing would cut short: ValueError.
+    """
+    n, half = x.shape[-1], size // 2
+    if size % 2 or n > size:
+        raise ValueError(f"rows of {n} points have no right-angle spectrum "
+                         f"of length {size}")
+    z = np.zeros(x.shape[:-1] + (half,), dtype=complex)
+    z.real[..., :min(n, half)] = x[..., :half]
+    if n > half:
+        z.imag[..., :n - half] = x[..., half:]
+    _weigh(z, size, 1.0)
+    return fft(z, axis=-1, overwrite_x=True)
+
+
+def irfft(f: np.ndarray, size: int, lo: int, hi: int) -> np.ndarray:
+    """Coefficients [lo, hi) of the real rows mod t^size + 1 whose
+    right-angle spectra (see rfft) are f; f is overwritten.
+
+    The unweighted inverse transform of a row is z_j = c_j + i c_{M+j},
+    M = size // 2: coefficient j < M of the product is the real part of
+    z_j, and coefficient M + j its imaginary part.
+    """
+    half = size // 2
+    z = ifft(f, axis=-1, overwrite_x=True)
+    _weigh(z, size, -1.0)
+    out = np.empty(z.shape[:-1] + (hi - lo,))
+    if lo < half:
+        out[..., :min(hi, half) - lo] = z.real[..., lo:min(hi, half)]
+    if hi > half:
+        top = max(lo, half)
+        out[..., top - lo:] = z.imag[..., top - half:hi - half]
+    return out
 
 
 def _product(x: np.ndarray, y: np.ndarray, lo: int, hi: int, size: int,
@@ -119,29 +192,34 @@ def _product(x: np.ndarray, y: np.ndarray, lo: int, hi: int, size: int,
     x and y are single rows or equal stacks of rows, multiplied row by row
     along the last axis.  Products with x.shape[-1] * y.shape[-1] <=
     _DIRECT_WORK_LIMIT are direct, one np.convolve per row.  Larger ones
-    are cyclic of length size, which the caller picks so that the part of
-    the product wrapped past size misses [lo, hi); every row goes through
-    one batched transform.  fy, the spectrum rfft(y, size) from an earlier
-    call, is reused when given; the returned spectrum (None on the direct
-    path) can be passed on.  A given fy whose bin count is not size // 2 + 1
-    belongs to another length, and one whose rows are not those of x to
-    another stack: ValueError.  The coefficients are copied out of the
-    cyclic buffer, so that a caller holding them does not hold all size
-    points alive.
+    are right-angle products mod t^size + 1 (rfft, irfft): one complex
+    transform of size // 2 points per operand and one inverse, every row
+    in one batched call.  The product is negacyclic: its coefficient
+    j >= size lands at j - size with its sign flipped, and the caller
+    picks size so that those positions miss [lo, hi).  fy, the spectrum
+    rfft(y, size) from an earlier call, is reused when given; the returned
+    spectrum (None on the direct path) can be passed on.  A given fy whose
+    bin count is not size // 2 belongs to another length, and one whose
+    rows are not those of x to another stack: ValueError.  So is an
+    operand longer than size.  Only [lo, hi) is copied out of the
+    transform, so that a caller holding it does not hold all size points
+    alive.
     """
     if x.shape[-1] * y.shape[-1] <= _DIRECT_WORK_LIMIT:
         if x.ndim == 1:
             return np.convolve(x, y)[lo:hi], fy
         return np.stack([np.convolve(u, v)[lo:hi] for u, v in zip(x, y)]), fy
     if fy is None:
-        fy = rfft(y, size, axis=-1)
-    elif fy.shape[-1] != size // 2 + 1:
+        fy = rfft(y, size)
+    elif fy.shape[-1] != size // 2:
         raise ValueError(f"spectrum of {fy.shape[-1]} bins passed to a product "
-                         f"of cyclic length {size}")
+                         f"of negacyclic length {size}")
     elif fy.shape[:-1] != x.shape[:-1]:
         raise ValueError(f"spectrum of rows {fy.shape[:-1]} passed to a "
                          f"product of rows {x.shape[:-1]}")
-    return irfft(rfft(x, size, axis=-1) * fy, size, axis=-1)[..., lo:hi].copy(), fy
+    fx = rfft(x, size)
+    fx *= fy
+    return irfft(fx, size, lo, hi), fy
 
 
 def mul_trunc(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
@@ -156,13 +234,15 @@ def mul_trunc(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
 
 def exp_recurrence(a: np.ndarray) -> np.ndarray:
     """exp* by the triangular recurrence m e_m = sum_{k=1..m} k a_k e_{m-k}."""
+    # built reversed, rev[n-1-m] = e_m, so that both operands of every dot
+    # are forward, contiguous slices (numpy copies a reversed view first)
     n = len(a)
-    e = np.zeros(n)
-    e[0] = math.exp(a[0])
+    rev = np.zeros(n)
+    rev[n - 1] = math.exp(a[0])
     w = np.arange(n) * a
     for m in range(1, n):
-        e[m] = np.dot(w[1 : m + 1], e[m - 1 :: -1]) / m
-    return e
+        rev[n - 1 - m] = np.dot(w[1 : m + 1], rev[n - m :]) / m
+    return rev[::-1].copy()
 
 
 def log_recurrence(e: np.ndarray) -> np.ndarray:
@@ -173,8 +253,9 @@ def log_recurrence(e: np.ndarray) -> np.ndarray:
     a = np.zeros(n)
     a[0] = math.log(e[0])
     ka = np.zeros(n)
+    rev = e[::-1].copy()  # rev[n-1-j] = e_j, read forward as in exp_recurrence
     for m in range(1, n):
-        s = np.dot(ka[1:m], e[m - 1 : 0 : -1]) if m > 1 else 0.0
+        s = np.dot(ka[1:m], rev[n - m : n - 1]) if m > 1 else 0.0
         a[m] = (m * e[m] - s) / (m * e[0])
         ka[m] = m * a[m]
     return a
@@ -185,11 +266,11 @@ def invert_recurrence(a: np.ndarray) -> np.ndarray:
     if a[0] == 0.0:
         raise ValueError("inverse needs nonzero mass at u = 1")
     n = len(a)
-    b = np.zeros(n)
-    b[0] = 1.0 / a[0]
+    rev = np.zeros(n)  # rev[n-1-m] = b_m, as in exp_recurrence
+    rev[n - 1] = 1.0 / a[0]
     for m in range(1, n):
-        b[m] = -np.dot(a[1 : m + 1], b[m - 1 :: -1]) / a[0]
-    return b
+        rev[n - 1 - m] = -np.dot(a[1 : m + 1], rev[n - m :]) / a[0]
+    return rev[::-1].copy()
 
 
 def _refine_inverse(e: np.ndarray, r: np.ndarray, m: int,
@@ -197,8 +278,8 @@ def _refine_inverse(e: np.ndarray, r: np.ndarray, m: int,
     # One Newton step r <- r - r (e r - 1), taking r = 1/e mod x^p to
     # 1/e mod x^m for p = r.shape[-1] < m <= 2p, on each row.  Since
     # e r = 1 + O(x^p), the products only need coefficients [p, m) of e r
-    # and [0, m - p) of the correction, and a cyclic length >= m keeps both
-    # clear of wrap-around.  fr is rfft(r, _fast_len(m)) when the caller
+    # and [0, m - p) of the correction, and a length >= m keeps both clear
+    # of wrap-around.  fr is rfft(r, _fast_len(m)) when the caller
     # has it already.
     p = r.shape[-1]
     size = _fast_len(m)

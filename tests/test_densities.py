@@ -140,6 +140,18 @@ def test_weighted_discretize_matches_tilt():
         tilted.coeffs[0] * math.exp(-0.25 * g.h), rel=1e-13)
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0])
+def test_midpoint_blocks_equal_one_evaluation(sigma):
+    # the midpoint cells are evaluated in blocks; across the block seams
+    # every cell keeps the bits of h g(kh) evaluated over all cells at once
+    g = LogGrid(0.002, 3 * (1 << 16) + 7)
+    ts = np.arange(1, g.n) * g.h
+    want = g.h * (_li_density_log(ts) * np.exp((1.0 - sigma) * ts))
+    got = discretize(DensitySpec(log_density=_li_density_log), g,
+                     weight_sigma=sigma)
+    assert np.array_equal(got.coeffs[1:], want)
+
+
 def test_breakpoints_outside_grid_are_ignored():
     g = LogGrid(0.1, 30)
     plain = discretize(u_density(lambda u: 1.0 / u), g)

@@ -5,7 +5,6 @@ from collections import Counter
 
 import numpy as np
 import pytest
-import scipy.fft
 import scipy.linalg
 
 from beurling import kernels
@@ -43,6 +42,34 @@ def test_mul_trunc_fft_path_agrees_with_direct():
     want = np.convolve(a, b)[:600]
     scale = np.max(np.abs(want))
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def _forward_recurrences(a, e):
+    # the recurrences indexed forward, reading reversed views: the kernels
+    # build theirs reversed, with the same arithmetic in the same order
+    n = len(a)
+    ex, inv, lg, ka = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
+    ex[0], inv[0], lg[0] = math.exp(a[0]), 1.0 / a[0], math.log(e[0])
+    w = np.arange(n) * a
+    for m in range(1, n):
+        ex[m] = np.dot(w[1 : m + 1], ex[m - 1 :: -1]) / m
+        inv[m] = -np.dot(a[1 : m + 1], inv[m - 1 :: -1]) / a[0]
+        s = np.dot(ka[1:m], e[m - 1 : 0 : -1]) if m > 1 else 0.0
+        lg[m] = (m * e[m] - s) / (m * e[0])
+        ka[m] = m * lg[m]
+    return ex, inv, lg
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 1000])
+def test_recurrences_equal_forward_indexing_bit_for_bit(n):
+    rng = np.random.default_rng(30 + n)
+    a = rng.uniform(-1.0, 1.0, n) * (4.0 / n)
+    a[0] = 0.7
+    e = np.abs(exp_recurrence(a)) + 0.1
+    ex, inv, lg = _forward_recurrences(a, e)
+    assert np.array_equal(exp_recurrence(a), ex)
+    assert np.array_equal(invert_recurrence(a), inv)
+    assert np.array_equal(log_recurrence(e), lg)
 
 
 def test_exp_recurrence_matches_power_series():
@@ -172,11 +199,12 @@ def test_envelope_guard_is_silent_on_weighted_kahane_inputs(build):
 
 def test_pair_costs_about_one_exp_in_transforms(monkeypatch):
     forward = Counter()
+    rfft = kernels.rfft
 
     def counted(x, *args, **kwargs):
         forward["rfft"] += 1
         forward["rows"] += len(x) if x.ndim == 2 else 1
-        return scipy.fft.rfft(x, *args, **kwargs)
+        return rfft(x, *args, **kwargs)
 
     monkeypatch.setattr(kernels, "rfft", counted)
     grid = LogGrid(0.01, 1 << 16)
@@ -216,8 +244,8 @@ def _is_5_smooth(k):
 
 @pytest.mark.parametrize("n", [5000, (1 << 15) + 1, 1 << 16])
 def test_every_transform_length_is_5_smooth(monkeypatch, n):
-    # pocketfft's real transforms run generic, slow passes on factors 7
-    # and 11, which next_fast_len admits unless asked for real lengths
+    # a product mod t^N + 1 runs complex transforms of N/2 points, which
+    # _fast_len keeps 5-smooth, the lengths pocketfft runs fastest
     lengths = []
 
     def recording(fn):
@@ -226,8 +254,8 @@ def test_every_transform_length_is_5_smooth(monkeypatch, n):
             return fn(x, size, *args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(kernels, "rfft", recording(scipy.fft.rfft))
-    monkeypatch.setattr(kernels, "irfft", recording(scipy.fft.irfft))
+    monkeypatch.setattr(kernels, "rfft", recording(kernels.rfft))
+    monkeypatch.setattr(kernels, "irfft", recording(kernels.irfft))
     grid = LogGrid(0.01, n)
     a = build_li_pi(grid, weight_sigma=1.0).coeffs
     exp_newton(a, grid.h)
@@ -235,7 +263,7 @@ def test_every_transform_length_is_5_smooth(monkeypatch, n):
     for m in (n, n // 3):
         mul_trunc(a, a[::-1], m)
     assert lengths
-    assert [k for k in lengths if not _is_5_smooth(k)] == []
+    assert [k for k in lengths if k % 2 or not _is_5_smooth(k // 2)] == []
 
 
 def test_product_refuses_a_spectrum_of_another_length():
@@ -245,7 +273,7 @@ def test_product_refuses_a_spectrum_of_another_length():
     want, fy = kernels._product(x, y, 0, 600, 1200)
     again, _ = kernels._product(x, y, 0, 600, 1200, fy)
     assert np.array_equal(again, want)
-    with pytest.raises(ValueError, match="601 bins .* length 1250"):
+    with pytest.raises(ValueError, match="600 bins .* length 1250"):
         kernels._product(x, y, 0, 600, 1250, fy)
     # a stack of two rows: its spectrum serves that stack and no other
     xs, ys = np.stack([x, -x]), np.stack([y, 2.0 * y])
@@ -253,12 +281,59 @@ def test_product_refuses_a_spectrum_of_another_length():
     again, _ = kernels._product(xs, ys, 0, 600, 1200, fys)
     assert np.array_equal(again, want)
     assert np.array_equal(want[0], kernels._product(x, y, 0, 600, 1200)[0])
-    with pytest.raises(ValueError, match="601 bins .* length 1250"):
+    with pytest.raises(ValueError, match="600 bins .* length 1250"):
         kernels._product(xs, ys, 0, 600, 1250, fys)
     with pytest.raises(ValueError, match=r"rows \(2,\) .* rows \(\)"):
         kernels._product(x, y, 0, 600, 1200, fys)
     with pytest.raises(ValueError, match=r"rows \(\) .* rows \(2,\)"):
         kernels._product(xs, ys, 0, 600, 1200, fy)
+
+
+@pytest.mark.parametrize("n", [600, 601])
+def test_right_angle_product_matches_convolve(n):
+    # x is longer than size / 2, so both halves of its packing carry data
+    rng = np.random.default_rng(24 + n)
+    x = rng.standard_normal(n)
+    y = rng.standard_normal(n // 2)
+    size = kernels._fast_len(n + n // 2 - 1)
+    assert n > size // 2
+    want = np.convolve(x, y)
+    scale = np.max(np.abs(want))
+    for lo, hi in ((0, n), (n // 3, n + n // 2 - 1),
+                   (size // 2 - 7, size // 2 + 5)):
+        got, _ = kernels._product(x, y, lo, hi, size)
+        assert got.shape == (hi - lo,)
+        assert np.max(np.abs(got - want[lo:hi])) <= 1e-14 * scale
+    xs, ys = np.stack([x, -2.0 * x]), np.stack([y, y[::-1]])
+    got, _ = kernels._product(xs, ys, 3, n, size)
+    for row, u, v in zip(got, xs, ys):
+        want = np.convolve(u, v)[3:n]
+        assert np.max(np.abs(row - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_right_angle_product_wraps_negated():
+    # mod t^N + 1 a coefficient j >= N comes back at j - N with its sign
+    # flipped, where a cyclic product would add it unchanged
+    rng = np.random.default_rng(25)
+    x = rng.standard_normal(700)
+    y = rng.standard_normal(700)
+    size = kernels._fast_len(700)
+    want = np.convolve(x, y)
+    wrapped = want[:size].copy()
+    wrapped[:len(want) - size] -= want[size:]
+    got, _ = kernels._product(x, y, 0, size, size)
+    assert np.max(np.abs(got - wrapped)) <= 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(got - want[:size])) > 1.0
+
+
+def test_product_refuses_an_operand_longer_than_size():
+    rng = np.random.default_rng(26)
+    x = rng.standard_normal(600)
+    y = rng.standard_normal(600)
+    with pytest.raises(ValueError, match="601 points .* length 600"):
+        kernels._product(np.append(x, 1.0), y, 0, 600, 600)
+    with pytest.raises(ValueError, match="601 points .* length 600"):
+        kernels._product(x, np.append(y, 1.0), 0, 600, 600)
 
 
 # ------------------------------------------------- rows run in lockstep
