@@ -31,9 +31,10 @@ coefficient at j >= N lands at j - N with its sign flipped, in the
 positions a cyclic product of length N would wrap it to, which every
 caller drops.  The weights are two short tables, of A and of B entries,
 multiplied over an (A, B) view of the row, M = A B, with B the largest
-divisor of M up to its root.  In a prototype a cached full-length table
-was faster, but it raised the peak RSS of the de Haan exp from 405 to
-464-469 MB.  N is even and N/2 is 5-smooth,
+divisor of M up to its root.  A full-length table cached per length ran
+the de Haan exp (n = 2,800,001) in 1.16-1.21 s warm against 1.24-1.41 s,
+but it raised the peak RSS of a process running that exp from 352 to
+483 MB.  N is even and N/2 is 5-smooth,
 N = 2 next_fast_len(ceil(m/2), real=True), since pocketfft runs factors 7
 and 11 through slow generic passes.  One forward and one inverse
 transform of one row, median of 25 (11 at 2.8M) interleaved, on one core
