@@ -29,35 +29,58 @@ product mod t^N + 1, coefficient j < M as the real part of point j and
 coefficient M + j as its imaginary part.  The product is negacyclic: a
 coefficient at j >= N lands at j - N with its sign flipped, in the
 positions a cyclic product of length N would wrap it to, which every
-caller drops.  The weights are two short tables, of A and of B entries,
-multiplied over an (A, B) view of the row, M = A B, with B the largest
-divisor of M up to its root.  A full-length table cached per length ran
-the de Haan exp (n = 2,800,001) in 1.16-1.21 s warm against 1.24-1.41 s,
-but it raised the peak RSS of a process running that exp from 352 to
-483 MB.  N is even and N/2 is 5-smooth,
-N = 2 next_fast_len(ceil(m/2), real=True), since pocketfft runs factors 7
-and 11 through slow generic passes.  One forward and one inverse
-transform of one row, median of 25 (11 at 2.8M) interleaved, on one core
-of a 2-vCPU Intel Xeon (AVX-512), against the real-FFT products
-(rfft + irfft at the same N) this replaced:
+caller drops.  N is even and N/2 is 5-smooth (_fast_len), since pocketfft
+runs factors 7 and 11 through slow generic passes.
 
-    N            real FFTs     right-angle
-    506,250      26.7 ms       21.6 ms
-    2,812,500    247 ms        198 ms
+The complex FFT is numpy.fft's pocketfft, run as a four-step transform
+(Bailey, "FFTs in external or hierarchical memory", J. Supercomputing 4,
+1990), because numpy.fft builds its plan afresh on every call and a plan
+for a million points costs about as much as the transform.  The row of
+M = A B points is viewed as (A, B), with B the largest divisor of M up to
+its root: each row a is weighted by w^(B a), the A-point FFTs run in place
+down the columns, one twiddle pass multiplies point (k, b) by
+w^(b (1 - 4k)), which is the four-step twiddle e^{-2 pi i b k/M} times the
+remaining weight w^b, and the B-point FFTs run in place along the rows.
+Spectrum bin k + A l then sits at (k, l), a permuted order that no caller
+sees: products multiply spectra of one size point by point, and the
+inverse runs the same steps backwards, unnormalised, with 1/M folded into
+its twiddles, so no transpose is ever made.  The twiddles of a chunk of
+isqrt(A) rows are a table of that many rows times one row per chunk, each
+the outer product of two tables of about sqrt(B) exps, so no table is
+ever full length: a full table cached per length ran the de Haan exp
+(n = 2,800,001) in 1.16-1.21 s warm against 1.24-1.41 s, but it raised
+the peak RSS of a process running that exp from 352 to 483 MB.  Below
+_FOUR_STEP_MIN points the split is (1, M), the same code reduced to one
+1-D FFT.  One forward and one inverse transform of one row, median of 25
+(11 at 2.8M) interleaved, on one core of a 2-vCPU Intel Xeon (AVX-512),
+against scipy.fft's 1-D pocketfft with its plan cache, which this
+replaced, and numpy.fft in one 1-D call:
 
-In the de Haan exp (n = 2,800,001) under cProfile, the transforms took
-1.01-1.31 s in 152 complex calls, against 1.49-1.80 s in 89 r2c and 63
-c2r calls, over two alternating pairs of runs on that shared host.
+    N            scipy 1-D    numpy 1-D    this
+    1,000        0.038 ms     0.063 ms     0.063 ms (1-D)
+    8,000        0.170 ms     0.221 ms     0.221 ms (1-D)
+    31,104       0.623 ms     0.699 ms     0.699 ms (1-D; four-step 0.795)
+    62,500       1.90 ms      2.12 ms      1.46 ms
+    506,250      18.0 ms      21.3 ms      12.1 ms
+    2,812,500    149 ms       150 ms       101 ms
+
+Each twiddle is rounded from an exponent reduced mod 2N, and every one
+was within 7e-16 of its exact value at N = 2,812,500; the exps of the
+Kahane and de Haan workloads stayed within 2e-16 (max-norm relative) of
+those taken with scipy.fft.  Below the four-step, the per-call tables and
+numpy's plan cost 0.02-0.08 ms more per forward and inverse pair than
+scipy.fft's cached plans did.
 
 Independent exps run in lockstep.  exp_newton, exp_newton_pair and
 exp_star_pair take a (b, n) stack of rows as well as a single row, which is
 the one-row stack of the same ladder, and every FFT product of the ladder
 is then one forward and one inverse transform along the last axis of the
-stack, whose rows equal the 1-D transforms to the bit.  pocketfft gains
-nothing from batching complex rows: one 2-row call took 40-53 ms at
-506,250 points, two 1-D calls 35 ms (same host).  Looping over the rows
-inside the transforms measured no faster end to end on kahane_pipeline,
-in five alternating pairs of processes, so the stacks stay batched.
+stack, whose rows equal the 1-D transforms to the bit.  With scipy.fft,
+before the four-step, pocketfft gained nothing from batching complex
+rows: one 2-row call took 40-53 ms at 506,250 points, two 1-D calls 35 ms
+(same host).  Looping over the rows inside the transforms measured no
+faster end to end on kahane_pipeline, in five alternating pairs of
+processes, so the stacks stay batched.
 
 Every round runs in lockstep up to precision ceil(n/2).  Steps 2 and 3 of
 the last round, whose products have full length, and the pair's closing
@@ -113,9 +136,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
 
 _DIRECT_WORK_LIMIT = 1 << 16
+# complex transforms of fewer points run as one 1-D FFT, the rest as a
+# four-step (see the docstring).  A forward and inverse pair took, 1-D
+# against four-step: 0.53 against 0.68 ms at 16,384 points, 0.68 against
+# 0.70 ms at 20,000, 1.18 against 0.76 ms at 22,500
+_FOUR_STEP_MIN = 20_000
 # exp_star runs Newton from this length up, on inputs whose
 # cancellation excess (see _log_envelope) is at most _NEWTON_MAX_EXCESS
 _NEWTON_MIN_N = 128
@@ -124,24 +151,69 @@ _LEFT_THE_RANGE = ("exp* result left the double range; keep the computation "
                    "in a weighted (tilted) representation instead")
 
 
+def _smooth_len(m: int) -> int:
+    # the least 5-smooth number >= m >= 1: for each 3^i 5^j below the best
+    # so far, the least power of two times it that reaches m
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _fast_len(m: int) -> int:
     # the shortest even length N >= m with N/2 5-smooth (see the docstring)
-    return 2 * next_fast_len((m + 1) // 2, real=True)
+    return 2 * _smooth_len((m + 1) // 2)
 
 
-def _weigh(z: np.ndarray, size: int, sign: float) -> None:
-    # z[..., j] *= w^(sign j) in place, w = e^{i pi / size}, for the
-    # size // 2 = A B points of each row of the fresh array z: two
-    # broadcast multiplies over its (A, B) view by the tables w^(sign B a)
-    # and w^(sign b), with B the largest divisor of A B up to its root
-    half = size // 2
+def _split(half: int) -> tuple[int, int]:
+    # (A, B) with A B = half for the four-step transform: (1, half) below
+    # _FOUR_STEP_MIN, else B the largest divisor of half up to its root
+    if half < _FOUR_STEP_MIN:
+        return 1, half
     cols = math.isqrt(half)
     while half % cols:
         cols -= 1
-    angle = sign * math.pi / size
-    view = z.reshape(z.shape[:-1] + (half // cols, cols))
-    view *= np.exp(1j * angle * cols * np.arange(half // cols))[:, None]
-    view *= np.exp(1j * angle * np.arange(cols))
+    return half // cols, cols
+
+
+def _unit(e: np.ndarray, size: int) -> np.ndarray:
+    # w^e for the integers e, w = e^{i pi/size}, each e reduced mod 2 size
+    # into [-size, size) before it meets the rounded angle pi/size
+    return np.exp((1j * math.pi / size) * ((e + size) % (2 * size) - size))
+
+
+def _turns(k, count: int, size: int, scale: float = 1.0) -> np.ndarray:
+    # scale w^(k j) for j < count along a last axis, w = e^{i pi/size}, for
+    # each of the integers k: the outer product of two tables of about
+    # sqrt(count) exps, since a complex exp costs some 20 complex multiplies
+    k = np.asarray(k)[..., None]
+    step = math.isqrt(count - 1) + 1
+    reach = -(-count // step)
+    outer = scale * _unit(k * step * np.arange(reach), size)
+    inner = _unit(k * np.arange(step), size)
+    table = outer[..., :, None] * inner[..., None, :]
+    return table.reshape(table.shape[:-2] + (reach * step,))[..., :count]
+
+
+def _twiddle(view: np.ndarray, size: int, sign: int, scale: float = 1.0) -> None:
+    # view[..., k, b] *= scale w^(sign b (1 - 4k)) in place, w = e^{i pi/size},
+    # over the (A, B) view of the four-step transform, in chunks of
+    # s = isqrt(A) rows: a table of s rows, T[r, b] = scale w^(sign b (1 - 4r)),
+    # times one row w^(-4 sign c b) for the chunk starting at row c
+    rows, cols = view.shape[-2:]
+    s = math.isqrt(rows)
+    table = _turns(sign * (1 - 4 * np.arange(s)), cols, size, scale)
+    view[..., :s, :] *= table
+    if rows > s:
+        starts = range(s, rows, s)
+        shifts = _turns(-4 * sign * np.array(starts), cols, size)
+        for c, shift in zip(starts, shifts):
+            view[..., c:c + s, :] *= table[:rows - c] * shift
 
 
 def rfft(x: np.ndarray, size: int) -> np.ndarray:
@@ -149,10 +221,11 @@ def rfft(x: np.ndarray, size: int) -> np.ndarray:
 
     size is even and x.shape[-1] <= size.  A row x packs into the complex
     row z_j = (x_j + i x_{M+j}) w^j of M = size // 2 points, with
-    w = e^{i pi/size}, and its spectrum is the complex FFT of z along the
-    last axis.  Products of spectra taken at one size give, through irfft,
-    the product of the rows mod t^size + 1.  An odd size, or a row longer
-    than size, which the packing would cut short: ValueError.
+    w = e^{i pi/size}, and its spectrum is the four-step FFT of z along the
+    last axis, in the permuted order of the module docstring.  Products of
+    spectra taken at one size give, through irfft, the product of the rows
+    mod t^size + 1.  An odd size, or a row longer than size, which the
+    packing would cut short: ValueError.
     """
     n, half = x.shape[-1], size // 2
     if size % 2 or n > size:
@@ -162,21 +235,34 @@ def rfft(x: np.ndarray, size: int) -> np.ndarray:
     z.real[..., :min(n, half)] = x[..., :half]
     if n > half:
         z.imag[..., :n - half] = x[..., half:]
-    _weigh(z, size, 1.0)
-    return fft(z, axis=-1, overwrite_x=True)
+    rows, cols = _split(half)
+    view = z.reshape(z.shape[:-1] + (rows, cols))
+    if rows > 1:
+        view *= _turns(cols, rows, size)[:, None]
+        np.fft.fft(view, axis=-2, out=view)
+    _twiddle(view, size, 1)
+    np.fft.fft(view, axis=-1, out=view)
+    return z
 
 
 def irfft(f: np.ndarray, size: int, lo: int, hi: int) -> np.ndarray:
     """Coefficients [lo, hi) of the real rows mod t^size + 1 whose
     right-angle spectra (see rfft) are f; f is overwritten.
 
-    The unweighted inverse transform of a row is z_j = c_j + i c_{M+j},
-    M = size // 2: coefficient j < M of the product is the real part of
-    z_j, and coefficient M + j its imaginary part.
+    The steps of rfft run backwards, unnormalised transforms with the 1/M
+    folded into the twiddles.  The unweighted inverse of a row is
+    z_j = c_j + i c_{M+j}, M = size // 2: coefficient j < M of the product
+    is the real part of z_j, and coefficient M + j its imaginary part.
     """
     half = size // 2
-    z = ifft(f, axis=-1, overwrite_x=True)
-    _weigh(z, size, -1.0)
+    rows, cols = _split(half)
+    view = f.reshape(f.shape[:-1] + (rows, cols))
+    np.fft.ifft(view, axis=-1, norm="forward", out=view)
+    _twiddle(view, size, -1, 1.0 / half)
+    if rows > 1:
+        np.fft.ifft(view, axis=-2, norm="forward", out=view)
+        view *= _turns(-cols, rows, size)[:, None]
+    z = view.reshape(f.shape)
     out = np.empty(z.shape[:-1] + (hi - lo,))
     if lo < half:
         out[..., :min(hi, half) - lo] = z.real[..., lo:min(hi, half)]
@@ -186,8 +272,8 @@ def irfft(f: np.ndarray, size: int, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def _product(x: np.ndarray, y: np.ndarray, lo: int, hi: int, size: int,
-             fy: np.ndarray | None = None):
+def _product(x: np.ndarray, y: np.ndarray, lo: int, hi: int,
+             size: int | None = None, fy: np.ndarray | None = None):
     """Coefficients [lo, hi) of the Cauchy product x*y, and the spectrum of y.
 
     x and y are single rows or equal stacks of rows, multiplied row by row
@@ -204,12 +290,15 @@ def _product(x: np.ndarray, y: np.ndarray, lo: int, hi: int, size: int,
     rows are not those of x to another stack: ValueError.  So is an
     operand longer than size.  Only [lo, hi) is copied out of the
     transform, so that a caller holding it does not hold all size points
-    alive.
+    alive.  size None takes the shortest length that holds the whole
+    product, worked out only on the FFT path.
     """
     if x.shape[-1] * y.shape[-1] <= _DIRECT_WORK_LIMIT:
         if x.ndim == 1:
             return np.convolve(x, y)[lo:hi], fy
         return np.stack([np.convolve(u, v)[lo:hi] for u, v in zip(x, y)]), fy
+    if size is None:
+        size = _fast_len(x.shape[-1] + y.shape[-1] - 1)
     if fy is None:
         fy = rfft(y, size)
     elif fy.shape[-1] != size // 2:
@@ -227,7 +316,7 @@ def mul_trunc(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     """Cauchy product of a and b truncated to m coefficients (length exactly m)."""
     la = min(len(a), m)
     lb = min(len(b), m)
-    full, _ = _product(a[:la], b[:lb], 0, m, _fast_len(la + lb - 1))
+    full, _ = _product(a[:la], b[:lb], 0, m)
     if len(full) < m:
         full = np.concatenate([full, np.zeros(m - len(full))])
     return full

@@ -279,8 +279,8 @@ def hypothesis_report(spec: SystemSpec, a: float = 1.0,
     below 1% of the total).  Diagnostics are always produced; failures only
     show up in the verdicts, hypothesis_<item>.  The conclusion series
     m_ratio, M(x)/x of the full assembled system, has its own decay check
-    in the verdict `conclusion`; not being a hypothesis, it is left out of
-    `passed`.
+    in the verdict `conclusion`, passed below NOISE_FLOOR as items (i) and
+    (iii) are; not being a hypothesis, it is left out of `passed`.
     """
     grid = spec.grid
     ts = np.asarray(sorted(checkpoints), dtype=float)
@@ -321,7 +321,7 @@ def hypothesis_report(spec: SystemSpec, a: float = 1.0,
     m_w = exp_star(negate(add(add(pi0_w, e_w), r_w)))
     series["m_ratio"] = CheckpointSeries(ts, checkpoint_sums(m_w, ts, 1.0), "M(x)/x")
 
-    conclusion = check_decay(series["m_ratio"], tail_k, "conclusion_m_ratio")
+    conclusion = _decays("conclusion_m_ratio", series["m_ratio"], tail_k)
     return HypothesisReport(series, (*verdicts, conclusion), conclusion)
 
 

@@ -14,18 +14,27 @@ becomes additive convolution.
 """
 
 import math
+import os
 import time
 
-import numpy as np
-import pytest
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
+# One BLAS thread, set before numpy loads: the O(n^2) recurrences' np.dot
+# calls otherwise start one thread per core, and those threads stall while
+# another process keeps a core busy (criterion 02 read 12-22 s against its
+# 5 s gate under such load, 2 s with one thread).  setdefault, so that a
+# caller's own setting wins.
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
-from beurling.density import DensitySpec
-from beurling.pipelines import (de_haan_experiment, kahane_pipeline,
-                                mellin_alpha_experiment)
-from beurling.selfcheck import benchmark_exp
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+from scipy.fft import irfft, next_fast_len, rfft  # noqa: E402
+from scipy.integrate import quad  # noqa: E402
+from scipy.interpolate import CubicSpline  # noqa: E402
+
+from beurling.density import DensitySpec  # noqa: E402
+from beurling.pipelines import (  # noqa: E402
+    de_haan_experiment, kahane_pipeline, mellin_alpha_experiment)
+from beurling.selfcheck import benchmark_exp  # noqa: E402
 
 
 def u_density(f, **fields):

@@ -11,11 +11,14 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from beurling import (DensitySpec, LogGrid, delta_one, discretize,
                       kahane_tail, primitive, tilt)
+from beurling.density import quad
 from beurling.errors import ParameterError
-from beurling.systems import _li_density_log, _tail_density_log, build_li_pi
+from beurling.systems import (TAIL_CUT, _li_density_log, _tail_density_log,
+                              build_li_pi)
 from conftest import u_density
 
 
@@ -209,3 +212,75 @@ def test_discretization_error_is_second_order():
         errs.append(abs(primitive(m, math.exp(2.0)) - (1.0 - math.exp(-t_eff))))
     assert errs[0] / errs[1] >= 4.0 / 3.0
     assert errs[1] / errs[2] >= 4.0 / 3.0
+
+
+# ------------------------------------------------- quad, QUADPACK's dqk21
+
+QUAD_TOL = {"epsabs": 1e-14, "epsrel": 1e-11, "limit": 200}
+
+
+def _scipy_quad(f, a, b):
+    # scipy.integrate.quad with discretize's tolerances: (value, error)
+    return scipy.integrate.quad(f, a, b, **QUAD_TOL)
+
+
+def _cell_integrand(log_density, weight_sigma):
+    # discretize's integrand g(t) = f(e^t) e^{(1 - sigma) t}, in numpy ufuncs,
+    # which round the same on a scalar and on an array
+    return lambda t: log_density(t) * np.exp((1.0 - weight_sigma) * np.asarray(t))
+
+
+@pytest.mark.parametrize("h", [1e-4, 0.05, 0.25])
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+def test_quad_equals_scipy_on_the_tail_cut_cell(h, sigma):
+    # the cell holding log u = e is split there and each piece integrated;
+    # one dqk21 pass meets the tolerance, so value and estimate are scipy's
+    g = LogGrid(h, int(4.0 / h))
+    k = int(round(math.e / h))
+    f = _cell_integrand(_tail_density_log, sigma)
+    total = 0.0
+    for a, b in (((k - 0.5) * h, math.log(TAIL_CUT)), (math.log(TAIL_CUT), (k + 0.5) * h)):
+        got = quad(f, a, b, **QUAD_TOL)
+        assert got == _scipy_quad(f, a, b)
+        total += got[0]
+    assert kahane_tail(g, weight_sigma=sigma).coeffs[k] == total
+
+
+@pytest.mark.parametrize("log_density, h, n", [(_li_density_log, 0.05, 400),
+                                               (lambda t: np.exp(-t), 4e-3, 600)],
+                         ids=["li", "inverse_u"])
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+def test_quad_rule_grids_equal_scipy_cell_by_cell(log_density, h, n, sigma):
+    g = LogGrid(h, n)
+    got = discretize(DensitySpec(rule="quad", log_density=log_density), g, sigma)
+    f = _cell_integrand(log_density, sigma)
+    want = [_scipy_quad(f, 0.0 if k == 0 else (k - 0.5) * h, (k + 0.5) * h)[0]
+            for k in range(n)]
+    assert np.array_equal(got.coeffs, want)
+
+
+@pytest.mark.parametrize("h", [1e-3, 0.25])
+def test_quad_bisects_until_the_tolerance_is_met(h):
+    # sqrt has an infinite slope at 0, so one 21-point pass misses 1e-11
+    # relative; the worst piece is bisected until the estimate meets it
+    calls = []
+
+    def f(t):
+        calls.append(len(t))
+        return np.sqrt(t)
+
+    value, err = quad(f, 0.0, h, **QUAD_TOL)
+    exact = 2.0 / 3.0 * h ** 1.5
+    tol = max(QUAD_TOL["epsabs"], QUAD_TOL["epsrel"] * exact)
+    assert len(calls) > 1 and set(calls) == {21}
+    assert err <= tol
+    assert abs(value - exact) <= tol
+
+
+def test_cell_missing_the_tolerance_is_refused_with_its_cell():
+    # no 200 pieces resolve sin(1e9 t), so the cut cell 5 is refused where
+    # scipy.integrate.quad only warned and returned its estimate
+    spec = DensitySpec(breakpoints=(math.exp(0.52),),
+                       log_density=lambda t: np.sin(1e9 * np.asarray(t)))
+    with pytest.raises(ParameterError, match=r"density cell 5 .*200 pieces"):
+        discretize(spec, LogGrid(0.1, 20), weight_sigma=1.0)

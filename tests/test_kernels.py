@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.fft import next_fast_len
 
 from beurling import kernels
 from beurling.grid import LogGrid
@@ -264,6 +265,18 @@ def test_every_transform_length_is_5_smooth(monkeypatch, n):
         mul_trunc(a, a[::-1], m)
     assert lengths
     assert [k for k in lengths if k % 2 or not _is_5_smooth(k // 2)] == []
+    # the search is pocketfft's real-transform length, scipy's
+    # next_fast_len(m, real=True): on 1 .. n, and near every precision of
+    # the ladders of n and of the kahane and de Haan grids, and their halves
+    near = set(range(1, n + 1))
+    for top in (n, 500_001, 2_800_001):
+        p = top
+        while p > 1:
+            for q in (p, (p + 1) // 2):
+                near.update(range(max(1, q - 64), q + 65))
+            p = (p + 1) // 2
+    assert [m for m in sorted(near)
+            if kernels._smooth_len(m) != next_fast_len(m, real=True)] == []
 
 
 def test_product_refuses_a_spectrum_of_another_length():
@@ -289,9 +302,12 @@ def test_product_refuses_a_spectrum_of_another_length():
         kernels._product(xs, ys, 0, 600, 1200, fy)
 
 
-@pytest.mark.parametrize("n", [600, 601])
+@pytest.mark.parametrize("n", [600, 601, kernels._FOUR_STEP_MIN + 1,
+                               2 * kernels._FOUR_STEP_MIN])
 def test_right_angle_product_matches_convolve(n):
-    # x is longer than size / 2, so both halves of its packing carry data
+    # x is longer than size / 2, so both halves of its packing carry data;
+    # the last two n put size / 2 either side of _FOUR_STEP_MIN, so that
+    # one 1-D transform and the four-step both run
     rng = np.random.default_rng(24 + n)
     x = rng.standard_normal(n)
     y = rng.standard_normal(n // 2)

@@ -29,7 +29,7 @@ from beurling import (ConstructionError, DensitySpec, LogGrid, Measure,
                       kahane_tail_exp, negate, prime_power_mass, primitive,
                       relative_gap, sample_ratio, tilt, zero)
 from beurling.kernels import exp_recurrence
-from beurling.systems import TAIL_CUT, _tail_density_log
+from beurling.systems import NOISE_FLOOR, TAIL_CUT, _tail_density_log
 from conftest import u_density
 
 H = 1e-3
@@ -285,7 +285,8 @@ def test_hypothesis_report_conclusion_matches_unweighted_route():
     got = rep.series["m_ratio"].values
     assert float(np.max(np.abs(got - raw) / np.abs(raw))) <= 1e-12
     decay = check_decay(rep.series["m_ratio"])
-    assert rep.conclusion.values == decay.values
+    assert rep.conclusion.values == {"final": abs(float(got[-1])),
+                                     "floor": NOISE_FLOOR, **decay.values}
     assert rep.conclusion.passed
 
 

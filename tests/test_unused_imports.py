@@ -1,5 +1,6 @@
 """Every name a package module imports is used in that module, and every
-module-level definition is referenced somewhere in the package.
+module-level definition is referenced somewhere in the package.  The
+package runs on numpy alone: no scipy module loads.
 
 A standard-library ast walk, since no linter is assumed installed.  The
 package __init__ is exempt from the import check: its imports are the public
@@ -7,7 +8,10 @@ re-exports, and they count as references for the definition check.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -106,3 +110,32 @@ def test_checker_finds_a_named_kernel():
 def test_only_the_rule_and_the_oracle_name_the_recurrence():
     sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     assert set(modules_naming("exp_recurrence", sources)) <= REFERENCE_EXP_USERS
+
+
+# A fresh interpreter imports the package and its CLI, splits a density cell
+# at a breakpoint by quadrature and runs one FFT exp pair whose products are
+# large enough for both the 1-D and the four-step transforms; then lists
+# every scipy module loaded on the way, so that none comes back as a lazy
+# import paid in a first call.
+NO_SCIPY_PROBE = """
+import sys
+import beurling, beurling.cli
+from beurling import kernels
+from beurling.grid import LogGrid
+from beurling.systems import build_kahane_pi
+grid = LogGrid(1e-3, 1 << 16)
+a = build_kahane_pi(grid, weight_sigma=1.0).coeffs
+assert a.shape[0] ** 2 > kernels._DIRECT_WORK_LIMIT
+kernels.exp_star_pair(a, grid.h)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_the_package_runs_without_loading_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    res = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE], capture_output=True,
+                         text=True, env=env, timeout=120, check=False)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
