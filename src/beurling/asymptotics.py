@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FitError, ParameterError
-from .measure import Measure, checkpoint_sums, mellin
+from .measure import Measure, mellin
 
 EULER_GAMMA = float(np.euler_gamma)
 TAIL_RULE = 14.0  # (sigma - 1) * n * h >= 14 keeps e^{-(sigma-1) n h} < 1e-6
@@ -75,26 +75,6 @@ class FitReport(Checked):
     verdicts: tuple
     criterion: str
     details: dict = field(default_factory=dict)
-
-
-def sample_ratio(a: Measure, weight: str, checkpoints, b: float | None = None) -> CheckpointSeries:
-    """primitive(a, e^t) times a named weight at each checkpoint t.
-
-    weight is one of "1/x", "logx/x", "log^b/x" (b required for the last).
-    """
-    ts = np.asarray(sorted(checkpoints), dtype=float)
-    prims = checkpoint_sums(a, ts)
-    if weight == "1/x":
-        w = np.exp(-ts)
-    elif weight == "logx/x":
-        w = ts * np.exp(-ts)
-    elif weight == "log^b/x":
-        if b is None:
-            raise ValueError("weight log^b/x needs the exponent b")
-        w = ts ** b * np.exp(-ts)
-    else:
-        raise ValueError(f"unknown weight {weight!r}")
-    return CheckpointSeries(ts, prims * w, f"{weight} ratio")
 
 
 def check_ladder(log_points, tail_k: int = 5) -> None:

@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Subcommands: build, identities, kahane, hypotheses, mellin-fit, bench.
-Every subcommand but bench prints its verdicts, one stdout line
+Subcommands: build, identities, kahane, hypotheses, mellin-fit.
+Every subcommand prints its verdicts, one stdout line
 `<check>: key=value ... pass|FAIL` each, with what the check measured and
 its thresholds, plus one machine-readable stderr line per failed check,
 `FAIL <check> key=value ...`.  Exit status is 0 when every check passes, 1
@@ -26,7 +26,7 @@ from .grid import LogGrid
 from .measure import load_measure, save_measure
 from .pipelines import (KAHANE_GRID, de_haan_experiment, kahane_pipeline,
                         mellin_alpha_experiment)
-from .selfcheck import benchmark_exp, fft_scaling_exponent, run_identity_suite
+from .selfcheck import run_identity_suite
 from .systems import DEFAULT_CHECKPOINTS, build_system, hypothesis_report
 
 
@@ -121,27 +121,6 @@ def cmd_mellin_fit(args) -> int:
     return _report(mrep.verdicts + drep.verdicts)
 
 
-def cmd_bench(args) -> int:
-    rows = benchmark_exp()
-    out = _outdir(args)
-    path = os.path.join(out, "bench.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("# exp-star timings, li-type weighted input\n")
-        fh.write("n,recurrence_s,fft_s,relative_gap\n")
-        for row in rows:
-            rec = "" if row["recurrence_s"] is None else repr(row["recurrence_s"])
-            gap = "" if row["gap"] is None else repr(row["gap"])
-            fh.write(f"{row['n']},{rec},{repr(row['fft_s'])},{gap}\n")
-    for row in rows:
-        rec = "-" if row["recurrence_s"] is None else f"{row['recurrence_s']:.3f}s"
-        gap = "-" if row["gap"] is None else f"{row['gap']:.2e}"
-        print(f"n={row['n']:>8} recurrence={rec:>9} fft={row['fft_s']:.3f}s gap={gap}")
-    exponent = fft_scaling_exponent(rows)
-    print(f"fft scaling exponent: {exponent:.3f}")
-    print(f"wrote {path}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="beurling",
@@ -198,10 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "(give with --h)")
     common(p, "tol", tol=0.02)
     p.set_defaults(func=cmd_mellin_fit)
-
-    p = sub.add_parser("bench", help="time recurrence vs FFT exp-star")
-    common(p)
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -23,7 +23,6 @@ All functions treat measures as immutable values and return new objects.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -71,11 +70,6 @@ def zero(grid: LogGrid) -> Measure:
 def add(a: Measure, b: Measure) -> Measure:
     a.grid.require_same(b.grid)
     return Measure(a.grid, a.coeffs + b.coeffs)
-
-
-def subtract(a: Measure, b: Measure) -> Measure:
-    a.grid.require_same(b.grid)
-    return Measure(a.grid, a.coeffs - b.coeffs)
 
 
 def scale(a: Measure, factor: float) -> Measure:
@@ -211,11 +205,6 @@ def primitive(a: Measure, x: float) -> float:
     return float(checkpoint_sums(a, [_log_point(x)])[0])
 
 
-def harmonic_primitive(a: Measure, x: float) -> float:
-    """integral over [1, x] of dA(u)/u: sum of c_k e^{-kh} through log x."""
-    return float(checkpoint_sums(tilt(a, 1.0), [_log_point(x)])[0])
-
-
 def mellin(a: Measure, sigma):
     """Truncated Mellin transform sum_k c_k e^{-sigma k h}, for a scalar
     sigma (returns a float) or a 1-d array of sigma (returns an array).
@@ -270,20 +259,25 @@ def save_measure(a: Measure, path) -> None:
 
 
 def load_measure(path) -> Measure:
+    """Read a save_measure file.  A missing or foreign tag line, a header
+    without h and n, or a non-numeric coefficient is a ParameterError."""
     with open(path) as fh:
-        return _read_measure(fh)
-
-
-def _read_measure(fh: io.TextIOBase) -> Measure:
-    header = fh.readline().strip()
-    while header.startswith("#"):
+        tag = fh.readline().strip()
+        if tag != f"# {FORMAT_TAG}":
+            raise ParameterError(f"{path}: first line {tag!r} is not '# {FORMAT_TAG}'")
         header = fh.readline().strip()
-    fields = dict(part.split("=", 1) for part in header.split(","))
-    grid = LogGrid(h=float(fields["h"]), n=int(fields["n"]))
-    # one coefficient per line; split() also drops blank lines
-    body = fh.read().split()
-    coeffs = np.fromiter(map(float, body), dtype=float, count=len(body))
-    return Measure(grid, coeffs)
+        try:
+            fields = dict(part.split("=", 1) for part in header.split(","))
+            h, n = float(fields["h"]), int(fields["n"])
+        except (KeyError, ValueError):
+            raise ParameterError(f"{path}: header {header!r} is not h=<step>,n=<size>") from None
+        # one coefficient per line; split() also drops blank lines
+        body = fh.read().split()
+    try:
+        coeffs = np.fromiter(map(float, body), dtype=float, count=len(body))
+    except ValueError as exc:
+        raise ParameterError(f"{path}: {exc}") from None
+    return Measure(LogGrid(h=h, n=n), coeffs)
 
 
 def relative_gap(a, b) -> float:

@@ -26,7 +26,7 @@ from .asymptotics import (Checked, CheckpointSeries, FitReport, Verdict,
 from .errors import RangeError
 from .grid import LogGrid
 from .measure import (Measure, apply_log, checkpoint_sums, exp_star,
-                      exp_star_pairs, mellin, tilt)
+                      exp_star_pairs, mellin)
 from .systems import DEFAULT_CHECKPOINTS, build_kahane_pi, kahane_tail
 
 KAHANE_GRID = LogGrid(1e-4, 500_001)
@@ -46,17 +46,6 @@ class KahaneReport(Checked):
     g_passed: bool
     mk_route_gap: float
     verdicts: tuple
-
-
-@dataclass(frozen=True)
-class GrowthDiagnostics(Checked):
-    series: dict
-    verdicts: tuple
-
-    @property
-    def bounded(self) -> dict:
-        """{series name: whether its verdict calls it bounded}."""
-        return {v.name.removeprefix("bounded_"): v.passed for v in self.verdicts}
 
 
 def kahane_pipeline(grid: LogGrid | None = None, checkpoints=DEFAULT_CHECKPOINTS,
@@ -137,41 +126,6 @@ def kahane_pipeline(grid: LogGrid | None = None, checkpoints=DEFAULT_CHECKPOINTS
     return KahaneReport(grid, series, decay, growth, identity_max_rel,
                         identity_passed, g_final, g_passed, mk_route_gap,
                         verdicts)
-
-
-def growth_diagnostics(e: Measure, checkpoints=DEFAULT_CHECKPOINTS,
-                       eps=(0.1, 0.5), weight_sigma: float = 0.0) -> GrowthDiagnostics:
-    """Exponentiate a nonnegative perturbation and track its growth.
-
-    For dF+ = exp*(dE) and dH+ = L dF+, reports int dF+/u / log^eps x and
-    H+(x) / (x log^eps x) at the checkpoints, with one verdict
-    bounded_<series> per series.  A series is flagged unbounded when its
-    last five values strictly increase and the final value exceeds 1.5x the
-    first; this is a finite-checkpoint trend call, not a proof either way.
-    """
-    if np.any(e.coeffs < 0):
-        raise ValueError("perturbation must be nonnegative coefficient-wise")
-    ts = np.asarray(sorted(checkpoints), dtype=float)
-    e_w = tilt(e, 1.0 - weight_sigma)
-    f_w = exp_star(e_w)
-    f_harm = checkpoint_sums(f_w, ts)
-    h_over_x = checkpoint_sums(apply_log(f_w), ts, 1.0)
-    series, verdicts = {}, []
-    for ep in eps:
-        f_name, h_name = f"f_harmonic_eps{ep:g}", f"h_over_x_eps{ep:g}"
-        series[f_name] = CheckpointSeries(ts, f_harm / ts ** ep,
-                                          f"int dF+/u / log^{ep:g} x")
-        series[h_name] = CheckpointSeries(ts, h_over_x / ts ** ep,
-                                          f"H+(x) / (x log^{ep:g} x)")
-        for name in (f_name, h_name):
-            vals = series[name].values
-            first, final = float(vals[0]), float(vals[-1])
-            rising_tail = bool(np.all(np.diff(vals[-min(5, len(vals)):]) > 0))
-            verdicts.append(Verdict(f"bounded_{name}",
-                                    not (rising_tail and final > 1.5 * first),
-                                    {"first": first, "final": final,
-                                     "rising_tail": rising_tail}))
-    return GrowthDiagnostics(series, tuple(verdicts))
 
 
 def mellin_alpha_experiment(grid: LogGrid | None = None, sigma_grid=None,

@@ -28,8 +28,6 @@ from .measure import (Measure, add, apply_log, convolve, delta_one, invert,
 _LAWS = ("commutativity", "associativity", "identity", "derivation",
          "chebyshev", "series_oracle", "exponential_law", "inverse_law")
 
-RECURRENCE_CAP = 1 << 14  # O(n^2) beyond this is minutes, not seconds
-
 
 @dataclass(frozen=True)
 class SuiteResult(Checked):
@@ -126,41 +124,3 @@ def run_identity_suite(seed: int = 2026, count: int = 100, n: int = 256,
                      for law, gap in worst.items())
     return SuiteResult(worst, tol, count, time.perf_counter() - t0, verdicts)
 
-
-def benchmark_exp(sizes=None, h: float = 0.01) -> list:
-    """Time the recurrence and FFT exp-star paths on a smooth positive input.
-
-    The input is the li-part prime density in u^{-1}-weighted form, so it
-    stays well scaled at every size.  The recurrence is only timed up to
-    RECURRENCE_CAP; above that only the FFT path runs.  Returns one row
-    per size with timings and, where both ran, their relative gap.
-    """
-    from .systems import build_li_pi
-
-    if sizes is None:
-        sizes = [1 << p for p in range(12, 21)]
-    rows = []
-    for n in sizes:
-        grid = LogGrid(h, int(n))
-        a = build_li_pi(grid, weight_sigma=1.0).coeffs
-        t0 = time.perf_counter()
-        e_fft = kernels.exp_newton(a, grid.h)
-        t_fft = time.perf_counter() - t0
-        row = {"n": int(n), "fft_s": t_fft, "recurrence_s": None, "gap": None}
-        if n <= RECURRENCE_CAP:
-            t0 = time.perf_counter()
-            e_rec = kernels.exp_recurrence(a)
-            row["recurrence_s"] = time.perf_counter() - t0
-            row["gap"] = relative_gap(e_fft, e_rec)
-        rows.append(row)
-    return rows
-
-
-def fft_scaling_exponent(rows, min_n: int = 1 << 16) -> float:
-    """Least-squares slope of log time against log n for the FFT path."""
-    pts = [(r["n"], r["fft_s"]) for r in rows if r["n"] >= min_n and r["fft_s"] > 0]
-    if len(pts) < 2:
-        raise ValueError("need at least two timed sizes above min_n")
-    ln = np.log([p[0] for p in pts])
-    lt = np.log([p[1] for p in pts])
-    return float(np.polyfit(ln, lt, 1)[0])

@@ -96,21 +96,6 @@ def build_kahane_pi(grid: LogGrid, weight_sigma: float = 0.0) -> Measure:
     return add(build_li_pi(grid, weight_sigma), kahane_tail(grid, weight_sigma))
 
 
-def kahane_tail_exp(grid: LogGrid, sign: int, weight_sigma: float = 0.0) -> Measure:
-    """exp*(sign * tail): the positive/negative exponentials of the added
-    component.  The harmonic primitive of the sign = -1 case is the
-    alternating sum studied by the decay pipeline.
-
-    The exponential runs on the u^{-1}-weighted copy, and the result is
-    weighted back to u^{-weight_sigma}."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    a = kahane_tail(grid, weight_sigma)
-    rest = 1.0 - weight_sigma
-    e_w = exp_star(tilt(a if sign == 1 else negate(a), rest))
-    return tilt(e_w, -rest)
-
-
 def _snap(x: np.ndarray, h: float) -> np.ndarray:
     """Lattice index, as a float, of each integer x >= 1 in log scale."""
     return np.rint(np.log(x.astype(float)) / h)

@@ -1,10 +1,11 @@
-"""Session-scoped fixtures for the expensive acceptance artifacts, and
-u_density, which writes a test density as a function of u.
+"""Session-scoped fixtures for the expensive acceptance artifacts;
+u_density, which writes a test density as a function of u; and
+exp_timings, which times the FFT exp for criterion 09.
 
-The full-resolution Kahane run, the two transform-side experiments, and the
-exp-star benchmark each take seconds to minutes; they are built once per
-session and shared by every test that needs them.  Each fixture returns
-(result, wall_seconds) so runtime criteria can be asserted where required.
+The full-resolution Kahane run and the two transform-side experiments each
+take seconds; they are built once per session and shared by every test that
+needs them.  Each fixture returns (result, wall_seconds) so runtime
+criteria can be asserted where required.
 
 Two further fixtures are exact references for the Kahane tail, computed
 from closed-form integrals without the lattice, exp-star or any package
@@ -31,10 +32,10 @@ from scipy.fft import irfft, next_fast_len, rfft  # noqa: E402
 from scipy.integrate import quad  # noqa: E402
 from scipy.interpolate import CubicSpline  # noqa: E402
 
+from beurling import LogGrid, build_li_pi, kernels, relative_gap  # noqa: E402
 from beurling.density import DensitySpec  # noqa: E402
 from beurling.pipelines import (  # noqa: E402
     de_haan_experiment, kahane_pipeline, mellin_alpha_experiment)
-from beurling.selfcheck import benchmark_exp  # noqa: E402
 
 
 def u_density(f, **fields):
@@ -65,9 +66,22 @@ def de_haan_acceptance():
     return _timed(de_haan_experiment)
 
 
-@pytest.fixture(scope="session")
-def bench_rows():
-    return benchmark_exp()
+def exp_timings():
+    """({n: seconds of kernels.exp_newton}, gap to exp_recurrence at 2^12).
+
+    The input is the u^{-1}-weighted li density at h = 0.01, which stays
+    well scaled at every size; n runs over 2^12 and 2^16 .. 2^20.
+    """
+    seconds, gap = {}, None
+    for n in [1 << 12] + [1 << p for p in range(16, 21)]:
+        grid = LogGrid(0.01, n)
+        a = build_li_pi(grid, weight_sigma=1.0).coeffs
+        t0 = time.perf_counter()
+        e_fft = kernels.exp_newton(a, grid.h)
+        seconds[n] = time.perf_counter() - t0
+        if gap is None:
+            gap = relative_gap(e_fft, kernels.exp_recurrence(a))
+    return seconds, gap
 
 
 def _tail_convolution_primitives(d, w_end):

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from beurling import (CheckpointSeries, EULER_GAMMA, FitError, LogGrid,
-                      check_decay, check_growth, delta_one, exp_star,
-                      fit_de_haan, fit_loglog_model, fit_mellin_expansion,
-                      kahane_tail, negate, sample_ratio, zero)
+                      check_decay, check_growth, exp_star, fit_de_haan,
+                      fit_loglog_model, fit_mellin_expansion, kahane_tail,
+                      negate, zero)
 from beurling import asymptotics
 from beurling.measure import Measure, add
 
@@ -28,35 +28,6 @@ def test_checkpoint_series_validation():
         CheckpointSeries(np.array([1.0, 1.0]), np.array([3.0, 4.0]))
     with pytest.raises(ValueError):
         CheckpointSeries(np.array([1.0, 2.0]), np.array([3.0]))
-
-
-# ------------------------------------------------------------ sample_ratio
-
-def test_sample_ratio_of_delta():
-    g = LogGrid(0.1, 64)
-    d = delta_one(g)
-    ts = np.array([1.0, 2.0, 4.0])
-    one_over_x = sample_ratio(d, "1/x", ts)
-    assert np.array_equal(one_over_x.log_points, ts)
-    assert np.allclose(one_over_x.values, np.exp(-ts), rtol=1e-15)
-    log_over_x = sample_ratio(d, "logx/x", ts)
-    assert np.allclose(log_over_x.values, ts * np.exp(-ts), rtol=1e-15)
-    powered = sample_ratio(d, "log^b/x", ts, b=2.0)
-    assert np.allclose(powered.values, ts ** 2 * np.exp(-ts), rtol=1e-15)
-
-
-def test_sample_ratio_sorts_checkpoints():
-    g = LogGrid(0.1, 64)
-    s = sample_ratio(delta_one(g), "1/x", [4.0, 1.0, 2.0])
-    assert np.array_equal(s.log_points, np.array([1.0, 2.0, 4.0]))
-
-
-def test_sample_ratio_weight_validation():
-    g = LogGrid(0.1, 64)
-    with pytest.raises(ValueError):
-        sample_ratio(delta_one(g), "log^b/x", [1.0, 2.0])
-    with pytest.raises(ValueError):
-        sample_ratio(delta_one(g), "x^2", [1.0, 2.0])
 
 
 # ------------------------------------------------------- decay and growth
@@ -308,50 +279,3 @@ def test_s_halves_between_t10_and_t50(tail_s_reference):
     ratio, ref_ratio = vals[-1] / vals[0], ref[-1] / ref[0]
     assert abs(ratio / ref_ratio - 1.0) <= 2e-5, (ratio, ref_ratio)
 
-
-# ----------------------------------------------------- growth diagnostics
-
-def test_growth_diagnostics_tail_stays_bounded_at_half_power():
-    from beurling import growth_diagnostics
-
-    g = LogGrid(1e-2, 5_001)
-    diag = growth_diagnostics(kahane_tail(g, 1.0), weight_sigma=1.0)
-    assert set(diag.series) == {"f_harmonic_eps0.1", "h_over_x_eps0.1",
-                                "f_harmonic_eps0.5", "h_over_x_eps0.5"}
-    # log^0.5 dominates the exponentiated tail on both diagnostics;
-    # the eps=0.1 trend is a close call and deliberately not asserted
-    assert diag.bounded["f_harmonic_eps0.5"]
-    assert diag.bounded["h_over_x_eps0.5"]
-
-
-def test_growth_diagnostics_flags_li_sized_input_unbounded():
-    from beurling import build_li_pi, growth_diagnostics
-
-    # the full prime density is no perturbation: exp gives N(x) = x, so
-    # int dF/u = log x and H(x)/x = log x - 1, both beating log^0.5
-    g = LogGrid(1e-2, 5_001)
-    diag = growth_diagnostics(build_li_pi(g, 1.0), weight_sigma=1.0)
-    assert not diag.bounded["f_harmonic_eps0.5"]
-    assert not diag.bounded["h_over_x_eps0.5"]
-
-
-def test_growth_diagnostics_decide_by_verdicts():
-    from beurling import build_li_pi, growth_diagnostics
-
-    g = LogGrid(1e-2, 5_001)
-    diag = growth_diagnostics(build_li_pi(g, 1.0), weight_sigma=1.0)
-    assert [v.name for v in diag.verdicts] == [f"bounded_{name}" for name in diag.series]
-    for v in diag.verdicts:
-        vals = diag.series[v.name.removeprefix("bounded_")].values
-        assert v.values == {"first": vals[0], "final": vals[-1],
-                            "rising_tail": bool(np.all(np.diff(vals[-5:]) > 0))}
-        assert v.passed == diag.bounded[v.name.removeprefix("bounded_")]
-    assert not diag.passed
-
-
-def test_growth_diagnostics_rejects_signed_input():
-    from beurling import growth_diagnostics
-
-    g = LogGrid(0.1, 64)
-    with pytest.raises(ValueError, match="nonnegative"):
-        growth_diagnostics(negate(delta_one(g)))

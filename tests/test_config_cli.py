@@ -550,12 +550,6 @@ def test_cli_mellin_fit_refuses_lone_grid_flag(tmp_path, capsys, flag):
     ("hypotheses", "--tol", "1e-3"),
     ("hypotheses", "--seed", "7"),
     ("hypotheses", "--fft", "auto"),
-    ("bench", "--h", "0.01"),
-    ("bench", "--n", "512"),
-    ("bench", "--tol", "1e-3"),
-    ("bench", "--fft", "on"),
-    ("bench", "--seed", "7"),
-    ("bench", "--checkpoints", "5,10"),
 ])
 def test_cli_refuses_flags_the_command_ignores(tmp_path, capsys, command, flag, value):
     argv = [command, flag, value, "--out", str(tmp_path / "o")]
@@ -592,9 +586,13 @@ def test_cli_identities_check_only_the_recurrence(tmp_path, capsys,
     assert "pass" in capsys.readouterr().out
 
 
-def test_cli_unknown_command():
-    with pytest.raises(SystemExit):
-        main(["frobnicate"])
+def test_cli_unknown_command(capsys):
+    # bench is no subcommand: perfbench times the package
+    for command in ("frobnicate", "bench"):
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
 
 def test_cli_module_entry_point(tmp_path):
@@ -607,21 +605,3 @@ def test_cli_module_entry_point(tmp_path):
     assert proc.returncode == 0
     assert "built li system" in proc.stdout
 
-
-def test_cli_bench_writes_csv(tmp_path, monkeypatch, capsys):
-    # benchmark timings are exercised by the selfcheck tests; here only the
-    # CSV contract and summary lines matter, so feed cmd_bench canned rows
-    rows = [
-        {"n": 1 << 16, "fft_s": 0.05, "recurrence_s": 2.0, "gap": 3e-11},
-        {"n": 1 << 17, "fft_s": 0.11, "recurrence_s": None, "gap": None},
-        {"n": 1 << 18, "fft_s": 0.24, "recurrence_s": None, "gap": None},
-    ]
-    monkeypatch.setattr("beurling.cli.benchmark_exp", lambda: rows)
-    assert main(["bench", "--out", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    assert "fft scaling exponent:" in out
-    lines = (tmp_path / "bench.csv").read_text().splitlines()
-    assert lines[0].startswith("#")
-    assert lines[1] == "n,recurrence_s,fft_s,relative_gap"
-    assert lines[2] == "65536,2.0,0.05,3e-11"
-    assert lines[3] == "131072,,0.11,"

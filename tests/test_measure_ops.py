@@ -16,10 +16,9 @@ import pytest
 from beurling import (GridMismatchError, LogGrid, Measure, ParameterError,
                       RangeError, add, apply_log, checkpoint_sums, convolve,
                       delta_one, exp_star, exp_star_pair, exp_star_pairs,
-                      harmonic_primitive, invert, kahane_pipeline, kahane_tail,
-                      load_measure, log_star, mellin, negate, pipelines,
-                      primitive, relative_gap, save_measure, scale, subtract,
-                      variation, zero)
+                      invert, kahane_pipeline, kahane_tail, load_measure,
+                      log_star, mellin, negate, pipelines, primitive,
+                      relative_gap, save_measure, scale, tilt, variation, zero)
 from beurling.kernels import exp_recurrence
 
 H = 1e-3
@@ -63,7 +62,7 @@ def test_linear_ops():
     a = Measure(g, np.arange(8.0))
     b = Measure(g, np.ones(8))
     assert np.array_equal(add(a, b).coeffs, np.arange(8.0) + 1.0)
-    assert np.array_equal(subtract(a, b).coeffs, np.arange(8.0) - 1.0)
+    assert np.array_equal(add(a, negate(b)).coeffs, np.arange(8.0) - 1.0)
     assert np.array_equal(scale(a, 2.0).coeffs, 2.0 * np.arange(8.0))
     assert np.array_equal(negate(a).coeffs, -np.arange(8.0))
     assert np.array_equal(zero(g).coeffs, np.zeros(8))
@@ -242,7 +241,7 @@ def test_invert_needs_mass_at_one():
 
 def test_geometric_inverse_of_delta_minus_harmonic():
     # (delta - du/u)^{-1} = sum_m (du/u)^{*m} has primitive e^t
-    a = subtract(delta_one(GRID), harmonic_measure())
+    a = add(delta_one(GRID), negate(harmonic_measure()))
     inv = invert(a)
     for t in (2.0, 5.0, 10.0):
         k = GRID.index_of_log(t)
@@ -293,12 +292,13 @@ def test_primitive_range_errors():
 
 
 def test_harmonic_primitive_closed_form():
-    a = harmonic_measure()
-    assert harmonic_primitive(delta_one(GRID), 5.0) == 1.0
+    # int_{[1, x]} dA(u)/u is the primitive of the u^{-1}-tilted measure
+    a = tilt(harmonic_measure(), 1.0)
+    assert checkpoint_sums(tilt(delta_one(GRID), 1.0), [math.log(5.0)])[0] == 1.0
     for t in (2.0, 6.0, 10.0):
         k = GRID.index_of_log(t)
         t_eff = (k + 0.5) * H
-        got = harmonic_primitive(a, math.exp(t))
+        got = checkpoint_sums(a, [t])[0]
         assert got == pytest.approx(1.0 - math.exp(-t_eff), abs=1e-5)
 
 
@@ -462,6 +462,27 @@ def test_load_skips_blank_lines_and_refuses_a_malformed_one(tmp_path):
     path.write_text("# beurling-measure-v1\nh=0.001,n=3\n1.5\nnot-a-number\n0.25\n")
     with pytest.raises(ValueError):
         load_measure(path)
+
+
+BODY = "1.5\n-2.0\n0.25\n"
+
+
+@pytest.mark.parametrize("text, names", [
+    ("", "first line ''"),
+    ("# other-format\nh=0.001,n=3\n" + BODY, "first line '# other-format'"),
+    ("h=0.001,n=3\n" + BODY, "first line 'h=0.001,n=3'"),
+    ("# beurling-measure-v1\nh=0.001\n" + BODY, "header 'h=0.001'"),
+    ("# beurling-measure-v1\nn=3\n" + BODY, "header 'n=3'"),
+    ("# beurling-measure-v1\nh=0.001,n=three\n" + BODY, "header 'h=0.001,n=three'"),
+    ("# beurling-measure-v1\nh=0.001,n=3\n1.5\n1,5\n0.25\n", "'1,5'"),
+], ids=["empty", "foreign-tag", "no-tag", "no-n", "no-h", "bad-n", "bad-coefficient"])
+def test_load_refuses_a_malformed_file_naming_it(tmp_path, text, names):
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    with pytest.raises(ParameterError) as exc:
+        load_measure(path)
+    assert str(exc.value).startswith(f"{path}: ")
+    assert names in str(exc.value)
 
 
 def test_save_format_header(tmp_path):

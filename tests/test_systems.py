@@ -25,9 +25,9 @@ from beurling import (ConstructionError, DensitySpec, LogGrid, Measure,
                       RangeError, SystemSpec, add, assemble_pi,
                       build_classical_pi, build_kahane_pi, build_li_pi,
                       build_system, check_decay, convolve, delta_one,
-                      discretize, exp_star, hypothesis_report, kahane_tail,
-                      kahane_tail_exp, negate, prime_power_mass, primitive,
-                      relative_gap, sample_ratio, tilt, zero)
+                      checkpoint_sums, discretize, exp_star,
+                      hypothesis_report, kahane_tail, negate,
+                      prime_power_mass, primitive, relative_gap, tilt, zero)
 from beurling.kernels import exp_recurrence
 from beurling.systems import NOISE_FLOOR, TAIL_CUT, _tail_density_log
 from conftest import u_density
@@ -169,21 +169,27 @@ def test_tail_needs_room():
         kahane_tail(LogGrid(0.1, 20))
     with pytest.raises(RangeError):
         build_kahane_pi(LogGrid(0.1, 30))
-    with pytest.raises(ValueError):
-        kahane_tail_exp(GRID, sign=0)
 
 
 # -------------------------------------------- tail exponentials (dB+, dB-)
 
+def tail_exp(grid, sign, weight_sigma=0.0):
+    """exp*(sign * tail) at weight u^{-weight_sigma}: exp_star runs on the
+    u^{-1}-weighted copy, and the result is weighted back."""
+    a = kahane_tail(grid, weight_sigma)
+    rest = 1.0 - weight_sigma
+    return tilt(exp_star(tilt(a if sign == 1 else negate(a), rest)), -rest)
+
+
 def test_tail_exponentials_invert_each_other():
-    bp = kahane_tail_exp(GRID, sign=+1)
-    bm = kahane_tail_exp(GRID, sign=-1)
+    bp = tail_exp(GRID, sign=+1)
+    bm = tail_exp(GRID, sign=-1)
     probe = convolve(bp, bm)
     assert relative_gap(probe, delta_one(GRID)) <= 1e-8
 
 
 def tail_exp_recurrence(grid, sign, weight_sigma=0.0):
-    """kahane_tail_exp with the reference recurrence in place of exp_star."""
+    """tail_exp with the reference recurrence in place of exp_star."""
     rest = 1.0 - weight_sigma
     a_w = tilt(kahane_tail(grid, weight_sigma), rest).coeffs
     return tilt(Measure(grid, exp_recurrence(sign * a_w)), -rest)
@@ -194,12 +200,12 @@ def tail_exp_recurrence(grid, sign, weight_sigma=0.0):
 def test_tail_exp_fft_tracks_recurrence(sign, weight_sigma):
     # exp*(+tail) at the same weight is the envelope of both signs; below
     # the cutoff cell the exact values are 0 and the Newton exp, which
-    # kahane_tail_exp runs at this size, leaves rounding noise relative to
+    # tail_exp runs at this size, leaves rounding noise relative to
     # the unit mass at u = 1
     g = LogGrid(BUILD_H, 1 << 15)
     env = tail_exp_recurrence(g, 1, weight_sigma).coeffs
     rec = tail_exp_recurrence(g, sign, weight_sigma).coeffs
-    fft = kahane_tail_exp(g, sign, weight_sigma).coeffs
+    fft = tail_exp(g, sign, weight_sigma).coeffs
     assert np.all(np.abs(fft - rec) <= 1e-12 * env + 1e-15)
 
 
@@ -281,7 +287,7 @@ def test_hypothesis_report_conclusion_matches_unweighted_route():
     rep = hypothesis_report(spec)
     m_w = exp_star(negate(assemble_pi(spec, weight_sigma=1.0)))
     ts = rep.series["m_ratio"].log_points
-    raw = sample_ratio(tilt(m_w, -1.0), "1/x", ts).values
+    raw = checkpoint_sums(tilt(m_w, -1.0), ts) * np.exp(-ts)
     got = rep.series["m_ratio"].values
     assert float(np.max(np.abs(got - raw) / np.abs(raw))) <= 1e-12
     decay = check_decay(rep.series["m_ratio"])

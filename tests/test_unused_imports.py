@@ -1,21 +1,25 @@
-"""Every name a package module imports is used in that module, and every
-module-level definition is referenced somewhere in the package.  The
+"""Every name a package module imports is used in that module, every
+module-level definition is referenced somewhere in the package, and every
+public re-export is used by the package or named in README.md.  The
 package runs on numpy alone: no scipy module loads.
 
 A standard-library ast walk, since no linter is assumed installed.  The
 package __init__ is exempt from the import check: its imports are the public
-re-exports, and they count as references for the definition check.
+re-exports, and they count as references for the definition check, but not
+for the re-export check.
 """
 
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "beurling"
+README = SRC.parent.parent / "README.md"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -90,9 +94,31 @@ def test_every_definition_is_referenced():
     assert unreferenced_definitions(sources) == []
 
 
+def unused_exports(init: str, sources: dict, readme: str) -> list:
+    """Names the package __init__ imports that no other module references
+    and README does not name."""
+    exported = {alias.asname or alias.name for node in ast.parse(init).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    refs = set().union(*(references(src) for src in sources.values()))
+    return sorted(exported - refs - set(re.findall(r"\w+", readme)))
+
+
+def test_checker_flags_an_unused_export():
+    init = "from .a import f, g, h\n"
+    sources = {"a.py": "def f():\n    pass\ndef g():\n    pass\ndef h():\n    pass\n",
+               "b.py": "from .a import g\n"}
+    assert unused_exports(init, sources, "`h(x)` is public") == ["f"]
+
+
+def test_every_export_is_used_or_documented():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    init = (SRC / "__init__.py").read_text(encoding="utf-8")
+    assert unused_exports(init, sources, README.read_text(encoding="utf-8")) == []
+
+
 # the modules that may name the O(n^2) reference exp: kernels, whose
 # exp_star applies the one size-and-conditioning rule, and selfcheck, whose
-# identity suite and bench check the reference path by name
+# identity suite checks the reference path by name
 REFERENCE_EXP_USERS = {"kernels.py", "selfcheck.py"}
 
 
