@@ -56,6 +56,23 @@ def _parse_checkpoints(text: str):
     return ts
 
 
+def _number(convert, flag: str, domain: str, ok):
+    """An argparse type for a numeric flag: the converted value, or a
+    ConfigError naming the flag when the value is outside its domain.  Text
+    that does not convert stays argparse's usage error."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise ConfigError(f"{flag} must be {domain}, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__  # the name argparse's errors print
+    return parse
+
+
+def _finite(flag: str):
+    return _number(float, flag, "finite", math.isfinite)
+
+
 def _outdir(args) -> str:
     os.makedirs(args.out, exist_ok=True)
     return args.out
@@ -137,9 +154,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--h", type=float, default=h, help="grid step in log u")
             p.add_argument("--n", type=int, default=n, help="grid size")
         if "tol" in flags:
-            p.add_argument("--tol", type=float, default=tol, help="tolerance override")
+            p.add_argument("--tol", default=tol, help="tolerance override",
+                           type=_number(float, "--tol", "finite and positive",
+                                        lambda v: math.isfinite(v) and v > 0))
         if "seed" in flags:
-            p.add_argument("--seed", type=int, default=2026, help="rng seed")
+            p.add_argument("--seed", default=2026, help="rng seed",
+                           type=_number(int, "--seed", "non-negative",
+                                        lambda v: v >= 0))
         if "checkpoints" in flags:
             p.add_argument("--checkpoints", default=",".join(
                 str(int(t)) for t in DEFAULT_CHECKPOINTS),
@@ -162,9 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hypotheses",
                        help="hypothesis diagnostics for a configured system")
     p.add_argument("--config", required=True)
-    p.add_argument("--a", type=float, default=1.0,
+    p.add_argument("--a", type=_finite("--a"), default=1.0,
                    help="exponent in the |M0(x)| log^a x / x check")
-    p.add_argument("--sigma0", type=float, default=None,
+    p.add_argument("--sigma0", type=_finite("--sigma0"), default=None,
                    help="also check the u^{-sigma0}-weighted tail integral")
     common(p, "grid", "checkpoints")
     p.set_defaults(func=cmd_hypotheses)
@@ -182,8 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # a numeric flag outside its domain raises ConfigError as it parses
+        args = parser.parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         _fail("config", f"error={exc!r}")

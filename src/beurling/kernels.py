@@ -7,18 +7,35 @@ derivation identity L exp* = (L a) * exp* read as a triangular solve) and an
 O(n log n) Newton iteration on top of FFT products.
 
 The Newton iteration doubles the precision of e = exp*(a) each round and
-carries r = 1/e at half that precision alongside (Brent & Kung 1978).  A
-round refines r by one reciprocal step, gets the correction a - log e on
-the new half from ((L a) e) r, and multiplies it into e; the products that
-touch e share one spectrum, the spectrum of r taken for the correction is
-carried into the next round's refine, and each product is taken mod
-t^N + 1 for the shortest length N whose wrap-around misses the
-coefficients it must deliver (Bernstein, "Removing redundancy in
-high-precision Newton iteration", 2004; Hanrot & Zimmermann, "Newton
-iteration revisited", 2004).  Since exp*(-a) = 1/exp*(a), one more
-reciprocal step at full length, reading the carried spectrum, turns the
-tracked r into exp*(-a): exp_newton_pair returns both for about the price
-of one exponential.
+carries r = 1/e at the same precision alongside (Brent & Kung 1978).  A
+round m -> M <= 2m gets the correction eps = a - log e on [m, M) from
+((L a) e) r, multiplies it into e, and then refines r to precision M in
+one inverse transform of spectra it already holds: since e r = 1 mod x^m,
+the step e eps added to e has (e eps) r = eps mod x^(M - m), so the
+reciprocal step needs only
+
+    x^m c = ((e r - 1) + x^m eps) r   on [m, M),
+
+whose spectrum is (fe fr - 1 + t^m feps) fr, and t^m multiplies the
+spectrum point by point (_refine_spectra).  A round thus takes 5 forward
+transforms (e, L a, r, the product q, eps) and 4 inverse ones (q, eps, the
+step, the refine) of its own length, 9 in all, where refining r in
+transforms of its own took 12: 10 at the round's length and 4 at half of
+it.  Each product is taken mod t^N + 1 for the shortest length N whose
+wrap-around misses the coefficients it must deliver (Bernstein, "Removing
+redundancy in high-precision Newton iteration", 2004; Hanrot & Zimmermann,
+"Newton iteration revisited", 2004).  By transform volume, the summed sizes
+of the transforms in units of M(n), one product of two n-term rows (three
+transforms of _fast_len(2n - 1) points), on the weighted Kahane tail:
+
+    n            exp_newton     exp_newton_pair    (refine apart: exp, pair)
+    500,001      2.85 M(n)      3.02 M(n)          3.35, 4.02
+    2,800,001    2.84 M(n)      3.01 M(n)          3.34, 4.01
+
+against 17/6 = 2.83 for Bernstein's exp.  Since exp*(-a) = 1/exp*(a), the
+last round's refine, which a lone exp skips, turns the tracked r into
+exp*(-a): exp_newton_pair returns both for one inverse transform more than
+one exponential.
 
 Products are right-angle (Crandall & Fagin, "Discrete weighted transforms
 and large-integer arithmetic", Math. Comp. 62, 1994).  A real row x of at
@@ -49,12 +66,20 @@ isqrt(A) rows are a table of that many rows times one row per chunk, each
 the outer product of two tables of about sqrt(B) exps, so no table is
 ever full length: a full table cached per length ran the de Haan exp
 (n = 2,800,001) in 1.16-1.21 s warm against 1.24-1.41 s, but it raised
-the peak RSS of a process running that exp from 352 to 483 MB.  Below
+the peak RSS of a process running that exp from 352 to 483 MB.  The row
+weights and chunk tables are cached per size and direction (_tables, at
+most _TABLES_CACHED of them): the ladder of the Kahane pair keeps 2.5 MB
+of them, and that of the de Haan exp 6.6 MB.  Each cached table lives in
+an anonymous mapping of its own, outside the malloc heap.  Kept in the
+heap among the ladder's buffers, they made the peak RSS of the transform
+benchmark jump from run to run between 206 and 238 MB (238 in 3 of 5
+runs; 212 at the parent), against 212.7-212.9 MB in every run in
+mappings.  Below
 _FOUR_STEP_MIN points the split is (1, M), the same code reduced to one
-1-D FFT.  One forward and one inverse transform of one row, median of 25
-(11 at 2.8M) interleaved, on one core of a 2-vCPU Intel Xeon (AVX-512),
-against scipy.fft's 1-D pocketfft with its plan cache, which this
-replaced, and numpy.fft in one 1-D call:
+1-D FFT, whose table is one row of M points.  One forward and one inverse
+transform of one row, median of 25 (11 at 2.8M) interleaved, on one core
+of a 2-vCPU Intel Xeon (AVX-512), against scipy.fft's 1-D pocketfft with
+its plan cache, which this replaced, and numpy.fft in one 1-D call:
 
     N            scipy 1-D    numpy 1-D    this
     1,000        0.038 ms     0.063 ms     0.063 ms (1-D)
@@ -82,14 +107,14 @@ rows: one 2-row call took 40-53 ms at 506,250 points, two 1-D calls 35 ms
 faster end to end on kahane_pipeline, in five alternating pairs of
 processes, so the stacks stay batched.
 
-Every round runs in lockstep up to precision ceil(n/2).  Steps 2 and 3 of
-the last round, whose products have full length, and the pair's closing
-reciprocal step at length n run one row at a time, so that no buffer is
-larger than a single exp's largest.  Run in lockstep too, they raised the
-peak RSS of kahane_pipeline (two pairs at n = 500,001) from 159 to
-179-186 MB, and its tracemalloc peak to 1.41 times that of two sequential
-pairs instead of 1.12 times, for no gain in time.  What the stack keeps
-alive beyond that is the other rows' e and 1/e at precision ceil(n/2).
+Every round runs in lockstep up to precision ceil(n/2).  The last round,
+whose products have full length, runs one row at a time, so that no
+buffer is larger than a single exp's largest.  Run in lockstep too, it
+raised the peak RSS of kahane_pipeline (two pairs at n = 500,001) from 159
+to 179-186 MB, and its tracemalloc peak to 1.41 times that of two
+sequential pairs instead of 1.12 times, for no gain in time.  What the
+stack keeps alive beyond that is the other rows' e and 1/e at precision
+ceil(n/2).
 
 Conditioning note: the exponential of a signed sequence can be dominated by
 cancellation; relative accuracy is only meaningful when the positive
@@ -114,10 +139,32 @@ S - s, with S = sum |a_j| e^{-jh} and s = sum a_j e^{-jh}, is, untruncated,
 the log of the ratio of the weighted masses of exp*(|a|) and exp*(a), since
 the weighted mass of exp*(a) is e^s > 0.  The largest Newton-vs-recurrence
 gap (measure.relative_gap) over 300 inputs c * uniform(-1, 1) at n = 256,
-h = 0.01 (c = 0.006 i, seed i, i = 1..300) grows with it, unevenly:
+h = 0.01 (c = 0.006 i, seed i, i = 1..300) grows with it, unevenly; the
+second row is the same sweep with r refined in products of its own, whose
+e r - 1 dropped the coefficients below m that the round's refine keeps:
 
     excess     <= 8    8-16    16-24   24-32   32-48   48-64   64-100
-    max gap    3e-16   2e-15   4e-15   6e-14   1e-12   4e-8    9e-10
+    max gap    3e-16   3e-15   3e-14   1e-12   7e-11   7e-7    2e-7
+    (apart)    3e-16   2e-15   3e-15   1e-13   1e-12   4e-8    7e-9
+
+The FFT rounds behave alike.  On weighted li + c uniform(-1, 1) (seed 7)
+at h = 0.025, n = 2048, against the exact reference of the test suite
+(max |error| over max |exact|), with the excess of exp*(a) / exp*(-a):
+
+    c      excess       exp_newton(a)  (-a)     pair (a)   (-a)
+    0.1    1.39/2.81    2.2e-15   2.5e-15       2.2e-15   3.3e-15
+    0.2    3.34/4.79    1.3e-13   1.7e-13       1.3e-13   3.3e-13
+    0.3    5.30/6.79    8.0e-12   8.4e-12       8.0e-12   2.0e-11
+    (apart)
+    0.1                 1.7e-15   1.7e-15       1.7e-15   8.2e-15
+    0.2                 6.7e-14   8.1e-14       6.7e-14   1.7e-12
+    0.3                 2.5e-12   2.6e-12       2.5e-12   1.9e-10
+
+The two routes to exp*(-a) are now of one order; refined apart, the
+pair's was up to 20 times worse than the direct one, and the exps 2 to 3
+times better.  On weighted li at h = 0.01, n = 2^16 (excess 0, sum a =
+7.1), exp_newton is within 1.0e-14 of the recurrence, 2.1e-16 refined
+apart; on the Kahane and de Haan inputs the exps moved by 1.7e-16 at most.
 
 So exp_star runs Newton from _NEWTON_MIN_N = 128 on inputs with excess
 <= _NEWTON_MAX_EXCESS = 8, and the recurrence otherwise; exp_star_pair
@@ -133,7 +180,9 @@ invert and log_star run their recurrences on every size.
 """
 from __future__ import annotations
 
+import functools
 import math
+import mmap
 
 import numpy as np
 
@@ -143,10 +192,18 @@ _DIRECT_WORK_LIMIT = 1 << 16
 # against four-step: 0.53 against 0.68 ms at 16,384 points, 0.68 against
 # 0.70 ms at 20,000, 1.18 against 0.76 ms at 22,500
 _FOUR_STEP_MIN = 20_000
+# complex points per block of rows in _refine_spectra, a few of which fit
+# in a core's L2 cache
+_BLOCK = 1 << 13
+# transform sizes whose four-step tables stay cached, forward and inverse
+# counted apart: the ladders of a few exps of different lengths
+_TABLES_CACHED = 64
 # exp_star runs Newton from this length up, on inputs whose
 # cancellation excess (see _log_envelope) is at most _NEWTON_MAX_EXCESS
 _NEWTON_MIN_N = 128
 _NEWTON_MAX_EXCESS = 8.0
+# _finish accepts on the weights a result within this factor of its bounds
+_ROOM = 1.0 - 1e-9
 _LEFT_THE_RANGE = ("exp* result left the double range; keep the computation "
                    "in a weighted (tilted) representation instead")
 
@@ -200,20 +257,67 @@ def _turns(k, count: int, size: int, scale: float = 1.0) -> np.ndarray:
     return table.reshape(table.shape[:-2] + (reach * step,))[..., :count]
 
 
-def _twiddle(view: np.ndarray, size: int, sign: int, scale: float = 1.0) -> None:
-    # view[..., k, b] *= scale w^(sign b (1 - 4k)) in place, w = e^{i pi/size},
-    # over the (A, B) view of the four-step transform, in chunks of
-    # s = isqrt(A) rows: a table of s rows, T[r, b] = scale w^(sign b (1 - 4r)),
-    # times one row w^(-4 sign c b) for the chunk starting at row c
-    rows, cols = view.shape[-2:]
+@functools.lru_cache(maxsize=_TABLES_CACHED)
+def _tables(size: int, sign: int):
+    # The four-step's tables for products mod t^size + 1, forward (sign 1)
+    # or inverse (sign -1, with the 1/M of the inverse folded in), over the
+    # (A, B) split of M = size // 2 points, w = e^{i pi/size}: the row
+    # weights w^(sign B a) as a column (None when A = 1); the twiddles of
+    # the first chunk of s = isqrt(A) rows, T[r, b] = scale w^(sign b (1 - 4r));
+    # and for each later chunk, starting at row c, the row w^(-4 sign c b).
+    half = size // 2
+    rows, cols = _split(half)
     s = math.isqrt(rows)
-    table = _turns(sign * (1 - 4 * np.arange(s)), cols, size, scale)
-    view[..., :s, :] *= table
-    if rows > s:
-        starts = range(s, rows, s)
-        shifts = _turns(-4 * sign * np.array(starts), cols, size)
-        for c, shift in zip(starts, shifts):
-            view[..., c:c + s, :] *= table[:rows - c] * shift
+    weights = _turns(sign * cols, rows, size)[:, None] if rows > 1 else None
+    chunk = _turns(sign * (1 - 4 * np.arange(s)), cols, size,
+                   1.0 if sign > 0 else 1.0 / half)
+    shifts = _turns(-4 * sign * np.arange(s, rows, s), cols, size)
+    return _kept(weights), _kept(chunk), _kept(shifts)
+
+
+def _kept(table: np.ndarray | None) -> np.ndarray | None:
+    # a read-only copy of a cached table in an anonymous mapping of its
+    # own, outside the malloc heap (see the module docstring)
+    if table is None or table.size == 0:
+        return table
+    kept = np.frombuffer(mmap.mmap(-1, table.nbytes), dtype=table.dtype)
+    kept = kept.reshape(table.shape)
+    kept[...] = table
+    kept.setflags(write=False)
+    return kept
+
+
+def _twiddle(view: np.ndarray, chunk: np.ndarray, shifts: np.ndarray) -> None:
+    # view[..., k, b] *= scale w^(sign b (1 - 4k)) in place over the (A, B)
+    # view of the four-step transform, chunk by chunk from the tables of
+    # _tables: the chunk starting at row c takes T times its row of shifts
+    s = chunk.shape[0]
+    rows = view.shape[-2]
+    view[..., :s, :] *= chunk
+    for c, shift in zip(range(s, rows, s), shifts):
+        view[..., c:c + s, :] *= chunk[:rows - c] * shift
+
+
+def _refine_spectra(fe: np.ndarray, fr: np.ndarray, f: np.ndarray,
+                    size: int, m: int) -> None:
+    # The spectra of one round (see _round), in place: f <- f fe, the
+    # spectrum of eps e, and fr <- (fe fr - 1 + t^m f) fr, that of
+    # ((e r - 1) + x^m eps) r.  Bin j of a spectrum is its row's value at
+    # w^(1 - 4j), w = e^{i pi/size}, and bin k + A l sits at (k, l) of the
+    # (A, B) view, so t^m multiplies it by w^(m (1 - 4k)) w^(-4 A m l).
+    # A block of rows at a time, so that no temporary has full length.
+    rows, cols = _split(size // 2)
+    down = _unit(m, size) * _turns(-4 * m, rows, size)
+    across = _turns(-4 * rows * m, cols, size)
+    views = [x.reshape(x.shape[:-1] + (rows, cols)) for x in (fe, fr, f)]
+    block = max(1, _BLOCK // cols)
+    for k in range(0, rows, block):
+        ve, vr, vf = (v[..., k:k + block, :] for v in views)
+        t = vf * (down[k:k + block, None] * across)
+        t += ve * vr
+        t -= 1.0
+        vr *= t
+        vf *= ve
 
 
 def rfft(x: np.ndarray, size: int) -> np.ndarray:
@@ -236,11 +340,12 @@ def rfft(x: np.ndarray, size: int) -> np.ndarray:
     if n > half:
         z.imag[..., :n - half] = x[..., half:]
     rows, cols = _split(half)
+    weights, chunk, shifts = _tables(size, 1)
     view = z.reshape(z.shape[:-1] + (rows, cols))
     if rows > 1:
-        view *= _turns(cols, rows, size)[:, None]
+        view *= weights
         np.fft.fft(view, axis=-2, out=view)
-    _twiddle(view, size, 1)
+    _twiddle(view, chunk, shifts)
     np.fft.fft(view, axis=-1, out=view)
     return z
 
@@ -256,12 +361,13 @@ def irfft(f: np.ndarray, size: int, lo: int, hi: int) -> np.ndarray:
     """
     half = size // 2
     rows, cols = _split(half)
+    weights, chunk, shifts = _tables(size, -1)
     view = f.reshape(f.shape[:-1] + (rows, cols))
     np.fft.ifft(view, axis=-1, norm="forward", out=view)
-    _twiddle(view, size, -1, 1.0 / half)
+    _twiddle(view, chunk, shifts)
     if rows > 1:
         np.fft.ifft(view, axis=-2, norm="forward", out=view)
-        view *= _turns(-cols, rows, size)[:, None]
+        view *= weights
     z = view.reshape(f.shape)
     out = np.empty(z.shape[:-1] + (hi - lo,))
     if lo < half:
@@ -272,9 +378,17 @@ def irfft(f: np.ndarray, size: int, lo: int, hi: int) -> np.ndarray:
     return out
 
 
+def _convolve(x: np.ndarray, y: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    # coefficients [lo, hi) of the Cauchy product x*y by np.convolve, for a
+    # row or row by row for equal stacks of rows
+    if x.ndim == 1:
+        return np.convolve(x, y)[lo:hi]
+    return np.stack([np.convolve(u, v)[lo:hi] for u, v in zip(x, y)])
+
+
 def _product(x: np.ndarray, y: np.ndarray, lo: int, hi: int,
-             size: int | None = None, fy: np.ndarray | None = None):
-    """Coefficients [lo, hi) of the Cauchy product x*y, and the spectrum of y.
+             size: int | None = None) -> np.ndarray:
+    """Coefficients [lo, hi) of the Cauchy product x*y.
 
     x and y are single rows or equal stacks of rows, multiplied row by row
     along the last axis.  Products with x.shape[-1] * y.shape[-1] <=
@@ -283,40 +397,26 @@ def _product(x: np.ndarray, y: np.ndarray, lo: int, hi: int,
     transform of size // 2 points per operand and one inverse, every row
     in one batched call.  The product is negacyclic: its coefficient
     j >= size lands at j - size with its sign flipped, and the caller
-    picks size so that those positions miss [lo, hi).  fy, the spectrum
-    rfft(y, size) from an earlier call, is reused when given; the returned
-    spectrum (None on the direct path) can be passed on.  A given fy whose
-    bin count is not size // 2 belongs to another length, and one whose
-    rows are not those of x to another stack: ValueError.  So is an
-    operand longer than size.  Only [lo, hi) is copied out of the
-    transform, so that a caller holding it does not hold all size points
-    alive.  size None takes the shortest length that holds the whole
-    product, worked out only on the FFT path.
+    picks size so that those positions miss [lo, hi).  An operand longer
+    than size: ValueError.  Only [lo, hi) is copied out of the transform,
+    so that a caller holding it does not hold all size points alive.  size
+    None takes the shortest length that holds the whole product, worked
+    out only on the FFT path.
     """
     if x.shape[-1] * y.shape[-1] <= _DIRECT_WORK_LIMIT:
-        if x.ndim == 1:
-            return np.convolve(x, y)[lo:hi], fy
-        return np.stack([np.convolve(u, v)[lo:hi] for u, v in zip(x, y)]), fy
+        return _convolve(x, y, lo, hi)
     if size is None:
         size = _fast_len(x.shape[-1] + y.shape[-1] - 1)
-    if fy is None:
-        fy = rfft(y, size)
-    elif fy.shape[-1] != size // 2:
-        raise ValueError(f"spectrum of {fy.shape[-1]} bins passed to a product "
-                         f"of negacyclic length {size}")
-    elif fy.shape[:-1] != x.shape[:-1]:
-        raise ValueError(f"spectrum of rows {fy.shape[:-1]} passed to a "
-                         f"product of rows {x.shape[:-1]}")
     fx = rfft(x, size)
-    fx *= fy
-    return irfft(fx, size, lo, hi), fy
+    fx *= rfft(y, size)
+    return irfft(fx, size, lo, hi)
 
 
 def mul_trunc(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     """Cauchy product of a and b truncated to m coefficients (length exactly m)."""
     la = min(len(a), m)
     lb = min(len(b), m)
-    full, _ = _product(a[:la], b[:lb], 0, m)
+    full = _product(a[:la], b[:lb], 0, m)
     if len(full) < m:
         full = np.concatenate([full, np.zeros(m - len(full))])
     return full
@@ -363,96 +463,100 @@ def invert_recurrence(a: np.ndarray) -> np.ndarray:
     return rev[::-1].copy()
 
 
-def _refine_inverse(e: np.ndarray, r: np.ndarray, m: int,
-                    fr: np.ndarray | None = None) -> np.ndarray:
-    # One Newton step r <- r - r (e r - 1), taking r = 1/e mod x^p to
-    # 1/e mod x^m for p = r.shape[-1] < m <= 2p, on each row.  Since
-    # e r = 1 + O(x^p), the products only need coefficients [p, m) of e r
-    # and [0, m - p) of the correction, and a length >= m keeps both clear
-    # of wrap-around.  fr is rfft(r, _fast_len(m)) when the caller
-    # has it already.
-    p = r.shape[-1]
-    size = _fast_len(m)
-    d, fr = _product(e[..., :m], r, p, m, size, fr)
-    c, _ = _product(d, r, 0, m - p, size, fr)
-    return np.concatenate([r, -c], axis=-1)
-
-
-def _extend(a: np.ndarray, e: np.ndarray, r: np.ndarray,
-            keep_inverse_spectrum: bool = True):
-    # Steps 2 and 3 of a round of _exp_newton_monic on each row: from
-    # e = exp(a) mod x^m and r = 1/e mod x^m, the coefficients [m, m2) of
-    # exp(a), m2 = a.shape[-1], and the spectrum of r at _fast_len(m2),
-    # which is None when computed directly or not kept.  Each temporary is
-    # dropped once spent, the spectrum of r before the step's product when
-    # it is not kept.
-    m, m2 = e.shape[-1], a.shape[-1]
-    size = _fast_len(m2)
-    la = a * np.arange(m2)
+def _round(a: np.ndarray, e: np.ndarray, r: np.ndarray, refine: bool):
+    # One round of _exp_newton_monic on each row: from e = exp(a) mod x^m
+    # and r = 1/e mod x^m to both mod x^M, M = a.shape[-1] <= 2m; r is None
+    # instead when not refine.  Every product of the round is direct or
+    # every one a right-angle product mod t^N + 1, N = _fast_len(M), as
+    # (L a) e is: the refine reads the spectra of e, r and eps together.
+    m, M = e.shape[-1], a.shape[-1]
+    la = a * np.arange(M)
     la[..., 0] = 0.0
-    q, fe = _product(la, e, m, m2, size)
-    del la
-    k_eps, fr = _product(q, r, 0, m2 - m, size)
-    del q
-    if not keep_inverse_spectrum:
-        fr = None
-    k_eps /= np.arange(m, m2)
-    step, _ = _product(k_eps, e, 0, m2 - m, size, fe)
-    return step, fr
+    if M * m <= _DIRECT_WORK_LIMIT:
+        q = _convolve(la, e, m, M)
+        eps = _convolve(q, r, 0, M - m) / np.arange(m, M)
+        step = _convolve(eps, e, 0, M - m)
+        if refine:
+            g = np.zeros(e.shape[:-1] + (M,))
+            g[..., :2 * m - 1] = _convolve(e, r, 0, M)
+            g[..., 0] -= 1.0
+            g[..., m:] += eps
+            c = _convolve(g, r, m, M)
+    else:
+        size = _fast_len(M)
+        # the buffers are dropped in this order on purpose: dropping la
+        # before q exists, or eps before the step, let a second de Haan exp
+        # in one process peak at 221-226 MB of RSS against 210, once glibc
+        # serves buffers of these sizes from its heap
+        fe = rfft(e, size)
+        f = rfft(la, size)
+        f *= fe
+        q = irfft(f, size, m, M)
+        del f, la
+        fr = rfft(r, size)
+        f = rfft(q, size)
+        f *= fr
+        eps = irfft(f, size, 0, M - m)
+        del f, q
+        if not refine:
+            del fr
+        eps /= np.arange(m, M)
+        f = rfft(eps, size)
+        if refine:
+            _refine_spectra(fe, fr, f, size, m)
+            del fe
+            step = irfft(f, size, 0, M - m)
+            del f
+            c = irfft(fr, size, m, M)
+            del fr
+        else:
+            f *= fe
+            step = irfft(f, size, 0, M - m)
+            del f, eps, fe
+    e = np.concatenate([e, step], axis=-1)
+    return e, np.concatenate([r, -c], axis=-1) if refine else None
 
 
 def _exp_newton_monic(a: np.ndarray, pair: bool = False):
     # Newton iteration on each row of the (b, n) stack a, taken as if
     # a[:, 0] = 0, over the precisions n, ceil(n/2), ..., 1 taken upwards.
-    # Entering a round m -> m2 <= 2m, e = exp(a) mod x^m and
-    # r = 1/e mod x^ceil(m/2).  The round
-    #   1. refines r to 1/e mod x^m (one reciprocal step);
-    #   2. gets eps = a - log e, which vanishes below m, on [m, m2): with L
+    # Entering a round m -> M <= 2m, e = exp(a) mod x^m and r = 1/e mod x^m.
+    # The round
+    #   1. gets eps = a - log e, which vanishes below m, on [m, M): with L
     #      the k-weighting, L e = (L a) e mod x^m, so k eps_k is coefficient
-    #      k of ((L a) e - L e) r and only ((L a) e)[m:m2] and r mod x^m
-    #      enter;
-    #   3. sets e[m:m2] = (e eps)[m:m2], since exp(eps) = 1 + eps mod x^m2.
-    # Steps 2 and 3 share the spectrum of e.  Step 2 multiplies by all of r,
-    # not just r mod x^(m2 - m): the extra coefficients reach only indices
-    # >= m2 - m, which it drops, and the spectrum of r at _fast_len(m2) is
-    # then the one the next round's step 1 needs, so it is carried there.
-    # Every round to precision ceil(n/2) runs on all rows at once; steps 2
-    # and 3 of the last round and, when pair, the closing reciprocal step
-    # to 1/e mod x^n run one row at a time (see the module docstring).
-    # Returns the rows of exp(a) and, when pair, of 1/exp(a), as lists.
+    #      k of ((L a) e - L e) r and only ((L a) e)[m:M] and r enter;
+    #   2. sets e[m:M] = (e eps)[m:M], since exp(eps) = 1 + eps mod x^M;
+    #   3. refines r to 1/e mod x^M for the new e.  The Newton step
+    #      r - r (e r - 1) needs e r - 1 on [m, M), where it is
+    #      (e_old r - 1) + x^m (e eps) r, and (e eps) r = eps mod x^(M - m)
+    #      since e_old r = 1 mod x^m: so r[m:M] = -(((e_old r - 1)
+    #      + x^m eps) r)[m:M], from the spectra of e_old, r and eps that
+    #      steps 1 and 2 took, in one inverse transform.
+    # Every round to precision ceil(n/2) runs on all rows at once; the last
+    # round runs one row at a time (see the module docstring), and refines
+    # only when pair.  Returns the rows of exp(a) and, when pair, of
+    # 1/exp(a), as lists.
     b, n = a.shape
     precisions = [n]
     while precisions[-1] > 1:
         precisions.append((precisions[-1] + 1) // 2)
     e = np.ones((b, 1))
     r = np.ones((b, 1))
-    fr = None
-    for m2 in reversed(precisions[:-1]):
-        m = e.shape[-1]
-        if r.shape[-1] < m:
-            # fr, the spectrum of the old r, is spent once r is refined
-            r, fr = _refine_inverse(e, r, m, fr), None
-        if m2 == n:
-            break
-        step, fr = _extend(a[:, :m2], e, r)
-        e = np.concatenate([e, step], axis=-1)
-        del step
+    for M in reversed(precisions[1:-1]):
+        e, r = _round(a[:, :M], e, r, True)
     exps, inverses = [], []
     for i in range(b):
-        e_i, r_i, fr = e[i], r[i], None
-        if e_i.shape[-1] < n:
-            step, fr = _extend(a[i], e_i, r_i, pair)
-            e_i = np.concatenate([e_i, step])
-            del step
+        e_i, r_i = e[i], r[i]
+        if n > 1:
+            e_i, r_i = _round(a[i], e_i, r_i, pair)
         exps.append(e_i)
         if pair:
-            inverses.append(_refine_inverse(e_i, r_i, n, fr)
-                            if r_i.shape[-1] < n else r_i)
+            inverses.append(r_i)
     return exps, inverses
 
 
-def _finish(e: np.ndarray, a0: float, kh: np.ndarray,
-            log_bound: float) -> np.ndarray:
+def _finish(e: np.ndarray, a0: float, weights: np.ndarray,
+            log_bound: float, h: float) -> np.ndarray:
     # Scale e = exp*(a'), a' the input with its u = 1 mass a0 removed, to
     # exp*(a) after two checks on log |exp*(a)_k|.  The a priori bound
     # |exp*(a)_k| <= e^{kh} exp(log_bound), log_bound = sum_j |a_j| e^{-jh},
@@ -461,16 +565,26 @@ def _finish(e: np.ndarray, a0: float, kh: np.ndarray,
     # factor e above it is the garbage of an iteration whose intermediates
     # left the double range (ValueError); a result within it that is too
     # large for a double, or that holds a NaN, which no comparison with the
-    # bound catches, raises OverflowError.
-    with np.errstate(divide="ignore"):
-        log_mag = np.log(np.abs(e)) + a0
-    if float(np.max(log_mag - kh)) > log_bound + 1.0:
-        raise ValueError(
-            "exp* result exceeds its a priori envelope bound: the FFT "
-            "iteration left the double range; use a weighted (tilted) input"
-        )
-    if not float(np.max(log_mag)) <= 708.0:
-        raise OverflowError(_LEFT_THE_RANGE)
+    # bound catches, raises OverflowError.  The checks read |e_k| e^{-kh},
+    # with the weights e^{-kh} of _log_envelope, and |e_k| against the
+    # exps of the two bounds; a result that does not pass both with room
+    # to spare, or whose bound is below 1, is decided on the logs instead.
+    c = log_bound + 1.0 - a0
+    mag = np.abs(e)
+    with np.errstate(invalid="ignore"):  # inf e^{-kh} where e^{-kh} underflowed
+        peak = float(np.max(mag * weights))
+    if not (c >= 0.0
+            and peak <= _ROOM * math.exp(min(c, 709.0))
+            and float(np.max(mag)) <= _ROOM * math.exp(min(708.0 - a0, 709.0))):
+        with np.errstate(divide="ignore"):
+            log_mag = np.log(mag) + a0
+        if float(np.max(log_mag - h * np.arange(e.shape[-1]))) > log_bound + 1.0:
+            raise ValueError(
+                "exp* result exceeds its a priori envelope bound: the FFT "
+                "iteration left the double range; use a weighted (tilted) input"
+            )
+        if not float(np.max(log_mag)) <= 708.0:
+            raise OverflowError(_LEFT_THE_RANGE)
     e *= math.exp(a0)
     return e
 
@@ -486,15 +600,15 @@ def _recurrence(a: np.ndarray) -> np.ndarray:
 
 
 def _log_envelope(a: np.ndarray, h: float):
-    # kh, and for each row of a the log envelope bound S = sum |a_j| e^{-jh}
-    # of _finish and the cancellation excess of exp*(a): S minus
-    # s = sum a_j e^{-jh}; one weights array serves every row
+    # the weights w_j = e^{-jh}, and for each row of a the log envelope bound
+    # S = sum |a_j| w_j of _finish and the cancellation excess of exp*(a):
+    # S minus s = sum a_j w_j; one weights array serves every row
     kh = h * np.arange(a.shape[-1])
     w = np.exp(-kh)
     rows = np.reshape(a, (-1, a.shape[-1]))
     log_bound = np.array([np.dot(np.abs(row), w) for row in rows])
     signed = np.array([np.dot(row, w) for row in rows])
-    return (kh, log_bound.reshape(a.shape[:-1]),
+    return (w, log_bound.reshape(a.shape[:-1]),
             (log_bound - signed).reshape(a.shape[:-1]))
 
 
@@ -528,40 +642,50 @@ def exp_star_pair(a: np.ndarray, h: float):
     row's rule and envelope check.
     """
     rows = np.reshape(a, (-1, a.shape[-1]))
-    kh, log_bound, excess = _log_envelope(rows, h)
+    weights, log_bound, excess = _log_envelope(rows, h)
     newton = ((rows.shape[-1] >= _NEWTON_MIN_N)
               & ~((excess > _NEWTON_MAX_EXCESS)
                   | (2.0 * log_bound - excess > _NEWTON_MAX_EXCESS)))
     if newton.all():
-        return exp_newton_pair(a, h, (kh, log_bound.reshape(a.shape[:-1]), None))
+        return exp_newton_pair(a, h, (weights, log_bound.reshape(a.shape[:-1]),
+                                      None))
     pos, neg = np.empty(rows.shape), np.empty(rows.shape)
     if newton.any():
         pos[newton], neg[newton] = exp_newton_pair(
-            rows[newton], h, (kh, log_bound[newton], None))
+            rows[newton], h, (weights, log_bound[newton], None))
     for i in np.flatnonzero(~newton):
         pos[i], neg[i] = _recurrence(rows[i]), _recurrence(-rows[i])
     return pos.reshape(a.shape), neg.reshape(a.shape)
 
 
 def _stacked(rows: list, shape: tuple) -> np.ndarray:
-    # the rows as one array of the given shape; a single row is not copied
-    return rows[0].reshape(shape) if len(rows) == 1 else np.stack(rows).reshape(shape)
+    # the rows as one array of the given shape, each row let go once copied,
+    # so that the copy never holds two full stacks; a single row is not
+    # copied
+    if len(rows) == 1:
+        return rows.pop().reshape(shape)
+    out = np.empty((len(rows),) + rows[0].shape)
+    for i in range(len(rows)):
+        out[i] = rows[i]
+        rows[i] = None
+    return out.reshape(shape)
 
 
 def _newton(a: np.ndarray, h: float, envelope, pair: bool):
     # exp_newton (pair False) or exp_newton_pair on a row or a stack of rows
     a = np.asarray(a, dtype=float)
-    kh, log_bound, _ = envelope or _log_envelope(a, h)
+    weights, log_bound, _ = envelope or _log_envelope(a, h)
     rows = np.reshape(a, (-1, a.shape[-1]))
     bounds = np.reshape(log_bound, -1)
     # unwarned: _finish refuses an iteration that left the double range
     with np.errstate(over="ignore", invalid="ignore"):
         exps, inverses = _exp_newton_monic(rows, pair)
-    results = [exps, inverses] if pair else [exps]
-    for sign, out in zip((1.0, -1.0), results):
-        for row, bound, res in zip(rows, bounds, out):
-            _finish(res, sign * float(row[0]), kh, bound)
-    return tuple(_stacked(out, a.shape) for out in results)
+    results = []
+    for sign, out in zip((1.0, -1.0), [exps, inverses] if pair else [exps]):
+        for i, (row, bound) in enumerate(zip(rows, bounds)):
+            _finish(out[i], sign * float(row[0]), weights, bound, h)
+        results.append(_stacked(out, a.shape))
+    return tuple(results)
 
 
 def exp_newton(a: np.ndarray, h: float, envelope=None) -> np.ndarray:
@@ -580,9 +704,9 @@ def exp_newton(a: np.ndarray, h: float, envelope=None) -> np.ndarray:
 def exp_newton_pair(a: np.ndarray, h: float, envelope=None):
     """(exp* a, exp* -a) from one Newton iteration, on the coefficients as given.
 
-    exp*(-a) is the convolution inverse of exp*(a); one more reciprocal
-    step at full length turns the inverse the iteration already tracks into
-    it.  Both results pass the checks of exp_newton, and envelope and
-    stacks are as there.
+    exp*(-a) is the convolution inverse of exp*(a), which the iteration
+    tracks; the last round's refine, one inverse transform, takes it to
+    full length.  Both results pass the checks of exp_newton, and envelope
+    and stacks are as there.
     """
     return _newton(a, h, envelope, pair=True)

@@ -66,8 +66,8 @@ def kahane_pipeline(grid: LogGrid | None = None, checkpoints=DEFAULT_CHECKPOINTS
         raise RangeError(f"checkpoint t={ts[-1]} beyond grid end {grid.log_end}")
     h = grid.h
 
-    pi_w = build_kahane_pi(grid, weight_sigma=1.0)
     a_w = kahane_tail(grid, weight_sigma=1.0)
+    pi_w = build_kahane_pi(grid, weight_sigma=1.0, tail=a_w)
     (n_w, m_w), (bp_w, bm_w) = exp_star_pairs([pi_w, a_w])
 
     m_harm = checkpoint_sums(m_w, ts)

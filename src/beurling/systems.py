@@ -90,10 +90,15 @@ def kahane_tail(grid: LogGrid, weight_sigma: float = 0.0) -> Measure:
     return discretize(spec, grid, weight_sigma)
 
 
-def build_kahane_pi(grid: LogGrid, weight_sigma: float = 0.0) -> Measure:
+def build_kahane_pi(grid: LogGrid, weight_sigma: float = 0.0,
+                    tail: Measure | None = None) -> Measure:
+    """li plus the Kahane tail; tail is kahane_tail(grid, weight_sigma)
+    when the caller has it already."""
     if grid.log_end < math.e + 1.0:
         raise RangeError("grid must cover [1, e^{e+1}] for the Kahane measure")
-    return add(build_li_pi(grid, weight_sigma), kahane_tail(grid, weight_sigma))
+    if tail is None:
+        tail = kahane_tail(grid, weight_sigma)
+    return add(build_li_pi(grid, weight_sigma), tail)
 
 
 def _snap(x: np.ndarray, h: float) -> np.ndarray:

@@ -23,7 +23,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from beurling import (CheckpointSeries, DensitySpec, LogGrid, SystemSpec,
                       assemble_pi, build_classical_pi, build_li_pi,

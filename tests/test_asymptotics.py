@@ -11,7 +11,7 @@ from beurling import (CheckpointSeries, EULER_GAMMA, FitError, LogGrid,
                       fit_loglog_model, fit_mellin_expansion, kahane_tail,
                       negate, zero)
 from beurling import asymptotics
-from beurling.measure import Measure, add
+from beurling.measure import add
 
 LADDER = np.arange(5.0, 55.0, 5.0)
 

@@ -482,6 +482,25 @@ def test_cli_fail_lines_name_the_failed_verdicts(tmp_path, capsys, argv):
         assert len(laws) == 8 and all(laws)
 
 
+@pytest.mark.parametrize("command", [
+    "identities --seed -1", "identities --tol nan", "identities --tol=-1",
+    "identities --tol 0", "kahane --tol inf", "mellin-fit --tol nan",
+    "hypotheses --a nan", "hypotheses --sigma0 nan", "hypotheses --sigma0=-inf",
+])
+def test_cli_refuses_numeric_flags_outside_their_domain(tmp_path, capsys, command):
+    # refused as the flag parses, before any work: exit 2 with a config
+    # error that names the flag, where a NaN or negative tolerance used to
+    # fail every check and a negative seed ended in numpy's traceback
+    argv = command.split()
+    flag = argv[1].split("=")[0]
+    if argv[0] == "hypotheses":
+        argv = [*argv, "--config", write_config(tmp_path, SIGMA0_CFG)]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("FAIL config ") and flag in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_hypotheses_runs_newton_on_both_exps(tmp_path, monkeypatch):
     # li + E at n = 8192: both exps are well conditioned
     from beurling import kernels

@@ -189,6 +189,56 @@ def test_envelope_guard_refuses_a_nan_result():
         kernels.exp_star(a, grid.h)
 
 
+def _decided_on_logs(e, a0, kh, log_bound):
+    # the envelope and range checks of _finish taken on log |e_k| + a0:
+    # the type of the error they raise, None when both pass
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_mag = np.log(np.abs(e)) + a0
+        if float(np.max(log_mag - kh)) > log_bound + 1.0:
+            return ValueError
+    if not float(np.max(log_mag)) <= 708.0:
+        return OverflowError
+    return None
+
+
+def _finish_cases():
+    # rows of 2,000 points at h = 0.5, so kh runs to 999.5 and the weights
+    # e^{-kh} underflow past kh = 745; each case sets one coefficient
+    n, h = 2000, 0.5
+    kh = h * np.arange(n)
+    base = np.exp(-0.5 * kh)
+    cases = {"within": (base, 0.0, 2.0)}
+    for name, k, value in [("inf early", 10, np.inf), ("inf past underflow", 1800, np.inf),
+                           ("nan early", 10, np.nan), ("nan past underflow", 1800, np.nan),
+                           ("above the bound", 10, math.exp(5.0 + 4.0)),
+                           ("just below the bound", 10, math.exp(5.0 + 2.9)),
+                           ("huge, weight underflowed", 1500, 1e300),
+                           ("within the bound, past e^708", 1418, 1e308)]:
+        e = base.copy()
+        e[k] = value
+        cases[name] = (e, 0.0, 2.0)
+    cases["within, a0 past 708"] = (base, 709.0, 712.0)
+    cases["a0 past the bound"] = (base, 5.0, 2.0)
+    cases["negative bound"] = (np.zeros(n), 0.0, -3.0)
+    return cases, kh, h
+
+
+@pytest.mark.parametrize("name", sorted(_finish_cases()[0]))
+def test_finish_decides_as_its_logs_do(name):
+    # the checks read the weights e^{-kh} and take logs only where those do
+    # not clear a result; either way the error type is the one of the logs
+    cases, kh, h = _finish_cases()
+    e, a0, log_bound = cases[name]
+    want = _decided_on_logs(e, a0, kh, log_bound)
+    weights = np.exp(-kh)
+    if want is None:
+        got = kernels._finish(e.copy(), a0, weights, log_bound, h)
+        assert np.array_equal(got, e * math.exp(a0))
+    else:
+        with np.errstate(invalid="ignore"), pytest.raises(want):
+            kernels._finish(e.copy(), a0, weights, log_bound, h)
+
+
 @pytest.mark.parametrize("build", [build_kahane_pi, kahane_tail])
 def test_envelope_guard_is_silent_on_weighted_kahane_inputs(build):
     a = build(KAHANE_GRID, weight_sigma=1.0).coeffs
@@ -199,41 +249,84 @@ def test_envelope_guard_is_silent_on_weighted_kahane_inputs(build):
 
 
 def test_pair_costs_about_one_exp_in_transforms(monkeypatch):
-    forward = Counter()
-    rfft = kernels.rfft
+    forward, inverse = Counter(), Counter()
+    rfft, irfft = kernels.rfft, kernels.irfft
 
     def counted(x, *args, **kwargs):
         forward["rfft"] += 1
         forward["rows"] += len(x) if x.ndim == 2 else 1
         return rfft(x, *args, **kwargs)
 
+    def counted_inverse(f, *args, **kwargs):
+        inverse["irfft"] += 1
+        return irfft(f, *args, **kwargs)
+
     monkeypatch.setattr(kernels, "rfft", counted)
+    monkeypatch.setattr(kernels, "irfft", counted_inverse)
     grid = LogGrid(0.01, 1 << 16)
     a = build_li_pi(grid, weight_sigma=1.0).coeffs
     exp_newton(a, grid.h)
-    one = forward["rfft"]
+    one, one_inverse = forward["rfft"], inverse["irfft"]
     forward.clear()
+    inverse.clear()
     exp_newton_pair(a, grid.h)
-    pair = forward["rfft"]
-    # a round takes 7 forward transforms: 2 to refine r (e and the
-    # correction; the spectrum of r is carried from the previous round's
-    # update) and 5 for the update (L a, e, the product q, r, and the step,
-    # which reuses the spectrum of e).  Products of at most 2^16 work are
-    # direct, so the round to precision 512 transforms only (L a) e, and
-    # the 7 rounds to 1024 .. 2^16 take 7 each (at 1024 nothing is carried
-    # yet, so the refine transforms r and multiplies the correction
-    # directly): 2 + 7 * 7 = 51.  The pair's full-length refine adds 2,
-    # since it reads the carried spectrum of r.
-    assert one == 51
-    assert pair == 53
-    assert pair < 1.1 * one
-    # two rows in lockstep transform 2 * 53 rows: the rounds to precision
-    # 2^15 and the last round's refine in 46 batched calls, the last
-    # round's update (5) and the closing refine (2) one row at a time
+    pair, pair_inverse = forward["rfft"], inverse["irfft"]
+    # a round m -> M takes 5 forward transforms (e, L a, r, the product q
+    # and the correction eps) and 3 inverse ones (q, eps and the step e eps);
+    # its refine of r reads those spectra and adds one inverse transform.
+    # A round is direct when its product (L a) e of M m work is at most
+    # 2^16, so the 8 rounds to precision 512 .. 2^16 transform: 8 * 5 = 40
+    # forward, for the exp and the pair alike.  Every round refines but
+    # the exp's last, whose r nothing reads: 8 * 3 + 7 = 31 inverse, and
+    # 32 for the pair
+    assert (one, one_inverse) == (40, 31)
+    assert (pair, pair_inverse) == (40, 32)
+    # two rows in lockstep transform 2 * 40 rows: the 7 rounds to
+    # precision 2^15 in 35 batched calls, the last round one row at a time
     forward.clear()
     exp_newton_pair(np.stack([a, 0.5 * a]), grid.h)
-    assert forward["rows"] == 2 * 53
-    assert forward["rfft"] == 46 + 2 * 7
+    assert forward["rows"] == 2 * 40
+    assert forward["rfft"] == 7 * 5 + 2 * 5
+
+
+def test_exp_and_pair_stay_within_their_transform_budget(monkeypatch):
+    # the summed sizes of the transforms, a batched one once per row, in
+    # units of M(n), one product of two n-term rows: three transforms of
+    # _fast_len(2n - 1) points.  The refine that reads the round's spectra
+    # takes the exp to 2.85 M(n) and the pair to 3.02; refining r in
+    # transforms of its own took 3.35 and 4.02
+    volume = Counter()
+
+    def summed(fn):
+        def wrapped(x, size, *args):
+            volume["points"] += size * (x.size // x.shape[-1])
+            return fn(x, size, *args)
+        return wrapped
+
+    monkeypatch.setattr(kernels, "rfft", summed(kernels.rfft))
+    monkeypatch.setattr(kernels, "irfft", summed(kernels.irfft))
+    grid = KAHANE_GRID
+    a = kahane_tail(grid, weight_sigma=1.0).coeffs
+    product = 3 * kernels._fast_len(2 * grid.n - 1)
+    exp_newton(a, grid.h)
+    assert volume["points"] <= 2.9 * product
+    volume.clear()
+    exp_newton_pair(a, grid.h)
+    assert volume["points"] <= 3.1 * product
+
+
+def test_spectral_refine_matches_the_recurrence():
+    # at 40,001 points the rounds to precision 626 and up refine r from
+    # their own spectra; exp*(-a), the pair's r at full length, stays in the
+    # envelope tolerance of the signed-input test and the relative one of
+    # the systems-size test
+    grid = LogGrid(0.01, 40_001)
+    a = build_li_pi(grid, weight_sigma=1.0).coeffs
+    ref = exp_recurrence(-a)
+    _, neg = exp_newton_pair(a, grid.h)
+    tol = 64 * np.finfo(float).eps * math.exp(np.sum(np.abs(a)))
+    assert np.max(np.abs(neg - ref)) <= tol
+    assert np.max(np.abs(neg - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def _is_5_smooth(k):
@@ -279,29 +372,6 @@ def test_every_transform_length_is_5_smooth(monkeypatch, n):
             if kernels._smooth_len(m) != next_fast_len(m, real=True)] == []
 
 
-def test_product_refuses_a_spectrum_of_another_length():
-    rng = np.random.default_rng(23)
-    x = rng.standard_normal(600)
-    y = rng.standard_normal(600)
-    want, fy = kernels._product(x, y, 0, 600, 1200)
-    again, _ = kernels._product(x, y, 0, 600, 1200, fy)
-    assert np.array_equal(again, want)
-    with pytest.raises(ValueError, match="600 bins .* length 1250"):
-        kernels._product(x, y, 0, 600, 1250, fy)
-    # a stack of two rows: its spectrum serves that stack and no other
-    xs, ys = np.stack([x, -x]), np.stack([y, 2.0 * y])
-    want, fys = kernels._product(xs, ys, 0, 600, 1200)
-    again, _ = kernels._product(xs, ys, 0, 600, 1200, fys)
-    assert np.array_equal(again, want)
-    assert np.array_equal(want[0], kernels._product(x, y, 0, 600, 1200)[0])
-    with pytest.raises(ValueError, match="600 bins .* length 1250"):
-        kernels._product(xs, ys, 0, 600, 1250, fys)
-    with pytest.raises(ValueError, match=r"rows \(2,\) .* rows \(\)"):
-        kernels._product(x, y, 0, 600, 1200, fys)
-    with pytest.raises(ValueError, match=r"rows \(\) .* rows \(2,\)"):
-        kernels._product(xs, ys, 0, 600, 1200, fy)
-
-
 @pytest.mark.parametrize("n", [600, 601, kernels._FOUR_STEP_MIN + 1,
                                2 * kernels._FOUR_STEP_MIN])
 def test_right_angle_product_matches_convolve(n):
@@ -317,11 +387,11 @@ def test_right_angle_product_matches_convolve(n):
     scale = np.max(np.abs(want))
     for lo, hi in ((0, n), (n // 3, n + n // 2 - 1),
                    (size // 2 - 7, size // 2 + 5)):
-        got, _ = kernels._product(x, y, lo, hi, size)
+        got = kernels._product(x, y, lo, hi, size)
         assert got.shape == (hi - lo,)
         assert np.max(np.abs(got - want[lo:hi])) <= 1e-14 * scale
     xs, ys = np.stack([x, -2.0 * x]), np.stack([y, y[::-1]])
-    got, _ = kernels._product(xs, ys, 3, n, size)
+    got = kernels._product(xs, ys, 3, n, size)
     for row, u, v in zip(got, xs, ys):
         want = np.convolve(u, v)[3:n]
         assert np.max(np.abs(row - want)) <= 1e-14 * np.max(np.abs(want))
@@ -337,7 +407,7 @@ def test_right_angle_product_wraps_negated():
     want = np.convolve(x, y)
     wrapped = want[:size].copy()
     wrapped[:len(want) - size] -= want[size:]
-    got, _ = kernels._product(x, y, 0, size, size)
+    got = kernels._product(x, y, 0, size, size)
     assert np.max(np.abs(got - wrapped)) <= 1e-13 * np.max(np.abs(want))
     assert np.max(np.abs(got - want[:size])) > 1.0
 
@@ -402,11 +472,11 @@ def _peak_bytes(fn):
 
 def test_lockstep_pair_peaks_near_two_sequential_pairs():
     # the rounds below the last share each buffer between the rows, but
-    # the last round and the closing refine run one row at a time, so no
+    # the last round, refine included, runs one row at a time, so no
     # buffer outgrows a single exp's largest; what the stack adds is the
     # other row's e and 1/e at half length while a row finishes.  numpy
     # reports its allocations to tracemalloc, so the peaks are exact: the
-    # ratio is 1.116 (running the last round in lockstep too gives 1.41)
+    # ratio is 1.117 (running the last round in lockstep too gave 1.41)
     grid = LogGrid(1e-3, 1 << 16)
     stack = np.stack([build_kahane_pi(grid, weight_sigma=1.0).coeffs,
                       kahane_tail(grid, weight_sigma=1.0).coeffs])

@@ -204,6 +204,23 @@ def test_kahane_series_equal_those_of_one_pair_per_measure(monkeypatch):
         assert np.array_equal(series.values, separate.series[name].values), name
 
 
+def test_kahane_pipeline_discretizes_the_tail_once(monkeypatch):
+    # dPi_K is li plus the tail measure dA that the pipeline also
+    # exponentiates on its own; the one discretization of dA serves both
+    from beurling import systems
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kahane_tail(*args, **kwargs)
+
+    monkeypatch.setattr(systems, "kahane_tail", counted)
+    monkeypatch.setattr(pipelines, "kahane_tail", counted)
+    kahane_pipeline(LogGrid(0.01, 6000))
+    assert len(calls) == 1
+
+
 def test_envelope_dominates_exp():
     g = LogGrid(0.01, 256)
     a = random_measure(g, seed=9)

@@ -23,11 +23,10 @@ import scipy.special
 
 from beurling import (ConstructionError, DensitySpec, LogGrid, Measure,
                       RangeError, SystemSpec, add, assemble_pi,
-                      build_classical_pi, build_kahane_pi, build_li_pi,
-                      build_system, check_decay, convolve, delta_one,
-                      checkpoint_sums, discretize, exp_star,
-                      hypothesis_report, kahane_tail, negate,
-                      prime_power_mass, primitive, relative_gap, tilt, zero)
+                      build_kahane_pi, build_li_pi, build_system,
+                      check_decay, convolve, delta_one, checkpoint_sums,
+                      discretize, exp_star, hypothesis_report, kahane_tail,
+                      negate, prime_power_mass, primitive, relative_gap, tilt)
 from beurling.kernels import exp_recurrence
 from beurling.systems import NOISE_FLOOR, TAIL_CUT, _tail_density_log
 from conftest import u_density

@@ -1,4 +1,4 @@
-"""Every name a package module imports is used in that module, every
+"""Every name a package or test module imports is used in that module, every
 module-level definition is referenced somewhere in the package, and every
 public re-export is used by the package or named in README.md.  The
 package runs on numpy alone: no scipy module loads.
@@ -21,6 +21,7 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "beurling"
 README = SRC.parent.parent / "README.md"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(pathlib.Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -42,7 +43,8 @@ def test_checker_flags_an_unused_import():
     assert unused_imports("from a import b as c\nc()\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS,
+                         ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
