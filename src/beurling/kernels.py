@@ -70,13 +70,10 @@ the peak RSS of a process running that exp from 352 to 483 MB.  The row
 weights and chunk tables are cached per size and direction (_tables, at
 most _TABLES_CACHED of them): the ladder of the Kahane pair keeps 2.5 MB
 of them, and that of the de Haan exp 6.6 MB.  Each cached table lives in
-an anonymous mapping of its own, outside the malloc heap.  Kept in the
-heap among the ladder's buffers, they made the peak RSS of the transform
-benchmark jump from run to run between 206 and 238 MB (238 in 3 of 5
-runs; 212 at the parent), against 212.7-212.9 MB in every run in
-mappings.  Below
-_FOUR_STEP_MIN points the split is (1, M), the same code reduced to one
-1-D FFT, whose table is one row of M points.  One forward and one inverse
+an anonymous mapping of its own, outside the malloc heap, where it would
+outlive the ladders' buffers among theirs.  Below _FOUR_STEP_MIN points
+the split is (1, M), the same code reduced to one 1-D FFT, whose table is
+one row of M points.  One forward and one inverse
 transform of one row, median of 25 (11 at 2.8M) interleaved, on one core
 of a 2-vCPU Intel Xeon (AVX-512), against scipy.fft's 1-D pocketfft with
 its plan cache, which this replaced, and numpy.fft in one 1-D call:
@@ -108,13 +105,38 @@ faster end to end on kahane_pipeline, in five alternating pairs of
 processes, so the stacks stay batched.
 
 Every round runs in lockstep up to precision ceil(n/2).  The last round,
-whose products have full length, runs one row at a time, so that no
-buffer is larger than a single exp's largest.  Run in lockstep too, it
-raised the peak RSS of kahane_pipeline (two pairs at n = 500,001) from 159
-to 179-186 MB, and its tracemalloc peak to 1.41 times that of two
-sequential pairs instead of 1.12 times, for no gain in time.  What the
-stack keeps alive beyond that is the other rows' e and 1/e at precision
-ceil(n/2).
+whose products have full length, runs one row at a time, so that the
+spectra of a stack of two rows take no more room than those of one exp:
+two rows at precision ceil(n/2) transform about n/4 complex points each,
+one row at full length n/2.  Run in lockstep too, the last round raised
+the tracemalloc peak of the Kahane pair of two rows to 1.41 times that of
+two sequential pairs, for no gain in time; it is 1.08 times now.  What the
+stack adds is the other rows' e and r.
+
+A ladder allocates its memory once (_exp_newton_monic): the (b, n) stacks
+e and r of its results, r only ceil(n/2) long for a lone exp, and one
+(3, need) complex workspace for the three spectra a round keeps alive,
+those of e, of the product and of r, with need the largest rows times N/2
+over the rounds.  Each round fills [m, M) of e and r in place through
+irfft(..., out=), q and eps pass through e[m:M] until the step overwrites
+them, rfft packs L a straight from a, and _log_envelope and _finish read
+their rows _PASS points at a time.  In units of 8n bytes, one row of n
+doubles, which a spectrum of N/2 ~ n/2 complex points takes too, a lone
+exp holds 1 + 1/2 + 3 = 4.5 and a pair 5.  The tracemalloc peaks of one
+exp on the weighted Kahane tail, against those of the ladder that
+allocated round by round and kept the weights e^{-kh} at full length:
+
+    n            exp_newton      exp_newton_pair
+    500,001      4.76 (6.08)     5.23 (6.04)
+    2,800,001    4.59 (6.02)     5.05 (6.01)
+
+On a 2-vCPU Intel Xeon the peak RSS of the perfbench transform workload,
+which runs the de Haan exp, fell from 212.8 to 160.9 MB, and that of
+kahane from 96.6 to 86.2 MB (medians of ten and of six runs a side).  No
+allocator option is set: at de Haan size the 67.5 MB workspace lies above
+glibc's 32 MB ceiling on its mmap threshold, so it is mapped and handed
+back when the exp returns, and tracemalloc sees it, as it would not see
+an anonymous mmap.
 
 Conditioning note: the exponential of a signed sequence can be dominated by
 cancellation; relative accuracy is only meaningful when the positive
@@ -171,8 +193,7 @@ So exp_star runs Newton from _NEWTON_MIN_N = 128 on inputs with excess
 runs Newton only if both signs pass, S + |s| <= 8, as exp*(-a) has excess
 S + s.  Weighted prime densities have excess at most 1.52, either sign;
 the uniform(-1, 1) inputs of the identity suite 33 to 60.  The excess
-comes from the weights pass that the envelope check of Newton makes
-anyway.  A badly conditioned input takes the recurrence at every size, at
+comes from the pass that takes the envelope bound of Newton anyway.  A badly conditioned input takes the recurrence at every size, at
 O(n^2) cost: 57 ms at n = 16,383 (above), four times that per doubling of
 n, some 45 s at n = 500,001.  A recurrence result holding an inf or NaN
 raises OverflowError, as a Newton result out of the double range does.
@@ -195,6 +216,9 @@ _FOUR_STEP_MIN = 20_000
 # complex points per block of rows in _refine_spectra, a few of which fit
 # in a core's L2 cache
 _BLOCK = 1 << 13
+# points per block of the passes over a row that would otherwise build
+# temporaries of its length: _ramp, _log_envelope and the checks of _finish
+_PASS = 1 << 16
 # transform sizes whose four-step tables stay cached, forward and inverse
 # counted apart: the ladders of a few exps of different lengths
 _TABLES_CACHED = 64
@@ -320,7 +344,18 @@ def _refine_spectra(fe: np.ndarray, fr: np.ndarray, f: np.ndarray,
         vf *= ve
 
 
-def rfft(x: np.ndarray, size: int) -> np.ndarray:
+def _ramp(op, x: np.ndarray, start: int, out: np.ndarray) -> None:
+    # out[..., j] = op(x[..., j], start + j) along the last axis, _PASS
+    # points at a time, so that no index array has full length
+    n = x.shape[-1]
+    for k in range(0, n, _PASS):
+        stop = min(k + _PASS, n)
+        op(x[..., k:stop], np.arange(start + k, start + stop),
+           out=out[..., k:stop])
+
+
+def rfft(x: np.ndarray, size: int, out: np.ndarray | None = None,
+         ramp: bool = False) -> np.ndarray:
     """Right-angle spectrum of the real rows x for products mod t^size + 1.
 
     size is even and x.shape[-1] <= size.  A row x packs into the complex
@@ -329,16 +364,24 @@ def rfft(x: np.ndarray, size: int) -> np.ndarray:
     last axis, in the permuted order of the module docstring.  Products of
     spectra taken at one size give, through irfft, the product of the rows
     mod t^size + 1.  An odd size, or a row longer than size, which the
-    packing would cut short: ValueError.
+    packing would cut short: ValueError.  ramp takes the spectrum of L x,
+    the row k x_k (0 at k = 0), packed straight from x.  out, of shape
+    x.shape[:-1] + (M,), receives the spectrum instead of a new array.
     """
     n, half = x.shape[-1], size // 2
     if size % 2 or n > size:
         raise ValueError(f"rows of {n} points have no right-angle spectrum "
                          f"of length {size}")
-    z = np.zeros(x.shape[:-1] + (half,), dtype=complex)
-    z.real[..., :min(n, half)] = x[..., :half]
-    if n > half:
-        z.imag[..., :n - half] = x[..., half:]
+    z = np.empty(x.shape[:-1] + (half,), dtype=complex) if out is None else out
+    low, high = min(n, half), max(n - half, 0)
+    for part, lo, hi in ((z.real, 0, low), (z.imag, half, half + high)):
+        if ramp:
+            _ramp(np.multiply, x[..., lo:hi], lo, part[..., :hi - lo])
+        else:
+            part[..., :hi - lo] = x[..., lo:hi]
+        part[..., hi - lo:] = 0.0
+    if ramp:
+        z.real[..., :1] = 0.0
     rows, cols = _split(half)
     weights, chunk, shifts = _tables(size, 1)
     view = z.reshape(z.shape[:-1] + (rows, cols))
@@ -350,7 +393,8 @@ def rfft(x: np.ndarray, size: int) -> np.ndarray:
     return z
 
 
-def irfft(f: np.ndarray, size: int, lo: int, hi: int) -> np.ndarray:
+def irfft(f: np.ndarray, size: int, lo: int, hi: int,
+          out: np.ndarray | None = None) -> np.ndarray:
     """Coefficients [lo, hi) of the real rows mod t^size + 1 whose
     right-angle spectra (see rfft) are f; f is overwritten.
 
@@ -358,6 +402,8 @@ def irfft(f: np.ndarray, size: int, lo: int, hi: int) -> np.ndarray:
     folded into the twiddles.  The unweighted inverse of a row is
     z_j = c_j + i c_{M+j}, M = size // 2: coefficient j < M of the product
     is the real part of z_j, and coefficient M + j its imaginary part.
+    out, of shape f.shape[:-1] + (hi - lo,), receives the coefficients
+    instead of a new array.
     """
     half = size // 2
     rows, cols = _split(half)
@@ -369,7 +415,8 @@ def irfft(f: np.ndarray, size: int, lo: int, hi: int) -> np.ndarray:
         np.fft.ifft(view, axis=-2, norm="forward", out=view)
         view *= weights
     z = view.reshape(f.shape)
-    out = np.empty(z.shape[:-1] + (hi - lo,))
+    if out is None:
+        out = np.empty(z.shape[:-1] + (hi - lo,))
     if lo < half:
         out[..., :min(hi, half) - lo] = z.real[..., lo:min(hi, half)]
     if hi > half:
@@ -463,61 +510,56 @@ def invert_recurrence(a: np.ndarray) -> np.ndarray:
     return rev[::-1].copy()
 
 
-def _round(a: np.ndarray, e: np.ndarray, r: np.ndarray, refine: bool):
-    # One round of _exp_newton_monic on each row: from e = exp(a) mod x^m
-    # and r = 1/e mod x^m to both mod x^M, M = a.shape[-1] <= 2m; r is None
-    # instead when not refine.  Every product of the round is direct or
-    # every one a right-angle product mod t^N + 1, N = _fast_len(M), as
-    # (L a) e is: the refine reads the spectra of e, r and eps together.
-    m, M = e.shape[-1], a.shape[-1]
-    la = a * np.arange(M)
-    la[..., 0] = 0.0
+def _round(a: np.ndarray, e: np.ndarray, r: np.ndarray, m: int,
+           spectra: np.ndarray, refine: bool) -> None:
+    # One round of _exp_newton_monic on each row, in place: from
+    # e = exp(a) mod x^m and r = 1/e mod x^m, held in [0, m) of e and r,
+    # it fills [m, M) of e, and of r when refine, M = a.shape[-1] <= 2m.
+    # Every product of the round is direct or every one a right-angle
+    # product mod t^N + 1, N = _fast_len(M), as (L a) e is: the refine
+    # reads the spectra of e, r and eps together.  Those take the rows of
+    # spectra, a (3, need) workspace, and q and eps pass through e[m:M]
+    # until the step overwrites them.
+    M = a.shape[-1]
     if M * m <= _DIRECT_WORK_LIMIT:
-        q = _convolve(la, e, m, M)
-        eps = _convolve(q, r, 0, M - m) / np.arange(m, M)
-        step = _convolve(eps, e, 0, M - m)
+        la = a * np.arange(M)
+        la[..., 0] = 0.0
+        q = _convolve(la, e[..., :m], m, M)
+        eps = _convolve(q, r[..., :m], 0, M - m) / np.arange(m, M)
         if refine:
             g = np.zeros(e.shape[:-1] + (M,))
-            g[..., :2 * m - 1] = _convolve(e, r, 0, M)
+            g[..., :2 * m - 1] = _convolve(e[..., :m], r[..., :m], 0, M)
             g[..., 0] -= 1.0
             g[..., m:] += eps
-            c = _convolve(g, r, m, M)
+            r[..., m:M] = -_convolve(g, r[..., :m], m, M)
+        e[..., m:M] = _convolve(eps, e[..., :m], 0, M - m)
+        return
+    size = _fast_len(M)
+    shape = e.shape[:-1] + (size // 2,)
+    fe, f, fr = (row[:math.prod(shape)].reshape(shape) for row in spectra)
+    new = e[..., m:M]
+    rfft(e[..., :m], size, out=fe)
+    rfft(a, size, out=f, ramp=True)
+    f *= fe
+    irfft(f, size, m, M, out=new)  # q
+    rfft(r[..., :m], size, out=fr)
+    rfft(new, size, out=f)
+    f *= fr
+    irfft(f, size, 0, M - m, out=new)
+    _ramp(np.true_divide, new, m, new)  # eps
+    rfft(new, size, out=f)
+    if refine:
+        _refine_spectra(fe, fr, f, size, m)
+        irfft(f, size, 0, M - m, out=new)
+        c = r[..., m:M]
+        irfft(fr, size, m, M, out=c)
+        np.negative(c, out=c)
     else:
-        size = _fast_len(M)
-        # the buffers are dropped in this order on purpose: dropping la
-        # before q exists, or eps before the step, let a second de Haan exp
-        # in one process peak at 221-226 MB of RSS against 210, once glibc
-        # serves buffers of these sizes from its heap
-        fe = rfft(e, size)
-        f = rfft(la, size)
         f *= fe
-        q = irfft(f, size, m, M)
-        del f, la
-        fr = rfft(r, size)
-        f = rfft(q, size)
-        f *= fr
-        eps = irfft(f, size, 0, M - m)
-        del f, q
-        if not refine:
-            del fr
-        eps /= np.arange(m, M)
-        f = rfft(eps, size)
-        if refine:
-            _refine_spectra(fe, fr, f, size, m)
-            del fe
-            step = irfft(f, size, 0, M - m)
-            del f
-            c = irfft(fr, size, m, M)
-            del fr
-        else:
-            f *= fe
-            step = irfft(f, size, 0, M - m)
-            del f, eps, fe
-    e = np.concatenate([e, step], axis=-1)
-    return e, np.concatenate([r, -c], axis=-1) if refine else None
+        irfft(f, size, 0, M - m, out=new)
 
 
-def _exp_newton_monic(a: np.ndarray, pair: bool = False):
+def _exp_newton_monic(a: np.ndarray, pair: bool = False) -> tuple:
     # Newton iteration on each row of the (b, n) stack a, taken as if
     # a[:, 0] = 0, over the precisions n, ceil(n/2), ..., 1 taken upwards.
     # Entering a round m -> M <= 2m, e = exp(a) mod x^m and r = 1/e mod x^m.
@@ -534,29 +576,38 @@ def _exp_newton_monic(a: np.ndarray, pair: bool = False):
     #      steps 1 and 2 took, in one inverse transform.
     # Every round to precision ceil(n/2) runs on all rows at once; the last
     # round runs one row at a time (see the module docstring), and refines
-    # only when pair.  Returns the rows of exp(a) and, when pair, of
-    # 1/exp(a), as lists.
+    # only when pair.  The stacks e and r and the spectra's workspace are
+    # allocated here, once, and every round fills its part of them; r is
+    # ceil(n/2) long unless pair.  Returns (e,), or (e, r) when pair.
     b, n = a.shape
-    precisions = [n]
-    while precisions[-1] > 1:
-        precisions.append((precisions[-1] + 1) // 2)
-    e = np.ones((b, 1))
-    r = np.ones((b, 1))
-    for M in reversed(precisions[1:-1]):
-        e, r = _round(a[:, :M], e, r, True)
-    exps, inverses = [], []
-    for i in range(b):
-        e_i, r_i = e[i], r[i]
-        if n > 1:
-            e_i, r_i = _round(a[i], e_i, r_i, pair)
-        exps.append(e_i)
-        if pair:
-            inverses.append(r_i)
-    return exps, inverses
+    ladder = [n]
+    while ladder[-1] > 1:
+        ladder.append((ladder[-1] + 1) // 2)
+    ladder.reverse()
+    rounds = list(zip(ladder, ladder[1:]))
+    need = max([(b if M < n else 1) * (_fast_len(M) // 2) for m, M in rounds
+                if M * m > _DIRECT_WORK_LIMIT], default=0)
+    spectra = np.empty((3, need), dtype=complex)
+    e = np.empty((b, n))
+    r = np.empty((b, n if pair else (n + 1) // 2))
+    e[:, 0] = r[:, 0] = 1.0
+    for m, M in rounds[:-1]:
+        _round(a[:, :M], e[:, :M], r[:, :M], m, spectra, True)
+    if rounds:
+        m = rounds[-1][0]
+        for i in range(b):
+            _round(a[i], e[i], r[i], m, spectra, pair)
+    return (e, r) if pair else (e,)
 
 
-def _finish(e: np.ndarray, a0: float, weights: np.ndarray,
-            log_bound: float, h: float) -> np.ndarray:
+def _decay(lo: int, hi: int, h: float) -> np.ndarray:
+    # the weights e^{-kh} for k in [lo, hi)
+    w = np.arange(lo, hi, dtype=float)
+    w *= -h
+    return np.exp(w, out=w)
+
+
+def _finish(e: np.ndarray, a0: float, log_bound: float, h: float) -> np.ndarray:
     # Scale e = exp*(a'), a' the input with its u = 1 mass a0 removed, to
     # exp*(a) after two checks on log |exp*(a)_k|.  The a priori bound
     # |exp*(a)_k| <= e^{kh} exp(log_bound), log_bound = sum_j |a_j| e^{-jh},
@@ -565,25 +616,37 @@ def _finish(e: np.ndarray, a0: float, weights: np.ndarray,
     # factor e above it is the garbage of an iteration whose intermediates
     # left the double range (ValueError); a result within it that is too
     # large for a double, or that holds a NaN, which no comparison with the
-    # bound catches, raises OverflowError.  The checks read |e_k| e^{-kh},
-    # with the weights e^{-kh} of _log_envelope, and |e_k| against the
-    # exps of the two bounds; a result that does not pass both with room
-    # to spare, or whose bound is below 1, is decided on the logs instead.
+    # bound catches, raises OverflowError.  The checks read |e_k| e^{-kh}
+    # and |e_k| against the exps of the two bounds; a result that does not
+    # pass both with room to spare, or whose bound is below 1, is decided
+    # on the logs instead.  Either pass runs _PASS points at a time, and
+    # np.max of the blocks' maxima keeps a NaN.
     c = log_bound + 1.0 - a0
-    mag = np.abs(e)
+    blocks = range(0, e.shape[-1], _PASS)
+    peaks, tops = [], []
     with np.errstate(invalid="ignore"):  # inf e^{-kh} where e^{-kh} underflowed
-        peak = float(np.max(mag * weights))
+        for k in blocks:
+            mag = np.abs(e[k:k + _PASS])
+            tops.append(np.max(mag))
+            mag *= _decay(k, k + mag.size, h)
+            peaks.append(np.max(mag))
     if not (c >= 0.0
-            and peak <= _ROOM * math.exp(min(c, 709.0))
-            and float(np.max(mag)) <= _ROOM * math.exp(min(708.0 - a0, 709.0))):
+            and float(np.max(peaks)) <= _ROOM * math.exp(min(c, 709.0))
+            and float(np.max(tops)) <= _ROOM * math.exp(min(708.0 - a0, 709.0))):
+        peaks, tops = [], []
         with np.errstate(divide="ignore"):
-            log_mag = np.log(mag) + a0
-        if float(np.max(log_mag - h * np.arange(e.shape[-1]))) > log_bound + 1.0:
+            for k in blocks:
+                log_mag = np.log(np.abs(e[k:k + _PASS]))
+                log_mag += a0
+                tops.append(np.max(log_mag))
+                log_mag -= h * np.arange(k, k + log_mag.size)
+                peaks.append(np.max(log_mag))
+        if float(np.max(peaks)) > log_bound + 1.0:
             raise ValueError(
                 "exp* result exceeds its a priori envelope bound: the FFT "
                 "iteration left the double range; use a weighted (tilted) input"
             )
-        if not float(np.max(log_mag)) <= 708.0:
+        if not float(np.max(tops)) <= 708.0:
             raise OverflowError(_LEFT_THE_RANGE)
     e *= math.exp(a0)
     return e
@@ -600,15 +663,18 @@ def _recurrence(a: np.ndarray) -> np.ndarray:
 
 
 def _log_envelope(a: np.ndarray, h: float):
-    # the weights w_j = e^{-jh}, and for each row of a the log envelope bound
-    # S = sum |a_j| w_j of _finish and the cancellation excess of exp*(a):
-    # S minus s = sum a_j w_j; one weights array serves every row
-    kh = h * np.arange(a.shape[-1])
-    w = np.exp(-kh)
+    # for each row of a, the log envelope bound S = sum |a_j| w_j of _finish,
+    # w_j = e^{-jh}, and the cancellation excess of exp*(a): S minus
+    # s = sum a_j w_j.  Summed _PASS points at a time, every row against
+    # one block of weights, so that neither w nor |a| has full length
     rows = np.reshape(a, (-1, a.shape[-1]))
-    log_bound = np.array([np.dot(np.abs(row), w) for row in rows])
-    signed = np.array([np.dot(row, w) for row in rows])
-    return (w, log_bound.reshape(a.shape[:-1]),
+    log_bound, signed = np.zeros(len(rows)), np.zeros(len(rows))
+    for k in range(0, rows.shape[-1], _PASS):
+        block = rows[:, k:k + _PASS]
+        w = _decay(k, k + block.shape[-1], h)
+        log_bound += np.abs(block) @ w
+        signed += block @ w
+    return (log_bound.reshape(a.shape[:-1]),
             (log_bound - signed).reshape(a.shape[:-1]))
 
 
@@ -618,7 +684,7 @@ def _newton_envelope(a: np.ndarray, h: float):
     if len(a) < _NEWTON_MIN_N:
         return None
     envelope = _log_envelope(a, h)
-    if envelope[2] > _NEWTON_MAX_EXCESS:
+    if envelope[1] > _NEWTON_MAX_EXCESS:
         return None
     return envelope
 
@@ -638,54 +704,38 @@ def exp_star_pair(a: np.ndarray, h: float):
     A row runs Newton only where exp_star would run Newton on both signs:
     the excess of exp*(-a) is S + s, so the pair's is S + |s|.  The rows
     that pass run as one stack, in lockstep (see the module docstring); the
-    others take the recurrence, row by row.  One weights pass serves every
-    row's rule and envelope check.
+    others take the recurrence, row by row.  One _log_envelope pass serves
+    every row's rule and envelope bound.
     """
     rows = np.reshape(a, (-1, a.shape[-1]))
-    weights, log_bound, excess = _log_envelope(rows, h)
+    log_bound, excess = _log_envelope(rows, h)
     newton = ((rows.shape[-1] >= _NEWTON_MIN_N)
               & ~((excess > _NEWTON_MAX_EXCESS)
                   | (2.0 * log_bound - excess > _NEWTON_MAX_EXCESS)))
     if newton.all():
-        return exp_newton_pair(a, h, (weights, log_bound.reshape(a.shape[:-1]),
-                                      None))
+        return exp_newton_pair(a, h, (log_bound.reshape(a.shape[:-1]), None))
     pos, neg = np.empty(rows.shape), np.empty(rows.shape)
     if newton.any():
         pos[newton], neg[newton] = exp_newton_pair(
-            rows[newton], h, (weights, log_bound[newton], None))
+            rows[newton], h, (log_bound[newton], None))
     for i in np.flatnonzero(~newton):
         pos[i], neg[i] = _recurrence(rows[i]), _recurrence(-rows[i])
     return pos.reshape(a.shape), neg.reshape(a.shape)
 
 
-def _stacked(rows: list, shape: tuple) -> np.ndarray:
-    # the rows as one array of the given shape, each row let go once copied,
-    # so that the copy never holds two full stacks; a single row is not
-    # copied
-    if len(rows) == 1:
-        return rows.pop().reshape(shape)
-    out = np.empty((len(rows),) + rows[0].shape)
-    for i in range(len(rows)):
-        out[i] = rows[i]
-        rows[i] = None
-    return out.reshape(shape)
-
-
 def _newton(a: np.ndarray, h: float, envelope, pair: bool):
     # exp_newton (pair False) or exp_newton_pair on a row or a stack of rows
     a = np.asarray(a, dtype=float)
-    weights, log_bound, _ = envelope or _log_envelope(a, h)
+    log_bound = (envelope or _log_envelope(a, h))[0]
     rows = np.reshape(a, (-1, a.shape[-1]))
     bounds = np.reshape(log_bound, -1)
     # unwarned: _finish refuses an iteration that left the double range
     with np.errstate(over="ignore", invalid="ignore"):
-        exps, inverses = _exp_newton_monic(rows, pair)
-    results = []
-    for sign, out in zip((1.0, -1.0), [exps, inverses] if pair else [exps]):
-        for i, (row, bound) in enumerate(zip(rows, bounds)):
-            _finish(out[i], sign * float(row[0]), weights, bound, h)
-        results.append(_stacked(out, a.shape))
-    return tuple(results)
+        stacks = _exp_newton_monic(rows, pair)
+    for sign, stack in zip((1.0, -1.0), stacks):
+        for row, out, bound in zip(rows, stack, bounds):
+            _finish(out, sign * float(row[0]), bound, h)
+    return tuple(stack.reshape(a.shape) for stack in stacks)
 
 
 def exp_newton(a: np.ndarray, h: float, envelope=None) -> np.ndarray:

@@ -292,10 +292,17 @@ def hypothesis_report(spec: SystemSpec, a: float = 1.0,
         # sum_{k <= K} |r_k| e^{(1 - sigma0) kh}.  Below sigma0 = 1 that
         # factor grows, so sum at rate 1 - sigma0 and restore e^{(1 - sigma0) t}
         # last; above, tilt, whose factors shrink.  No factor then exceeds the
-        # value, on any grid length.
+        # value, on any grid length.  Where that factor or the partial leaves
+        # the double range there is nothing to check, and sigma0 is refused.
         rate = 1.0 - sigma0
         if rate > 0:
-            vals_s0 = checkpoint_sums(rvar, ts, rate) * np.exp(rate * ts)
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals_s0 = checkpoint_sums(rvar, ts, rate) * np.exp(rate * ts)
+            if not np.all(np.isfinite(vals_s0)):
+                t = float(ts[~np.isfinite(vals_s0)][0])
+                raise ParameterError(
+                    f"sigma0={sigma0}: the u^-sigma0-weighted partial of |dR|/u "
+                    f"leaves the double range at checkpoint t={t:g}")
         else:
             vals_s0 = checkpoint_sums(tilt(rvar, -rate), ts)
         series["r_sigma0_partial"] = CheckpointSeries(ts, vals_s0, f"int |dR|/u^{sigma0} to x")

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -458,6 +459,22 @@ def test_cli_hypotheses_exits_on_a_failed_sigma0_check(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("FAIL hypothesis_ii_sigma0 ")
+
+
+def test_cli_hypotheses_refuses_a_sigma0_past_the_double_range(tmp_path, capsys):
+    # at sigma0 = -50 the u^{-sigma0}-weighted partial of |dR|/u grows like
+    # e^{51 t} and leaves the double range before the last checkpoint:
+    # refused as a parameter, with no numpy warning, where it used to print
+    # numpy's overflow warning and a FAIL verdict on final=inf
+    cfg = write_config(tmp_path, SIGMA0_CFG)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["hypotheses", "--config", cfg, "--sigma0=-50",
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("FAIL parameters ") and "sigma0" in lines[0]
 
 
 @pytest.mark.parametrize("argv", [

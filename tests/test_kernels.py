@@ -230,13 +230,21 @@ def test_finish_decides_as_its_logs_do(name):
     cases, kh, h = _finish_cases()
     e, a0, log_bound = cases[name]
     want = _decided_on_logs(e, a0, kh, log_bound)
-    weights = np.exp(-kh)
     if want is None:
-        got = kernels._finish(e.copy(), a0, weights, log_bound, h)
+        got = kernels._finish(e.copy(), a0, log_bound, h)
         assert np.array_equal(got, e * math.exp(a0))
     else:
         with np.errstate(invalid="ignore"), pytest.raises(want):
-            kernels._finish(e.copy(), a0, weights, log_bound, h)
+            kernels._finish(e.copy(), a0, log_bound, h)
+
+
+@pytest.mark.parametrize("name", sorted(_finish_cases()[0]))
+def test_finish_decides_alike_in_short_blocks(monkeypatch, name):
+    # _finish reads its rows _PASS points at a time; in blocks of 300 the
+    # cases of 2,000 points span seven, and a NaN or inf in a later block
+    # decides as it does in the first
+    monkeypatch.setattr(kernels, "_PASS", 300)
+    test_finish_decides_as_its_logs_do(name)
 
 
 @pytest.mark.parametrize("build", [build_kahane_pi, kahane_tail])
@@ -298,9 +306,9 @@ def test_exp_and_pair_stay_within_their_transform_budget(monkeypatch):
     volume = Counter()
 
     def summed(fn):
-        def wrapped(x, size, *args):
+        def wrapped(x, size, *args, **kwargs):
             volume["points"] += size * (x.size // x.shape[-1])
-            return fn(x, size, *args)
+            return fn(x, size, *args, **kwargs)
         return wrapped
 
     monkeypatch.setattr(kernels, "rfft", summed(kernels.rfft))
@@ -313,6 +321,38 @@ def test_exp_and_pair_stay_within_their_transform_budget(monkeypatch):
     volume.clear()
     exp_newton_pair(a, grid.h)
     assert volume["points"] <= 3.1 * product
+
+
+def test_exp_and_pair_stay_within_their_memory_budget():
+    # the tracemalloc peak in units of 8n bytes, one row of n doubles, which
+    # a spectrum of _fast_len(n) / 2 complex points also takes, near enough.
+    # A lone exp holds its result e (1), r to precision ceil(n/2) (1/2) and
+    # the three spectra of a round (3); a pair holds r at full length (1).
+    # They peak at 4.76 and 5.23; with buffers allocated round by round,
+    # and the weights e^{-kh} at full length, they peaked at 6.08 and 6.04
+    grid = KAHANE_GRID
+    a = kahane_tail(grid, weight_sigma=1.0).coeffs
+    unit = 8 * grid.n
+    assert _peak_bytes(lambda: exp_newton(a, grid.h)) <= 5.0 * unit
+    assert _peak_bytes(lambda: exp_newton_pair(a, grid.h)) <= 5.5 * unit
+
+
+@pytest.mark.parametrize("n", [5000, kernels._FOUR_STEP_MIN * 3])
+def test_ramped_spectrum_and_inverse_in_place_match_to_the_bit(n):
+    # rfft(x, ramp=True) packs k x_k straight from x, and out= receives a
+    # spectrum or coefficients in place: the same numbers as the spectrum
+    # of x * arange and a new array, on a row and on a stack of rows
+    rng = np.random.default_rng(n)
+    for x in (rng.standard_normal(n), rng.standard_normal((2, n))):
+        size = kernels._fast_len(n + n // 3)
+        lx = x * np.arange(n)
+        want = kernels.rfft(lx, size)
+        out = np.full_like(want, np.nan)
+        assert kernels.rfft(x, size, out=out, ramp=True) is out
+        assert np.array_equal(out, want)
+        coeffs = np.full(x.shape[:-1] + (n - 7,), np.nan)
+        assert kernels.irfft(out, size, 7, n, out=coeffs) is coeffs
+        assert np.array_equal(coeffs, kernels.irfft(want, size, 7, n))
 
 
 def test_spectral_refine_matches_the_recurrence():
@@ -474,9 +514,9 @@ def test_lockstep_pair_peaks_near_two_sequential_pairs():
     # the rounds below the last share each buffer between the rows, but
     # the last round, refine included, runs one row at a time, so no
     # buffer outgrows a single exp's largest; what the stack adds is the
-    # other row's e and 1/e at half length while a row finishes.  numpy
-    # reports its allocations to tracemalloc, so the peaks are exact: the
-    # ratio is 1.117 (running the last round in lockstep too gave 1.41)
+    # other row's e and 1/e while a row finishes.  numpy reports its
+    # allocations to tracemalloc, so the peaks are exact: the ratio is
+    # 1.083 (running the last round in lockstep too gave 1.41)
     grid = LogGrid(1e-3, 1 << 16)
     stack = np.stack([build_kahane_pi(grid, weight_sigma=1.0).coeffs,
                       kahane_tail(grid, weight_sigma=1.0).coeffs])
@@ -517,7 +557,7 @@ def test_auto_runs_newton_from_its_minimum_length(exp_paths, n, path):
 def test_auto_keeps_cancelling_input_on_the_recurrence(exp_paths):
     rng = np.random.default_rng(40)
     a = rng.uniform(-1.0, 1.0, 4096)
-    _, log_bound, excess = kernels._log_envelope(a, 0.01)
+    log_bound, excess = kernels._log_envelope(a, 0.01)
     # the signed excesses of exp*(a) and exp*(-a): 53 and 41
     assert 30.0 <= excess <= 60.0
     assert 30.0 <= 2.0 * log_bound - excess <= 60.0
@@ -622,8 +662,8 @@ def test_auto_runs_newton_on_weighted_li_at_the_systems_size(exp_paths, sign):
 @pytest.mark.parametrize("pair", [False, True])
 def test_auto_decision_adds_no_weights_pass(monkeypatch, pair):
     # from 2^15 up exp_star runs Newton as before; the decision reuses the one
-    # weights pass the envelope check makes, and the result is that of
-    # exp_newton to the bit
+    # _log_envelope pass that gives Newton its envelope bound, and the result
+    # is that of exp_newton to the bit
     passes = Counter()
     log_envelope = kernels._log_envelope
 
