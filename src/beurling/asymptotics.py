@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FitError, ParameterError
+from .kernels import _halves
 from .measure import Measure, mellin
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -143,18 +144,28 @@ def _tail_estimates(coeffs: np.ndarray, h: float, decays) -> list[float]:
     with np.errstate(divide="ignore"):
         log_c = np.log(np.abs(coeffs[lo:]))
     kh = h * np.arange(lo, n)
-    out = []
-    for d in decays:
-        log_t = log_c - d * kh
-        l1 = float(log_t[:half].max())
-        l2 = float(log_t[half:].max())
-        if l1 == -math.inf or l2 == -math.inf:
-            out.append(0.0)
-        elif l2 >= l1:
-            out.append(math.inf)
-        else:
-            # last * step / (1 - step) with step = e^{(l2 - l1) / half}
-            out.append(math.exp(float(log_t[-1])) / math.expm1((l1 - l2) / half))
+    out = [0.0] * len(decays)
+    # log t = log_c + (-d) kh, which rounds as log_c - d kh does, in one
+    # row per part of the split, allocated here: a row allocated on the
+    # worker would stay in its own malloc arena, outside this thread's reach
+    rows = np.empty((2, n - lo))
+
+    def estimates(first, stop):  # the decays [first, stop)
+        log_t = rows[0 if first == 0 else 1]
+        for i in range(first, stop):
+            np.multiply(kh, -decays[i], out=log_t)
+            log_t += log_c
+            l1 = float(log_t[:half].max())
+            l2 = float(log_t[half:].max())
+            if l1 == -math.inf or l2 == -math.inf:
+                out[i] = 0.0
+            elif l2 >= l1:
+                out[i] = math.inf
+            else:
+                # last * step / (1 - step) with step = e^{(l2 - l1) / half}
+                out[i] = math.exp(float(log_t[-1])) / math.expm1((l1 - l2) / half)
+
+    _halves(estimates, len(decays), points=len(decays) * (n - lo))
     return out
 
 

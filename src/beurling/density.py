@@ -22,7 +22,11 @@ A density is given as log_density, a function of t = log u, so grids may
 extend far past log u = 709, where u itself overflows a double.  The cell
 masses carry e^{(1 - sigma) t}, so a grid on which that factor overflows
 is refused before the density is evaluated; weight such grids with sigma
-close enough to 1.
+close enough to 1.  The midpoint rule evaluates log_density on blocks of
+_BLOCK cells; on a grid of more than one block and a process that may run
+on two CPUs, the later half of the blocks runs on kernels' worker thread
+(kernels._halves), so log_density must be safe to call from two threads
+at once, as a numpy expression is.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .grid import LogGrid
+from .kernels import _halves
 from .measure import Measure
 
 # np.exp overflows past log(max double) = 709.78
@@ -152,10 +157,14 @@ def discretize(spec: DensitySpec, grid: LogGrid, weight_sigma: float = 0.0) -> M
                 return vals * np.exp(growth * t)
 
         if spec.rule == "midpoint":
-            # in blocks, so that no temporary holds all n cells
-            for lo in range(1, n, _BLOCK):
-                hi = min(n, lo + _BLOCK)
-                np.multiply(h, g(np.arange(lo, hi) * h), out=coeffs[lo:hi])
+            # in blocks, so that no temporary holds all n cells, and in two
+            # halves of the blocks where there are more than one
+            def cells(lo, hi):
+                for k in range(1 + lo, 1 + hi, _BLOCK):
+                    stop = min(1 + hi, k + _BLOCK)
+                    np.multiply(h, g(np.arange(k, stop) * h), out=coeffs[k:stop])
+
+            _halves(cells, n - 1, _BLOCK)
             coeffs[0] = 0.5 * h * float(g(np.array([0.25 * h]))[0])
             quad_cells = set()
         else:

@@ -138,6 +138,61 @@ glibc's 32 MB ceiling on its mmap threshold, so it is mapped and handed
 back when the exp returns, and tracemalloc sees it, as it would not see
 an anonymous mmap.
 
+Passes run in two parts when the process may use more than one CPU
+(os.sched_getaffinity): _halves runs the first part of a pass on the
+calling thread and the second on one worker thread, which starts on the
+first split and waits on a lock between parts, so that an idle worker
+takes no CPU.  rfft splits its packing, ramp and row weights by halves of
+the rows of the (A, B) view, its column FFTs by halves of the columns,
+and its twiddles and row FFTs by halves of the rows cut at a chunk of the
+twiddle table; irfft runs the same steps backwards.  _round splits its
+spectrum products and its divide by k, _refine_spectra its blocks of rows,
+and _log_envelope and _finish their blocks of _PASS points, whose partial
+sums _log_envelope adds afterwards in block order.  Each part writes only
+its own points, so every result is the same to the bit on one CPU or two.
+density.discretize splits its blocks of cells, measure.mellin its panels
+of sigma and asymptotics._tail_estimates its decays alike.  What stays on
+the calling thread, and why:
+
+  - a pass over fewer than _SPLIT_MIN = 2^16 points (a transform counts
+    the rows of its stack times M), where handing a part over costs more
+    than it saves: split, a forward and inverse pair of 32,768 points took
+    1.55 ms on two CPUs against 1.30 on one, and of 20,000 points 1.24 ms
+    against 0.95.  Every transform of a grid of 32,768 points or fewer
+    stays whole, and so do the Kahane ladder's rounds below two rows of
+    31,250 points;
+  - the cached tables (_tables), read before a split, and every public
+    function, which a tracer may wrap: perfbench's keeps one stack of
+    spans and assumes one thread;
+  - large temporaries: memory the worker allocates stays in its own malloc
+    arena, out of the calling thread's reach, so a part writes into
+    buffers its caller allocated (_tail_estimates' per-decay rows raised
+    the transform workload's peak RSS by 11 MB when the worker made its
+    own).  The worker's arena adds about 4 MB.
+
+The worker runs its part in a copy of the caller's context, since numpy's
+errstate is a context variable, and an exception it raises is raised by
+the caller once both parts are done.  A split asked for on the worker runs
+inline, and a forked child, in which the worker does not run, starts one
+of its own (os.register_at_fork).  One forward and inverse transform pair
+of M points, one CPU against two (the same code with the split off), median
+of 8 alternating sets on a 2-vCPU Intel Xeon, shared host, in a fresh
+process with sizes ascending and then after a sustained run:
+
+    M            fresh: one CPU   two        sustained: one CPU   two
+    93,750       3.70 ms          3.08 ms    5.59 ms              3.86 ms
+    253,125      10.1 ms          6.52 ms    11.6 ms              7.55 ms
+    506,250      24.9 ms          15.7 ms    20.5 ms              14.4 ms
+    1,406,250    98.6 ms          45.3 ms    95.0 ms              42.9 ms
+
+The second vCPU of that host is slow to wake from idle: in other fresh
+processes the sizes up to 506,250 ran 4-6% slower on two CPUs until a
+run of larger transforms had kept it busy, while 1,406,250 points ran 1.9
+times faster (1.4-2.5) even right after sleeps of 0.5-1.5 s.  A long run
+such as mellin-fit is sustained load: in one process, calls alternating
+with the unsplit code, the de Haan exp took 0.53 s against 0.86 s and the
+Kahane exp* pair (two rows of 500,001) 0.18 s against 0.27 s.
+
 Conditioning note: the exponential of a signed sequence can be dominated by
 cancellation; relative accuracy is only meaningful when the positive
 envelope exp*(|a|) stays within a few orders of magnitude of the result.
@@ -201,9 +256,13 @@ invert and log_star run their recurrences on every size.
 """
 from __future__ import annotations
 
+import collections
+import contextvars
 import functools
 import math
 import mmap
+import os
+import threading
 
 import numpy as np
 
@@ -219,6 +278,9 @@ _BLOCK = 1 << 13
 # points per block of the passes over a row that would otherwise build
 # temporaries of its length: _ramp, _log_envelope and the checks of _finish
 _PASS = 1 << 16
+# _halves splits passes over at least this many points; handing a part to
+# the worker costs more than it saves below (see the module docstring)
+_SPLIT_MIN = 1 << 16
 # transform sizes whose four-step tables stay cached, forward and inverse
 # counted apart: the ladders of a few exps of different lengths
 _TABLES_CACHED = 64
@@ -230,6 +292,93 @@ _NEWTON_MAX_EXCESS = 8.0
 _ROOM = 1.0 - 1e-9
 _LEFT_THE_RANGE = ("exp* result left the double range; keep the computation "
                    "in a weighted (tilted) representation instead")
+# the thread that runs the second part of each _halves split: started on
+# the first split, under _starting, and dropped in a forked child, where it
+# does not run
+_worker = None
+_starting = threading.Lock()
+
+
+class _Worker:
+    # one daemon thread running the parts handed to it, in order; it waits
+    # for work on a semaphore, so an idle worker takes no CPU
+    def __init__(self):
+        self.parts = collections.deque()
+        self.ready = threading.Semaphore(0)
+        self.thread = threading.Thread(target=self._serve, daemon=True,
+                                       name="beurling-halves")
+        self.thread.start()
+
+    def _serve(self):
+        while True:
+            self.ready.acquire()
+            self.parts.popleft()()
+
+    def run(self, part):
+        self.parts.append(part)
+        self.ready.release()
+
+
+def _forget_worker() -> None:
+    # in a forked child: the parent's worker, and any thread that held
+    # _starting, did not come along
+    global _worker, _starting
+    _worker, _starting = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _cpus() -> int:
+    # the CPUs this process may run on
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity to read: run on one
+        return 1
+
+
+def _halves(fn, n: int, align: int = 1, points: int | None = None) -> None:
+    # fn(lo, hi) over [0, n) in two parts, [0, mid) on the calling thread
+    # and [mid, n) on the worker, when the process may run on more than one
+    # CPU and the pass covers at least _SPLIT_MIN points (n unless given):
+    # mid = align ceil(u/2) for the u = ceil(n/align) units of align, so
+    # the caller takes the larger half.  Otherwise, and when called from
+    # the worker itself: fn(0, n).  fn must write disjoint parts of its
+    # outputs for disjoint ranges and call only numpy and private helpers
+    # (see the module docstring).  An exception raised on the worker is
+    # raised here once both parts are done.
+    global _worker
+    mid = align * ((-(-n // align) + 1) // 2)
+    worker = _worker
+    if (mid >= n or (n if points is None else points) < _SPLIT_MIN or _cpus() < 2
+            or (worker is not None and threading.get_ident() == worker.thread.ident)):
+        fn(0, n)
+        return
+    if worker is None:
+        with _starting:
+            if _worker is None:
+                _worker = _Worker()
+            worker = _worker
+    context = contextvars.copy_context()  # numpy's errstate lives there
+    done, errors = threading.Lock(), []
+    done.acquire()
+
+    def part():
+        try:
+            context.run(fn, mid, n)
+        except BaseException as exc:  # re-raised below, on the caller
+            errors.append(exc)
+        finally:
+            done.release()
+
+    worker.run(part)
+    try:
+        fn(0, mid)
+    finally:
+        done.acquire()
+    if errors:
+        raise errors[0]
 
 
 def _smooth_len(m: int) -> int:
@@ -311,15 +460,19 @@ def _kept(table: np.ndarray | None) -> np.ndarray | None:
     return kept
 
 
-def _twiddle(view: np.ndarray, chunk: np.ndarray, shifts: np.ndarray) -> None:
-    # view[..., k, b] *= scale w^(sign b (1 - 4k)) in place over the (A, B)
-    # view of the four-step transform, chunk by chunk from the tables of
+def _twiddle(view: np.ndarray, chunk: np.ndarray, shifts: np.ndarray,
+             lo: int, hi: int) -> None:
+    # view[..., k, b] *= scale w^(sign b (1 - 4k)) in place for the rows k
+    # in [lo, hi) of the (A, B) view of the four-step transform, lo a
+    # multiple of the chunk's rows, chunk by chunk from the tables of
     # _tables: the chunk starting at row c takes T times its row of shifts
     s = chunk.shape[0]
-    rows = view.shape[-2]
-    view[..., :s, :] *= chunk
-    for c, shift in zip(range(s, rows, s), shifts):
-        view[..., c:c + s, :] *= chunk[:rows - c] * shift
+    for c in range(lo, hi, s):
+        rows = view[..., c:min(c + s, hi), :]
+        if c == 0:
+            rows *= chunk[:rows.shape[-2]]
+        else:
+            rows *= chunk[:rows.shape[-2]] * shifts[c // s - 1]
 
 
 def _refine_spectra(fe: np.ndarray, fr: np.ndarray, f: np.ndarray,
@@ -335,13 +488,29 @@ def _refine_spectra(fe: np.ndarray, fr: np.ndarray, f: np.ndarray,
     across = _turns(-4 * rows * m, cols, size)
     views = [x.reshape(x.shape[:-1] + (rows, cols)) for x in (fe, fr, f)]
     block = max(1, _BLOCK // cols)
-    for k in range(0, rows, block):
-        ve, vr, vf = (v[..., k:k + block, :] for v in views)
-        t = vf * (down[k:k + block, None] * across)
-        t += ve * vr
-        t -= 1.0
-        vr *= t
-        vf *= ve
+
+    def blocks(lo, hi):
+        for k in range(lo, hi, block):
+            ve, vr, vf = (v[..., k:k + block, :] for v in views)
+            t = vf * (down[k:k + block, None] * across)
+            t += ve * vr
+            t -= 1.0
+            vr *= t
+            vf *= ve
+
+    _halves(blocks, rows, block, fe.size)
+
+
+def _times(f: np.ndarray, g: np.ndarray, size: int) -> None:
+    # f *= g point by point, for spectra taken at size, by halves of the
+    # rows of their four-step view
+    rows, cols = _split(size // 2)
+
+    def part(r0, r1):
+        lo, hi = r0 * cols, r1 * cols
+        np.multiply(f[..., lo:hi], g[..., lo:hi], out=f[..., lo:hi])
+
+    _halves(part, rows, points=f.size)
 
 
 def _ramp(op, x: np.ndarray, start: int, out: np.ndarray) -> None:
@@ -373,23 +542,40 @@ def rfft(x: np.ndarray, size: int, out: np.ndarray | None = None,
         raise ValueError(f"rows of {n} points have no right-angle spectrum "
                          f"of length {size}")
     z = np.empty(x.shape[:-1] + (half,), dtype=complex) if out is None else out
-    low, high = min(n, half), max(n - half, 0)
-    for part, lo, hi in ((z.real, 0, low), (z.imag, half, half + high)):
-        if ramp:
-            _ramp(np.multiply, x[..., lo:hi], lo, part[..., :hi - lo])
-        else:
-            part[..., :hi - lo] = x[..., lo:hi]
-        part[..., hi - lo:] = 0.0
-    if ramp:
-        z.real[..., :1] = 0.0
     rows, cols = _split(half)
     weights, chunk, shifts = _tables(size, 1)
     view = z.reshape(z.shape[:-1] + (rows, cols))
+
+    def pack(r0, r1):
+        # rows [r0, r1) of the view: points [lo, hi) of z, where point p
+        # takes x_p, or p x_p when ramp, and x_{half + p} as its imaginary part
+        lo, hi = r0 * cols, r1 * cols
+        for part, base in ((z.real, 0), (z.imag, half)):
+            stop = min(max(n - base, lo), hi)
+            if ramp:
+                _ramp(np.multiply, x[..., base + lo:base + stop], base + lo,
+                      part[..., lo:stop])
+            else:
+                part[..., lo:stop] = x[..., base + lo:base + stop]
+            part[..., stop:hi] = 0.0
+        if ramp and lo == 0:
+            z.real[..., :1] = 0.0
+        if rows > 1:
+            view[..., r0:r1, :] *= weights[r0:r1]
+
+    def down(c0, c1):
+        block = view[..., c0:c1]
+        np.fft.fft(block, axis=-2, out=block)
+
+    def across(r0, r1):
+        block = view[..., r0:r1, :]
+        _twiddle(view, chunk, shifts, r0, r1)
+        np.fft.fft(block, axis=-1, out=block)
+
+    _halves(pack, rows, points=z.size)
     if rows > 1:
-        view *= weights
-        np.fft.fft(view, axis=-2, out=view)
-    _twiddle(view, chunk, shifts)
-    np.fft.fft(view, axis=-1, out=view)
+        _halves(down, cols, points=z.size)
+    _halves(across, rows, len(chunk), z.size)
     return z
 
 
@@ -409,19 +595,36 @@ def irfft(f: np.ndarray, size: int, lo: int, hi: int,
     rows, cols = _split(half)
     weights, chunk, shifts = _tables(size, -1)
     view = f.reshape(f.shape[:-1] + (rows, cols))
-    np.fft.ifft(view, axis=-1, norm="forward", out=view)
-    _twiddle(view, chunk, shifts)
-    if rows > 1:
-        np.fft.ifft(view, axis=-2, norm="forward", out=view)
-        view *= weights
     z = view.reshape(f.shape)
     if out is None:
         out = np.empty(z.shape[:-1] + (hi - lo,))
-    if lo < half:
-        out[..., :min(hi, half) - lo] = z.real[..., lo:min(hi, half)]
-    if hi > half:
-        top = max(lo, half)
-        out[..., top - lo:] = z.imag[..., top - half:hi - half]
+
+    def across(r0, r1):
+        block = view[..., r0:r1, :]
+        np.fft.ifft(block, axis=-1, norm="forward", out=block)
+        _twiddle(view, chunk, shifts, r0, r1)
+
+    def down(c0, c1):
+        block = view[..., c0:c1]
+        np.fft.ifft(block, axis=-2, norm="forward", out=block)
+
+    def unpack(r0, r1):
+        # rows [r0, r1) of the view: points [p0, p1) of z, whose real parts
+        # are coefficients p and imaginary parts coefficients half + p
+        p0, p1 = r0 * cols, r1 * cols
+        if rows > 1:
+            view[..., r0:r1, :] *= weights[r0:r1]
+        a, b = max(lo, p0), min(hi, half, p1)
+        if a < b:
+            out[..., a - lo:b - lo] = z.real[..., a:b]
+        a, b = max(lo - half, p0), min(hi - half, p1)
+        if a < b:
+            out[..., a + half - lo:b + half - lo] = z.imag[..., a:b]
+
+    _halves(across, rows, len(chunk), f.size)
+    if rows > 1:
+        _halves(down, cols, points=f.size)
+    _halves(unpack, rows, points=f.size)
     return out
 
 
@@ -540,13 +743,17 @@ def _round(a: np.ndarray, e: np.ndarray, r: np.ndarray, m: int,
     new = e[..., m:M]
     rfft(e[..., :m], size, out=fe)
     rfft(a, size, out=f, ramp=True)
-    f *= fe
+    _times(f, fe, size)
     irfft(f, size, m, M, out=new)  # q
     rfft(r[..., :m], size, out=fr)
     rfft(new, size, out=f)
-    f *= fr
+    _times(f, fr, size)
     irfft(f, size, 0, M - m, out=new)
-    _ramp(np.true_divide, new, m, new)  # eps
+
+    def divide(lo, hi):  # eps, from k eps_k
+        _ramp(np.true_divide, new[..., lo:hi], m + lo, new[..., lo:hi])
+
+    _halves(divide, M - m, _PASS, new.size)
     rfft(new, size, out=f)
     if refine:
         _refine_spectra(fe, fr, f, size, m)
@@ -555,7 +762,7 @@ def _round(a: np.ndarray, e: np.ndarray, r: np.ndarray, m: int,
         irfft(fr, size, m, M, out=c)
         np.negative(c, out=c)
     else:
-        f *= fe
+        _times(f, fe, size)
         irfft(f, size, 0, M - m, out=new)
 
 
@@ -622,25 +829,31 @@ def _finish(e: np.ndarray, a0: float, log_bound: float, h: float) -> np.ndarray:
     # on the logs instead.  Either pass runs _PASS points at a time, and
     # np.max of the blocks' maxima keeps a NaN.
     c = log_bound + 1.0 - a0
-    blocks = range(0, e.shape[-1], _PASS)
-    peaks, tops = [], []
-    with np.errstate(invalid="ignore"):  # inf e^{-kh} where e^{-kh} underflowed
-        for k in blocks:
+    n = e.shape[-1]
+    peaks, tops = np.empty(-(-n // _PASS)), np.empty(-(-n // _PASS))
+
+    def weighed(lo, hi):
+        for k in range(lo, hi, _PASS):
             mag = np.abs(e[k:k + _PASS])
-            tops.append(np.max(mag))
+            tops[k // _PASS] = np.max(mag)
             mag *= _decay(k, k + mag.size, h)
-            peaks.append(np.max(mag))
+            peaks[k // _PASS] = np.max(mag)
+
+    def logged(lo, hi):
+        for k in range(lo, hi, _PASS):
+            log_mag = np.log(np.abs(e[k:k + _PASS]))
+            log_mag += a0
+            tops[k // _PASS] = np.max(log_mag)
+            log_mag -= h * np.arange(k, k + log_mag.size)
+            peaks[k // _PASS] = np.max(log_mag)
+
+    with np.errstate(invalid="ignore"):  # inf e^{-kh} where e^{-kh} underflowed
+        _halves(weighed, n, _PASS)
     if not (c >= 0.0
             and float(np.max(peaks)) <= _ROOM * math.exp(min(c, 709.0))
             and float(np.max(tops)) <= _ROOM * math.exp(min(708.0 - a0, 709.0))):
-        peaks, tops = [], []
         with np.errstate(divide="ignore"):
-            for k in blocks:
-                log_mag = np.log(np.abs(e[k:k + _PASS]))
-                log_mag += a0
-                tops.append(np.max(log_mag))
-                log_mag -= h * np.arange(k, k + log_mag.size)
-                peaks.append(np.max(log_mag))
+            _halves(logged, n, _PASS)
         if float(np.max(peaks)) > log_bound + 1.0:
             raise ValueError(
                 "exp* result exceeds its a priori envelope bound: the FFT "
@@ -648,7 +861,12 @@ def _finish(e: np.ndarray, a0: float, log_bound: float, h: float) -> np.ndarray:
             )
         if not float(np.max(tops)) <= 708.0:
             raise OverflowError(_LEFT_THE_RANGE)
-    e *= math.exp(a0)
+    scale = math.exp(a0)
+
+    def scaled(lo, hi):
+        np.multiply(e[lo:hi], scale, out=e[lo:hi])
+
+    _halves(scaled, n, _PASS)
     return e
 
 
@@ -668,12 +886,20 @@ def _log_envelope(a: np.ndarray, h: float):
     # s = sum a_j w_j.  Summed _PASS points at a time, every row against
     # one block of weights, so that neither w nor |a| has full length
     rows = np.reshape(a, (-1, a.shape[-1]))
+    n = rows.shape[-1]
+    sums = np.empty((-(-n // _PASS), 2, len(rows)))
+
+    def summed(lo, hi):
+        for k in range(lo, hi, _PASS):
+            block = rows[:, k:k + _PASS]
+            w = _decay(k, k + block.shape[-1], h)
+            sums[k // _PASS] = np.abs(block) @ w, block @ w
+
+    _halves(summed, n, _PASS, rows.size)
     log_bound, signed = np.zeros(len(rows)), np.zeros(len(rows))
-    for k in range(0, rows.shape[-1], _PASS):
-        block = rows[:, k:k + _PASS]
-        w = _decay(k, k + block.shape[-1], h)
-        log_bound += np.abs(block) @ w
-        signed += block @ w
+    for bound, part in sums:  # in block order, whichever thread summed them
+        log_bound += bound
+        signed += part
     return (log_bound.reshape(a.shape[:-1]),
             (log_bound - signed).reshape(a.shape[:-1]))
 

@@ -218,6 +218,8 @@ def mellin(a: Measure, sigma):
     direct sum (one n-term dot drifts to ~1e-13 at n ~ 5e6).  sigma goes
     through in panels of fixed width, so every product has one shape and
     one BLAS kernel, and the array form equals the scalar form to the bit.
+Where the process may use two CPUs, half of the panels run on kernels'
+worker thread (kernels._halves), each into its own part of the result.
 
     The sum stops at the grid end; callers probing sigma near 1 must pick a
     grid whose log-length makes the dropped tail negligible (the fitting
@@ -238,12 +240,16 @@ def mellin(a: Measure, sigma):
     outer_k = block * np.arange(rows + 1)
     padded = np.resize(flat, -(-len(flat) // _MELLIN_PANEL) * _MELLIN_PANEL)
     out = np.empty(len(padded))
-    for p in range(0, len(padded), _MELLIN_PANEL):
-        rate = padded[p: p + _MELLIN_PANEL, None] * h
-        inner = np.exp(-rate * inner_k)
-        outer = np.exp(-rate * outer_k)
-        out[p: p + _MELLIN_PANEL] = ((outer[:, :rows] * (inner @ body)).sum(axis=1)
-                                     + outer[:, rows] * (inner[:, :ragged] @ tail))
+
+    def panels(lo, hi):
+        for p in range(lo, hi, _MELLIN_PANEL):
+            rate = padded[p: p + _MELLIN_PANEL, None] * h
+            inner = np.exp(-rate * inner_k)
+            outer = np.exp(-rate * outer_k)
+            out[p: p + _MELLIN_PANEL] = ((outer[:, :rows] * (inner @ body)).sum(axis=1)
+                                         + outer[:, rows] * (inner[:, :ragged] @ tail))
+
+    kernels._halves(panels, len(padded), _MELLIN_PANEL, len(padded) * n)
     out = out[: len(flat)]
     return float(out[0]) if sig.ndim == 0 else out
 
