@@ -183,9 +183,10 @@ def checkpoint_sums(a: Measure, ts, rate: float = 0.0) -> np.ndarray:
     out = np.empty(len(ts))
     carry, start = 0.0, 0
     for j, (t, k) in enumerate(zip(ts, a.grid.indices_of_log(ts))):
-        factors = np.exp(step * np.arange(start - k, 1))
-        carry = (carry * math.exp(step * (start - 1 - k))
-                 + (a.coeffs[start: k + 1] * factors).sum())
+        segment = a.coeffs[start: k + 1]
+        if step:  # rate 0: every factor is 1, which changes no bit
+            segment = segment * np.exp(step * np.arange(start - k, 1))
+        carry = carry * math.exp(step * (start - 1 - k)) + segment.sum()
         out[j] = carry * math.exp(rate * (k * a.grid.h - t))
         start = k + 1
     return out
@@ -218,8 +219,8 @@ def mellin(a: Measure, sigma):
     direct sum (one n-term dot drifts to ~1e-13 at n ~ 5e6).  sigma goes
     through in panels of fixed width, so every product has one shape and
     one BLAS kernel, and the array form equals the scalar form to the bit.
-Where the process may use two CPUs, half of the panels run on kernels'
-worker thread (kernels._halves), each into its own part of the result.
+    Where the process may use two CPUs, half of the panels run on kernels'
+    worker thread (kernels._halves), each into its own part of the result.
 
     The sum stops at the grid end; callers probing sigma near 1 must pick a
     grid whose log-length makes the dropped tail negligible (the fitting

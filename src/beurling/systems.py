@@ -54,23 +54,30 @@ DEFAULT_CHECKPOINTS = tuple(float(t) for t in range(5, 55, 5))
 
 def _li_density_log(t):
     # (1 - 1/u)/log u at u = e^t is -expm1(-t)/t, extended by its limit 1
-    # at t = 0; series below t = 1e-4 avoids the 0/0.
+    # at t = 0; series below t = 1e-4 avoids the 0/0.  No masked copies:
+    # -expm1(-t)/t on every point, then the series where t is small
     t = np.asarray(t, dtype=float)
     out = np.empty_like(t)
+    with np.errstate(invalid="ignore"):  # the 0/0 at t = 0
+        np.negative(t, out=out)
+        np.expm1(out, out=out)
+        np.negative(out, out=out)
+        out /= t
     small = t < 1e-4
     ts = t[small]
     out[small] = 1.0 - ts / 2.0 + ts * ts / 6.0
-    tl = t[~small]
-    out[~small] = -np.expm1(-tl) / tl
     return out if out.shape else float(out)
 
 
 def _tail_density_log(t):
+    # 1/(t log t) past the cutoff t = e: on every point, then zeroed below
     t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    m = t >= math.e
-    tm = t[m]
-    out[m] = 1.0 / (tm * np.log(tm))
+    out = np.empty_like(t)
+    with np.errstate(divide="ignore", invalid="ignore"):  # at t <= 1
+        np.log(t, out=out)
+        out *= t
+        np.divide(1.0, out, out=out)
+    out[t < math.e] = 0.0
     return out if out.shape else float(out)
 
 
