@@ -2,7 +2,7 @@
 
 The mass of cell k is the integral of the density over the half-open slab
 [e^{(k-1/2)h}, e^{(k+1/2)h}); cell 0 starts at u = 1.  In log coordinates
-the integrand is g(t) = f(e^t) e^t, and the default midpoint rule takes
+the integrand is g(t) = f(e^t) e^t, and the midpoint rule takes
 h * g(kh) per cell, an O(h^2) projection for smooth f.  Cells containing a
 declared breakpoint (a density jump such as an indicator cutoff) are
 integrated by adaptive quadrature split exactly at the jump, which removes
@@ -126,14 +126,11 @@ def quad(f, a: float, b: float, epsabs: float, epsrel: float, limit: int):
 @dataclass(frozen=True)
 class DensitySpec:
     atoms: Sequence[tuple[float, float]] = ()
-    rule: str = "midpoint"
     breakpoints: Sequence[float] = ()
     log_density: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def discretize(spec: DensitySpec, grid: LogGrid, weight_sigma: float = 0.0) -> Measure:
-    if spec.rule not in ("midpoint", "quad"):
-        raise ValueError(f"unknown integration rule {spec.rule!r}")
     h, n = grid.h, grid.n
     coeffs = np.zeros(n)
 
@@ -156,19 +153,15 @@ def discretize(spec: DensitySpec, grid: LogGrid, weight_sigma: float = 0.0) -> M
             with np.errstate(over="ignore"):
                 return vals * np.exp(growth * t)
 
-        if spec.rule == "midpoint":
-            # in blocks, so that no temporary holds all n cells, and in two
-            # halves of the blocks where there are more than one
-            def cells(lo, hi):
-                for k in range(1 + lo, 1 + hi, _BLOCK):
-                    stop = min(1 + hi, k + _BLOCK)
-                    np.multiply(h, g(np.arange(k, stop) * h), out=coeffs[k:stop])
+        # in blocks, so that no temporary holds all n cells, and in two
+        # halves of the blocks where there are more than one
+        def cells(lo, hi):
+            for k in range(1 + lo, 1 + hi, _BLOCK):
+                stop = min(1 + hi, k + _BLOCK)
+                np.multiply(h, g(np.arange(k, stop) * h), out=coeffs[k:stop])
 
-            _halves(cells, n - 1, _BLOCK)
-            coeffs[0] = 0.5 * h * float(g(np.array([0.25 * h]))[0])
-            quad_cells = set()
-        else:
-            quad_cells = set(range(n))
+        _halves(cells, n - 1, _BLOCK)
+        coeffs[0] = 0.5 * h * float(g(np.array([0.25 * h]))[0])
 
         cuts = sorted(float(np.log(b)) for b in spec.breakpoints if b > 1.0)
         cell_cuts: dict[int, list[float]] = {}
@@ -179,12 +172,11 @@ def discretize(spec: DensitySpec, grid: LogGrid, weight_sigma: float = 0.0) -> M
             if k >= n:
                 continue
             cell_cuts.setdefault(k, []).append(t_cut)
-            quad_cells.add(k)
 
-        for k in sorted(quad_cells):
+        for k in sorted(cell_cuts):
             lo = 0.0 if k == 0 else (k - 0.5) * h
             hi = (k + 0.5) * h
-            pieces = [lo] + [c for c in cell_cuts.get(k, []) if lo < c < hi] + [hi]
+            pieces = [lo] + [c for c in cell_cuts[k] if lo < c < hi] + [hi]
             total = 0.0
             for a, b in zip(pieces[:-1], pieces[1:]):
                 if b > a:

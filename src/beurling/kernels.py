@@ -140,16 +140,17 @@ an anonymous mmap.
 
 Passes run in two parts when the process may use more than one CPU
 (os.sched_getaffinity): _halves runs the first part of a pass on the
-calling thread and the second on one worker thread, which starts on the
-first split and waits on a lock between parts, so that an idle worker
-takes no CPU.  rfft splits its packing, ramp and row weights by halves of
-the rows of the (A, B) view, its column FFTs by halves of the columns,
-and its twiddles and row FFTs by halves of the rows cut at a chunk of the
-twiddle table; irfft runs the same steps backwards.  _round splits its
-spectrum products and its divide by k, _refine_spectra its blocks of rows,
-and _log_envelope and _finish their blocks of _PASS points, whose partial
-sums _log_envelope adds afterwards in block order.  Each part writes only
-its own points, so every result is the same to the bit on one CPU or two.
+calling thread and hands the second to the one thread of a
+concurrent.futures.ThreadPoolExecutor, made on the first split, which
+waits on its queue between parts and so takes no CPU while idle.  rfft
+splits its packing, ramp and row weights by halves of the rows of the
+(A, B) view, its column FFTs by halves of the columns, and its twiddles
+and row FFTs by halves of the rows cut at a chunk of the twiddle table;
+irfft runs the same steps backwards.  _round splits its spectrum products and
+its divide by k, _refine_spectra its blocks of rows, and _log_envelope
+and _finish their blocks of _PASS points, whose partial sums
+_log_envelope adds afterwards in block order.  Each part writes only its
+own points, so every result is the same to the bit on one CPU or two.
 density.discretize splits its blocks of cells, measure.mellin its panels
 of sigma and asymptotics._tail_estimates its decays alike.  What stays on
 the calling thread, and why:
@@ -164,20 +165,28 @@ the calling thread, and why:
   - the cached tables (_tables), read before a split, and every public
     function, which a tracer may wrap: perfbench's keeps one stack of
     spans and assumes one thread;
-  - large temporaries: memory the worker allocates stays in its own malloc
-    arena, out of the calling thread's reach, so a part writes into
+  - large temporaries: memory the pool's thread allocates stays in its own
+    malloc arena, out of the calling thread's reach, so a part writes into
     buffers its caller allocated (_tail_estimates' per-decay rows raised
-    the transform workload's peak RSS by 11 MB when the worker made its
-    own).  The worker's arena adds about 4 MB.
+    the transform workload's peak RSS by 11 MB when that thread made its
+    own).  Its arena adds about 4 MB.
 
-The worker runs its part in a copy of the caller's context, since numpy's
-errstate is a context variable, and an exception it raises is raised by
-the caller once both parts are done.  A split asked for on the worker runs
-inline, and a forked child, in which the worker does not run, starts one
-of its own (os.register_at_fork).  One forward and inverse transform pair
-of M points, one CPU against two (the same code with the split off), median
-of 8 alternating sets on a 2-vCPU Intel Xeon, shared host, in a fresh
-process with sizes ascending and then after a sustained run:
+The pool's thread runs its part in a copy of the caller's context, since
+numpy's errstate is a context variable, and the part's Future carries an
+exception back to the caller, which raises it once both parts are done.
+_halves adds what the pool lacks: a split asked for on the pool's thread
+(known by its name) runs inline, where waiting for itself would hang; a
+forked child, in which that thread does not run, makes a pool of its own
+(os.register_at_fork); concurrent.futures, whose import takes 6-9 ms
+after numpy's, loads on the first split, so a process that never splits
+does not pay for it; and once interpreter shutdown has begun, when the
+pool refuses work (an exp in an atexit handler), a split runs whole on
+the caller, to the same bits.
+
+One forward and inverse transform pair of M points, one CPU against two
+(the same code with the split off), median of 8 alternating sets on a
+2-vCPU Intel Xeon, shared host, in a fresh process with sizes ascending
+and then after a sustained run:
 
     M            fresh: one CPU   two        sustained: one CPU   two
     93,750       3.70 ms          3.08 ms    5.59 ms              3.86 ms
@@ -256,7 +265,6 @@ invert and log_star run their recurrences on every size.
 """
 from __future__ import annotations
 
-import collections
 import contextvars
 import functools
 import math
@@ -279,7 +287,7 @@ _BLOCK = 1 << 13
 # temporaries of its length: _ramp, _log_envelope and the checks of _finish
 _PASS = 1 << 16
 # _halves splits passes over at least this many points; handing a part to
-# the worker costs more than it saves below (see the module docstring)
+# the pool costs more than it saves below (see the module docstring)
 _SPLIT_MIN = 1 << 16
 # transform sizes whose four-step tables stay cached, forward and inverse
 # counted apart: the ladders of a few exps of different lengths
@@ -292,42 +300,23 @@ _NEWTON_MAX_EXCESS = 8.0
 _ROOM = 1.0 - 1e-9
 _LEFT_THE_RANGE = ("exp* result left the double range; keep the computation "
                    "in a weighted (tilted) representation instead")
-# the thread that runs the second part of each _halves split: started on
-# the first split, under _starting, and dropped in a forked child, where it
-# does not run
-_worker = None
+# the one-thread pool that runs the second part of each _halves split:
+# made on the first split, under _starting, and dropped in a forked child,
+# where its thread does not run
+_pool = None
 _starting = threading.Lock()
+_THREAD_NAME = "beurling-halves"
 
 
-class _Worker:
-    # one daemon thread running the parts handed to it, in order; it waits
-    # for work on a semaphore, so an idle worker takes no CPU
-    def __init__(self):
-        self.parts = collections.deque()
-        self.ready = threading.Semaphore(0)
-        self.thread = threading.Thread(target=self._serve, daemon=True,
-                                       name="beurling-halves")
-        self.thread.start()
-
-    def _serve(self):
-        while True:
-            self.ready.acquire()
-            self.parts.popleft()()
-
-    def run(self, part):
-        self.parts.append(part)
-        self.ready.release()
-
-
-def _forget_worker() -> None:
-    # in a forked child: the parent's worker, and any thread that held
+def _forget_pool() -> None:
+    # in a forked child: the parent's pool thread, and any thread that held
     # _starting, did not come along
-    global _worker, _starting
-    _worker, _starting = None, threading.Lock()
+    global _pool, _starting
+    _pool, _starting = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _cpus() -> int:
@@ -340,45 +329,37 @@ def _cpus() -> int:
 
 def _halves(fn, n: int, align: int = 1, points: int | None = None) -> None:
     # fn(lo, hi) over [0, n) in two parts, [0, mid) on the calling thread
-    # and [mid, n) on the worker, when the process may run on more than one
-    # CPU and the pass covers at least _SPLIT_MIN points (n unless given):
-    # mid = align ceil(u/2) for the u = ceil(n/align) units of align, so
-    # the caller takes the larger half.  Otherwise, and when called from
-    # the worker itself: fn(0, n).  fn must write disjoint parts of its
+    # and [mid, n) on the pool's thread, when the process may run on more
+    # than one CPU and the pass covers at least _SPLIT_MIN points (n unless
+    # given): mid = align ceil(u/2) for the u = ceil(n/align) units of
+    # align, so the caller takes the larger half.  Otherwise, when called
+    # from the pool's thread itself, and once the pool refuses work at
+    # interpreter shutdown: fn(0, n).  fn must write disjoint parts of its
     # outputs for disjoint ranges and call only numpy and private helpers
-    # (see the module docstring).  An exception raised on the worker is
-    # raised here once both parts are done.
-    global _worker
+    # (see the module docstring).  An exception raised on the pool's
+    # thread is raised here once both parts are done.
+    global _pool
     mid = align * ((-(-n // align) + 1) // 2)
-    worker = _worker
     if (mid >= n or (n if points is None else points) < _SPLIT_MIN or _cpus() < 2
-            or (worker is not None and threading.get_ident() == worker.thread.ident)):
+            or threading.current_thread().name.startswith(_THREAD_NAME)):
         fn(0, n)
         return
-    if worker is None:
-        with _starting:
-            if _worker is None:
-                _worker = _Worker()
-            worker = _worker
-    context = contextvars.copy_context()  # numpy's errstate lives there
-    done, errors = threading.Lock(), []
-    done.acquire()
-
-    def part():
-        try:
-            context.run(fn, mid, n)
-        except BaseException as exc:  # re-raised below, on the caller
-            errors.append(exc)
-        finally:
-            done.release()
-
-    worker.run(part)
+    try:
+        if _pool is None:
+            with _starting:
+                if _pool is None:
+                    from concurrent.futures import ThreadPoolExecutor
+                    _pool = ThreadPoolExecutor(1, thread_name_prefix=_THREAD_NAME)
+        # in a copy of the caller's context, where numpy's errstate lives
+        part = _pool.submit(contextvars.copy_context().run, fn, mid, n)
+    except RuntimeError:  # interpreter shutdown has begun (see the docstring)
+        fn(0, n)
+        return
     try:
         fn(0, mid)
     finally:
-        done.acquire()
-    if errors:
-        raise errors[0]
+        part.exception()  # waits for the pool's part
+    part.result()
 
 
 def _smooth_len(m: int) -> int:

@@ -267,7 +267,9 @@ def save_measure(a: Measure, path) -> None:
 
 def load_measure(path) -> Measure:
     """Read a save_measure file.  A missing or foreign tag line, a header
-    without h and n, or a non-numeric coefficient is a ParameterError."""
+    without h and n or with an h or n that LogGrid refuses, a non-numeric
+    or non-finite coefficient, or a coefficient count other than n is a
+    ParameterError that names the file."""
     with open(path) as fh:
         tag = fh.readline().strip()
         if tag != f"# {FORMAT_TAG}":
@@ -280,11 +282,11 @@ def load_measure(path) -> Measure:
             raise ParameterError(f"{path}: header {header!r} is not h=<step>,n=<size>") from None
         # one coefficient per line; split() also drops blank lines
         body = fh.read().split()
-    try:
+    try:  # ParameterError, from LogGrid and Measure, is a ValueError too
         coeffs = np.fromiter(map(float, body), dtype=float, count=len(body))
+        return Measure(LogGrid(h=h, n=n), coeffs)
     except ValueError as exc:
         raise ParameterError(f"{path}: {exc}") from None
-    return Measure(LogGrid(h=h, n=n), coeffs)
 
 
 def relative_gap(a, b) -> float:

@@ -1,17 +1,18 @@
 """Prime enumeration for the classical (rational-prime) system.
 
-One core, ``_odd_masks``, runs a segmented sieve of Eratosthenes over the
-odd numbers only (Bays & Hudson, BIT 17, 1977): each segment spans a fixed
-number of integers, so memory stays bounded by the segment length rather
-than the limit, and yields a boolean mask of its odd primes.  The default
-segment, 2^21 integers, gives a 1 MiB mask, which stays in a 2 MiB L2 cache
-while every base prime strides through it.  Each mask starts as a copy of a
-presieve pattern that already strikes the multiples of 3, 5, 7, 11 and 13:
-in odd-index space (i for the odd number 3 + 2i) those repeat with period
-3*5*7*11*13 = 15,015, so the pattern is tiled once and each segment copies
-the slice at its offset, then sets the five small primes back where they
-fall.  The base primes above 13 then strike their multiples, the first of
-each computed for all of them at once.  Three consumers read the masks:
+One core, ``_odd_segments``, runs a segmented sieve of Eratosthenes over
+the odd numbers only (Bays & Hudson, BIT 17, 1977): each segment spans a
+fixed number of integers, so memory stays bounded by the segment length
+rather than the limit, and yields a boolean mask of its odd primes.  The
+segment, SEGMENT = 2^21 integers, gives a 1 MiB mask, which stays in a
+2 MiB L2 cache while every base prime strides through it.  Each mask
+starts as a copy of a presieve pattern that already strikes the multiples
+of 3, 5, 7, 11 and 13: in odd-index space (i for the odd number 3 + 2i)
+those repeat with period 3*5*7*11*13 = 15,015, so the pattern is tiled
+once and each segment copies the slice at its offset, then sets the five
+small primes back where they fall.  The base primes above 13 then strike
+their multiples, the first of each computed for all of them at once.
+Three consumers read the masks:
 
   prime_count              1 (for the prime 2) plus the set bits;
   iter_primes              the primes themselves, 2 first;
@@ -31,9 +32,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ParameterError
-
-DEFAULT_SEGMENT = 2_097_152
+# integers per segment, read when a sieve starts
+SEGMENT = 2_097_152
 # the presieved primes, and the period of their multiples in odd-index space
 _PRESIEVE = (3, 5, 7, 11, 13)
 _PERIOD = 15_015
@@ -51,17 +51,10 @@ def simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def _odd_masks(limit: int, segment: int) -> Iterator[tuple[int, np.ndarray]]:
+def _odd_segments(limit: int) -> Iterator[tuple[int, np.ndarray]]:
     """Iterator of (lo, mask) over the odd numbers in [3, limit], lo odd and
     ascending: mask[i] is true iff lo + 2i is prime.  Each mask covers
-    ``segment`` integers, the last one fewer.  The segment length is checked
-    here, before any mask is made."""
-    if segment < 2:
-        raise ParameterError(f"sieve segment must be at least 2, got {segment}")
-    return _odd_segments(limit, segment // 2)
-
-
-def _odd_segments(limit: int, size: int) -> Iterator[tuple[int, np.ndarray]]:
+    SEGMENT integers, the last one fewer."""
     base = simple_sieve(math.isqrt(max(limit, 0)))
     base = base[base > _PRESIEVE[-1]]
     squares = base * base
@@ -70,7 +63,7 @@ def _odd_segments(limit: int, size: int) -> Iterator[tuple[int, np.ndarray]]:
         pattern[(p - 3) // 2 :: p] = False
     # no mask is longer than the count of odd numbers in [3, limit]; the tiled
     # pattern holds a slice of that length from any offset in the period
-    size = min(size, max((limit - 1) // 2, 0))
+    size = min(SEGMENT // 2, max((limit - 1) // 2, 0))
     tiled = np.tile(pattern, size // _PERIOD + 2)
     lo = 3
     while lo <= limit:
@@ -92,23 +85,21 @@ def _odd_segments(limit: int, size: int) -> Iterator[tuple[int, np.ndarray]]:
         lo += 2 * mask.size
 
 
-def iter_primes(limit: int, segment: int = DEFAULT_SEGMENT) -> Iterator[np.ndarray]:
+def iter_primes(limit: int) -> Iterator[np.ndarray]:
     """Yield primes <= limit in ascending int64 arrays: [2], then the odd
     primes segment by segment."""
-    masks = _odd_masks(limit, segment)
     if limit >= 2:
         yield np.array([2], dtype=np.int64)
-    for lo, mask in masks:
+    for lo, mask in _odd_segments(limit):
         yield lo + 2 * np.flatnonzero(mask).astype(np.int64)
 
 
-def prime_count(limit: int, segment: int = DEFAULT_SEGMENT) -> int:
-    odd = sum(int(np.count_nonzero(mask)) for _, mask in _odd_masks(limit, segment))
+def prime_count(limit: int) -> int:
+    odd = sum(int(np.count_nonzero(mask)) for _, mask in _odd_segments(limit))
     return odd + (limit >= 2)
 
 
-def count_primes_in_ranges(edges, limit: int,
-                           segment: int = DEFAULT_SEGMENT) -> np.ndarray:
+def count_primes_in_ranges(edges, limit: int) -> np.ndarray:
     """Number of primes p <= limit with edges[j] <= p < edges[j+1], for
     ascending integer edges, as an int64 array of len(edges) - 1.
 
@@ -121,7 +112,7 @@ def count_primes_in_ranges(edges, limit: int,
         j = int(np.searchsorted(edges, 2, side="right")) - 1
         if 0 <= j < counts.size:
             counts[j] += 1
-    for lo, mask in _odd_masks(limit, segment):
+    for lo, mask in _odd_segments(limit):
         # ranges first..last-1 meet the segment; idx holds, for each of their
         # edges, the index of the first odd number >= it, clipped to the mask
         first = max(int(np.searchsorted(edges, lo, side="right")) - 1, 0)

@@ -477,6 +477,23 @@ def test_cli_hypotheses_refuses_a_sigma0_past_the_double_range(tmp_path, capsys)
     assert lines[0].startswith("FAIL parameters ") and "sigma0" in lines[0]
 
 
+def test_cli_hypotheses_refuses_an_a_past_the_double_range(tmp_path, capsys):
+    # at a = 400, t^a overflows at the checkpoints from t = 10 on: refused
+    # as a parameter, with no numpy warning and no series written, where it
+    # used to print numpy's overflow warnings, write inf into m0_ratio.csv
+    # and fail hypothesis_iii on final=inf
+    cfg = write_config(tmp_path, SIGMA0_CFG)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["hypotheses", "--config", cfg, "--a=400",
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("FAIL parameters ") and "a=400" in lines[0]
+    assert not (tmp_path / "o" / "m0_ratio.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["identities", "--tol", "1e-15"],
     # kahane_identity fails on this grid (6.2e-6 against 1e-6); the rest pass

@@ -1,5 +1,5 @@
 """The two-part passes of kernels._halves: the helper's contract, and every
-exp and discretization equal to the bit with and without the worker.
+exp and discretization equal to the bit with and without the split.
 
 The split count comes from the process's CPU affinity, which the tests
 monkeypatch: one CPU keeps every pass on the calling thread, two split it,
@@ -7,7 +7,9 @@ whatever the machine running the tests has.
 """
 
 import os
+import pathlib
 import signal
+import subprocess
 import sys
 import threading
 import warnings
@@ -107,13 +109,14 @@ def test_worker_exception_reaches_the_caller(monkeypatch):
 
 
 def test_a_split_from_the_worker_runs_inline(monkeypatch):
-    # the worker's part splits again; waiting for itself would deadlock, so
-    # the nested call runs both of its parts on the worker
+    # the pool thread's part splits again; waiting for itself would
+    # deadlock, so the nested call runs both of its parts on that thread
     _set_cpus(monkeypatch, 2)
-    inner = []
+    inner, outer = [], []
 
     def fn(lo, hi):
         if lo > 0:
+            outer.append(threading.get_ident())
             kernels._halves(_recorded(inner), 6)
 
     caller = threading.Thread(target=kernels._halves, args=(fn, 2), daemon=True)
@@ -121,15 +124,15 @@ def test_a_split_from_the_worker_runs_inline(monkeypatch):
     caller.join(timeout=20)
     assert not caller.is_alive(), "the nested split did not return"
     assert [call[:2] for call in inner] == [(0, 6)]
-    assert inner[0][2] == kernels._worker.thread.ident
+    assert inner[0][2] == outer[0] != caller.ident
 
 
 def test_concurrent_callers_share_one_worker(monkeypatch):
     # more calling threads than CPUs, switching often, split at once from
-    # a process with no worker yet: one worker starts, and every part of
+    # a process with no pool yet: one pool thread starts, and every part of
     # every split runs exactly once
     _set_cpus(monkeypatch, 2)
-    monkeypatch.setattr(kernels, "_worker", None)
+    monkeypatch.setattr(kernels, "_pool", None)
     splits, width = 200, 8
     counts = [np.zeros(width, dtype=int) for _ in range(4)]
     runners = set()
@@ -138,7 +141,7 @@ def test_concurrent_callers_share_one_worker(monkeypatch):
         def fn(lo, hi):
             count[lo:hi] += 1
             if lo > 0:
-                runners.add(threading.get_ident())
+                runners.add((threading.get_ident(), threading.current_thread().name))
         for _ in range(splits):
             kernels._halves(fn, width)
 
@@ -155,7 +158,10 @@ def test_concurrent_callers_share_one_worker(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers)
     assert all((count == splits).all() for count in counts)
-    assert runners == {kernels._worker.thread.ident}
+    assert len(runners) == 1
+    (runner, name), = runners
+    assert name.startswith(kernels._THREAD_NAME)
+    assert runner not in {caller.ident for caller in callers}
 
 
 def _grid(n):
@@ -200,13 +206,13 @@ def test_split_discretization_and_sums_equal_serial_to_the_bit(monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_child_forked_after_a_split_completes_an_exp(monkeypatch):
-    # the parent's worker thread does not run in a forked child; a child
+    # the parent's pool thread does not run in a forked child; a child
     # handing it a part would wait for it forever, so the alarm ends it
     _set_cpus(monkeypatch, 2)
     grid = _grid(100_001)
     a = kahane_tail(grid, weight_sigma=1.0).coeffs
     want = kernels.exp_newton(a, grid.h)
-    assert kernels._worker is not None
+    assert kernels._pool is not None
     with warnings.catch_warnings():
         # Python 3.12 on deprecates forking a process that runs threads
         warnings.simplefilter("ignore", DeprecationWarning)
@@ -220,3 +226,42 @@ def test_a_child_forked_after_a_split_completes_an_exp(monkeypatch):
             os._exit(code)
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+# An exp whose passes all split, taken in the main program and again in an
+# atexit handler, where interpreter shutdown has begun and the pool takes no
+# more work.  "warm" splits before exit, so the pool exists; "cold" takes
+# the first exp unsplit, so the handler's exp is the first split.  Prints
+# "equal" from the handler only when the two exps agree to the bit.
+ATEXIT_PROBE = """
+import atexit, os, sys
+import numpy as np
+from beurling import kernels
+from beurling.grid import LogGrid
+from beurling.systems import kahane_tail
+os.sched_getaffinity = lambda pid: {0, 1}
+kernels._SPLIT_MIN = 1 if sys.argv[1] == "warm" else 1 << 62
+grid = LogGrid(1e-3, 100_001)
+a = kahane_tail(grid, weight_sigma=1.0).coeffs
+want = kernels.exp_newton(a, grid.h)
+assert (kernels._pool is None) == (sys.argv[1] == "cold")
+kernels._SPLIT_MIN = 1
+
+def at_exit():
+    got = kernels.exp_newton(a, grid.h)
+    print("equal" if np.array_equal(got, want) else "differ", flush=True)
+
+atexit.register(at_exit)
+"""
+
+
+@pytest.mark.parametrize("start", ["warm", "cold"])
+def test_a_split_during_interpreter_shutdown_runs_on_the_caller(start):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    res = subprocess.run([sys.executable, "-c", ATEXIT_PROBE, start],
+                         capture_output=True, text=True, env=env, timeout=120,
+                         check=False)
+    assert (res.returncode, res.stderr, res.stdout.strip()) == (0, "", "equal")

@@ -502,6 +502,22 @@ def test_load_refuses_a_malformed_file_naming_it(tmp_path, text, names):
     assert names in str(exc.value)
 
 
+@pytest.mark.parametrize("text, names", [
+    ("# beurling-measure-v1\nh=0.001,n=5\n" + BODY + "4.0\n", "expected 5 coefficients"),
+    ("# beurling-measure-v1\nh=0.001,n=2\n" + BODY, "expected 2 coefficients"),
+    ("# beurling-measure-v1\nh=0.001,n=3\n1.5\nnan\n0.25\n", "finite"),
+    ("# beurling-measure-v1\nh=-0.1,n=3\n" + BODY, "grid step"),
+], ids=["short", "long", "nan", "negative-h"])
+def test_load_refuses_a_grid_or_values_naming_the_file(tmp_path, text, names):
+    # the refusals of LogGrid and Measure, which know no path, carry it too
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    with pytest.raises(ParameterError) as exc:
+        load_measure(path)
+    assert str(exc.value).startswith(f"{path}: ")
+    assert names in str(exc.value)
+
+
 def test_save_format_header(tmp_path):
     g = LogGrid(0.001, 3)
     path = tmp_path / "m.txt"

@@ -7,13 +7,12 @@ independent rational-arithmetic oracle with zero tolerance.
 
 import math
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 import pytest
 
-from beurling import (LogGrid, ParameterError, RangeError, build_classical_pi,
-                      prime_count, prime_power_mass, primitive)
+from beurling import (LogGrid, RangeError, build_classical_pi, prime_count,
+                      prime_power_mass, primitive)
 from beurling import sieve
 from beurling.sieve import (count_primes_in_ranges, iter_primes, prime_powers,
                             simple_sieve)
@@ -44,8 +43,9 @@ def test_prime_counts():
     assert prime_count(10 ** 6) == 78_498
 
 
-def test_segmented_matches_simple():
-    parts = [seg for seg in iter_primes(10 ** 5, segment=9_973)]
+def test_segmented_matches_simple(monkeypatch):
+    monkeypatch.setattr(sieve, "SEGMENT", 9_973)
+    parts = [seg for seg in iter_primes(10 ** 5)]
     assert all(len(seg) > 0 for seg in parts)
     joined = np.concatenate(parts)
     assert np.array_equal(joined, simple_sieve(10 ** 5))
@@ -60,35 +60,37 @@ def range_counts_by_search(edges, limit):
 # number more, so segments start at every offset in the period; segments of
 # 2, 3 and 97 start past 3, 5, 7, 11 or 13, which the presieve must restore.
 # 8,000,000 is the earlier default, one segment for every limit below.
-SEGMENTS = [2, 3, 97, 30_030, 30_032, 8_000_000, sieve.DEFAULT_SEGMENT]
+SEGMENTS = [2, 3, 97, 30_030, 30_032, 8_000_000, sieve.SEGMENT]
 
 
-def assert_sieve_matches_simple_sieve(x, segment):
-    assert prime_count(x, segment) == len(simple_sieve(x)), x
-    joined = np.concatenate([np.empty(0, np.int64), *iter_primes(x, segment)])
+def assert_sieve_matches_simple_sieve(x):
+    assert prime_count(x) == len(simple_sieve(x)), x
+    joined = np.concatenate([np.empty(0, np.int64), *iter_primes(x)])
     assert joined.dtype == np.int64
     assert np.array_equal(joined, simple_sieve(x)), x
     edges = np.arange(-3, x + 12, 7)
-    got = count_primes_in_ranges(edges, x, segment)
+    got = count_primes_in_ranges(edges, x)
     assert np.array_equal(got, range_counts_by_search(edges, x)), x
 
 
 @pytest.mark.parametrize("segment", SEGMENTS)
-def test_prime_count_and_iter_primes_match_simple_sieve(segment):
+def test_prime_count_and_iter_primes_match_simple_sieve(segment, monkeypatch):
+    monkeypatch.setattr(sieve, "SEGMENT", segment)
     for x in range(401):
-        assert_sieve_matches_simple_sieve(x, segment)
+        assert_sieve_matches_simple_sieve(x)
 
 
 @pytest.mark.parametrize("segment", SEGMENTS)
-def test_sieve_matches_simple_sieve_across_presieve_periods(segment):
+def test_sieve_matches_simple_sieve_across_presieve_periods(segment, monkeypatch):
     # 2 * 15,015 + 3 is the first odd number of the second period; segments
     # of 2 or 3 integers make one mask per odd number, so they stop there
+    monkeypatch.setattr(sieve, "SEGMENT", segment)
     if segment <= 3:
         limits = [2 * 15_015 + 3]
     else:
         limits = [*range(2 * 15_015 - 2, 2 * 15_015 + 9), 10 ** 5]
     for x in limits:
-        assert_sieve_matches_simple_sieve(x, segment)
+        assert_sieve_matches_simple_sieve(x)
 
 
 def test_prime_count_powers_of_ten():
@@ -96,24 +98,16 @@ def test_prime_count_powers_of_ten():
     assert [prime_count(10 ** k) for k in range(9)] == pi
 
 
-def test_sieve_refuses_segments_below_two():
-    for segment in (1, 0, -5):
-        with pytest.raises(ParameterError):
-            prime_count(100, segment)
-        with pytest.raises(ParameterError):
-            next(iter_primes(100, segment))
-        with pytest.raises(ParameterError):
-            count_primes_in_ranges([0, 50, 101], 100, segment)
-
-
-def test_count_primes_in_ranges_small():
+def test_count_primes_in_ranges_small(monkeypatch):
     edges = [-3, 0, 2, 3, 4, 10, 10, 11, 30, 31]
     # [-3,0) [0,2) [2,3) [3,4) [4,10) [10,10) [10,11) [11,30) [30,31)
     want = [0, 0, 1, 1, 2, 0, 0, 6, 0]
-    for segment in (2, 3, 4, 5, 97):
-        assert count_primes_in_ranges(edges, 30, segment).tolist() == want
-    assert count_primes_in_ranges(edges, 12, 3).tolist() == [0, 0, 1, 1, 2, 0, 0, 1, 0]
     assert count_primes_in_ranges([5], 100).size == 0
+    for segment in (2, 3, 4, 5, 97):
+        monkeypatch.setattr(sieve, "SEGMENT", segment)
+        assert count_primes_in_ranges(edges, 30).tolist() == want
+    monkeypatch.setattr(sieve, "SEGMENT", 3)
+    assert count_primes_in_ranges(edges, 12).tolist() == [0, 0, 1, 1, 2, 0, 0, 1, 0]
 
 
 def parent_pi(h: float, n: int, limit: int) -> np.ndarray:
@@ -143,10 +137,9 @@ def first_in_cell(h: float, k: int) -> int:
 @pytest.mark.parametrize("segment", [2, 3, 97, 9_973])
 @pytest.mark.parametrize("h", [1e-4, 4e-3, 0.1, 0.37])
 def test_cell_counts_match_the_prime_list(h, segment, monkeypatch):
-    # build_classical_pi sieves with the default segment; pin a short one so
-    # cells straddle segments (small h) and segments sit inside a cell (large h)
-    monkeypatch.setattr(sieve, "count_primes_in_ranges",
-                        partial(count_primes_in_ranges, segment=segment))
+    # a short segment, so that cells straddle segments (small h) and
+    # segments sit inside a cell (large h)
+    monkeypatch.setattr(sieve, "SEGMENT", segment)
     b_k = first_in_cell(h, int(np.rint(math.log(1200) / h)))
     assert b_k not in (1000, 1001)
     for limit in (2, 3, 4, 1000, 1001, b_k - 1, b_k):
@@ -180,8 +173,7 @@ def test_classical_pi_is_the_same_at_the_earlier_default_segment(monkeypatch):
     grid, limit = LogGrid(4e-3, 16_383), 10 ** 8
     coeffs = {}
     for segment in (2_097_152, 8_000_000):
-        monkeypatch.setattr(sieve, "count_primes_in_ranges",
-                            partial(count_primes_in_ranges, segment=segment))
+        monkeypatch.setattr(sieve, "SEGMENT", segment)
         coeffs[segment] = build_classical_pi(grid, limit).coeffs.tobytes()
     assert coeffs[2_097_152] == coeffs[8_000_000]
 

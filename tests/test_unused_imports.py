@@ -140,6 +140,17 @@ def test_only_the_rule_and_the_oracle_name_the_recurrence():
     assert set(modules_naming("exp_recurrence", sources)) <= REFERENCE_EXP_USERS
 
 
+# the names of threads and of what runs on them: only kernels, whose
+# _halves hands the second part of a pass to its one-thread pool
+THREAD_NAMES = ("threading", "contextvars", "ThreadPoolExecutor")
+
+
+def test_only_kernels_names_threads():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert {name: modules_naming(name, sources) for name in THREAD_NAMES} == {
+        name: ["kernels.py"] for name in THREAD_NAMES}
+
+
 # A fresh interpreter imports the package and its CLI, splits a density cell
 # at a breakpoint by quadrature and runs one FFT exp pair whose products are
 # large enough for both the 1-D and the four-step transforms; then lists
@@ -159,11 +170,34 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
-def test_the_package_runs_without_loading_scipy():
+# A fresh interpreter runs one exp pair on 32,768 points, whose passes are
+# all below kernels._SPLIT_MIN: no pass splits, so the pool is not made and
+# concurrent.futures, whose import takes some milliseconds, is not loaded.
+NO_POOL_PROBE = """
+import sys
+import beurling, beurling.cli
+from beurling import kernels
+from beurling.grid import LogGrid
+from beurling.systems import build_kahane_pi
+grid = LogGrid(1e-3, 1 << 15)
+kernels.exp_star_pair(build_kahane_pi(grid, weight_sigma=1.0).coeffs, grid.h)
+print(kernels._pool, sorted(m for m in sys.modules if m.startswith("concurrent")))
+"""
+
+
+def run_probe(probe: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC.parent)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    res = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE], capture_output=True,
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, env=env, timeout=120, check=False)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    return res.stdout.strip()
+
+
+def test_the_package_runs_without_loading_scipy():
+    assert run_probe(NO_SCIPY_PROBE) == "[]"
+
+
+def test_an_unsplit_exp_loads_no_thread_pool():
+    assert run_probe(NO_POOL_PROBE) == "None []"
