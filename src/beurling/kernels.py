@@ -17,11 +17,16 @@ reciprocal step needs only
     x^m c = ((e r - 1) + x^m eps) r   on [m, M),
 
 whose spectrum is (fe fr - 1 + t^m feps) fr, and t^m multiplies the
-spectrum point by point (_refine_spectra).  A round thus takes 5 forward
-transforms (e, L a, r, the product q, eps) and 4 inverse ones (q, eps, the
-step, the refine) of its own length, 9 in all, where refining r in
-transforms of its own took 12: 10 at the round's length and 4 at half of
-it.  Each product is taken mod t^N + 1 for the shortest length N whose
+spectrum point by point (_refine_spectra, which takes the negated
+spectrum, so that r[m:M] comes out of the inverse with its sign).  A round
+thus takes 5 forward transforms (e, L a, r, the product q, eps) and 4
+inverse ones (q, eps, the step, the refine) of its own length, 9 in all,
+where refining r in transforms of its own took 12: 10 at the round's
+length and 4 at half of it.  The round makes no whole-array pass of its
+own besides: a product of spectra rides in the first pass of its inverse
+(irfft(..., times=)), and the weighting by k and the divide by k in the
+packing of a forward transform (rfft(..., ramp=)).  Each product is taken
+mod t^N + 1 for the shortest length N whose
 wrap-around misses the coefficients it must deliver (Bernstein, "Removing
 redundancy in high-precision Newton iteration", 2004; Hanrot & Zimmermann,
 "Newton iteration revisited", 2004).  By transform volume, the summed sizes
@@ -118,8 +123,9 @@ e and r of its results, r only ceil(n/2) long for a lone exp, and one
 (3, need) complex workspace for the three spectra a round keeps alive,
 those of e, of the product and of r, with need the largest rows times N/2
 over the rounds.  Each round fills [m, M) of e and r in place through
-irfft(..., out=), q and eps pass through e[m:M] until the step overwrites
-them, rfft packs L a straight from a, and _log_envelope and _finish read
+irfft(..., out=), q and k eps_k pass through e[m:M] until the step
+overwrites them, rfft packs L a straight from a and eps straight from
+k eps_k, and _log_envelope and _finish read
 their rows _PASS points at a time.  In units of 8n bytes, one row of n
 doubles, which a spectrum of N/2 ~ n/2 complex points takes too, a lone
 exp holds 1 + 1/2 + 3 = 4.5 and a pair 5.  The tracemalloc peaks of one
@@ -146,8 +152,8 @@ waits on its queue between parts and so takes no CPU while idle.  rfft
 splits its packing, ramp and row weights by halves of the rows of the
 (A, B) view, its column FFTs by halves of the columns, and its twiddles
 and row FFTs by halves of the rows cut at a chunk of the twiddle table;
-irfft runs the same steps backwards.  _round splits its spectrum products and
-its divide by k, _refine_spectra its blocks of rows, and _log_envelope
+irfft runs the same steps backwards, a product of spectra within its row
+FFTs' halves.  _refine_spectra splits its blocks of rows, and _log_envelope
 and _finish their blocks of _PASS points, whose partial sums
 _log_envelope adds afterwards in block order.  Each part writes only its
 own points, so every result is the same to the bit on one CPU or two.
@@ -256,8 +262,10 @@ So exp_star runs Newton from _NEWTON_MIN_N = 128 on inputs with excess
 <= _NEWTON_MAX_EXCESS = 8, and the recurrence otherwise; exp_star_pair
 runs Newton only if both signs pass, S + |s| <= 8, as exp*(-a) has excess
 S + s.  Weighted prime densities have excess at most 1.52, either sign;
-the uniform(-1, 1) inputs of the identity suite 33 to 60.  The excess
-comes from the pass that takes the envelope bound of Newton anyway.  A badly conditioned input takes the recurrence at every size, at
+the uniform(-1, 1) inputs of the identity suite 33 to 60.  Both apply the
+rule through one router (_route), on a row or on each row of a stack, and
+the excess comes from the pass that takes the envelope bound of Newton
+anyway.  A badly conditioned input takes the recurrence at every size, at
 O(n^2) cost: 57 ms at n = 16,383 (above), four times that per doubling of
 n, some 45 s at n = 500,001.  A recurrence result holding an inf or NaN
 raises OverflowError, as a Newton result out of the double range does.
@@ -458,12 +466,13 @@ def _twiddle(view: np.ndarray, chunk: np.ndarray, shifts: np.ndarray,
 
 def _refine_spectra(fe: np.ndarray, fr: np.ndarray, f: np.ndarray,
                     size: int, m: int) -> None:
-    # The spectra of one round (see _round), in place: f <- f fe, the
-    # spectrum of eps e, and fr <- (fe fr - 1 + t^m f) fr, that of
-    # ((e r - 1) + x^m eps) r.  Bin j of a spectrum is its row's value at
-    # w^(1 - 4j), w = e^{i pi/size}, and bin k + A l sits at (k, l) of the
-    # (A, B) view, so t^m multiplies it by w^(m (1 - 4k)) w^(-4 A m l).
-    # A block of rows at a time, so that no temporary has full length.
+    # The reciprocal's spectrum of one round (see _round), in place:
+    # fr <- (1 - (t^m f + fe fr)) fr, that of -((e r - 1) + x^m eps) r, with
+    # f the spectrum of eps, which it leaves alone.  Bin j of a spectrum is
+    # its row's value at w^(1 - 4j), w = e^{i pi/size}, and bin k + A l sits
+    # at (k, l) of the (A, B) view, so t^m multiplies it by
+    # w^(m (1 - 4k)) w^(-4 A m l).  A block of rows at a time, so that no
+    # temporary has full length.
     rows, cols = _split(size // 2)
     down = _unit(m, size) * _turns(-4 * m, rows, size)
     across = _turns(-4 * rows * m, cols, size)
@@ -475,23 +484,10 @@ def _refine_spectra(fe: np.ndarray, fr: np.ndarray, f: np.ndarray,
             ve, vr, vf = (v[..., k:k + block, :] for v in views)
             t = vf * (down[k:k + block, None] * across)
             t += ve * vr
-            t -= 1.0
+            np.subtract(1.0, t, out=t)
             vr *= t
-            vf *= ve
 
     _halves(blocks, rows, block, fe.size)
-
-
-def _times(f: np.ndarray, g: np.ndarray, size: int) -> None:
-    # f *= g point by point, for spectra taken at size, by halves of the
-    # rows of their four-step view
-    rows, cols = _split(size // 2)
-
-    def part(r0, r1):
-        lo, hi = r0 * cols, r1 * cols
-        np.multiply(f[..., lo:hi], g[..., lo:hi], out=f[..., lo:hi])
-
-    _halves(part, rows, points=f.size)
 
 
 def _ramp(op, x: np.ndarray, start: int, out: np.ndarray) -> None:
@@ -505,7 +501,7 @@ def _ramp(op, x: np.ndarray, start: int, out: np.ndarray) -> None:
 
 
 def rfft(x: np.ndarray, size: int, out: np.ndarray | None = None,
-         ramp: bool = False) -> np.ndarray:
+         ramp: tuple | None = None) -> np.ndarray:
     """Right-angle spectrum of the real rows x for products mod t^size + 1.
 
     size is even and x.shape[-1] <= size.  A row x packs into the complex
@@ -514,8 +510,10 @@ def rfft(x: np.ndarray, size: int, out: np.ndarray | None = None,
     last axis, in the permuted order of the module docstring.  Products of
     spectra taken at one size give, through irfft, the product of the rows
     mod t^size + 1.  An odd size, or a row longer than size, which the
-    packing would cut short: ValueError.  ramp takes the spectrum of L x,
-    the row k x_k (0 at k = 0), packed straight from x.  out, of shape
+    packing would cut short: ValueError.  ramp, a pair (op, start), takes
+    the spectrum of the row op(x_k, start + k) packed straight from x:
+    (np.multiply, 0) that of L x, the row k x_k, and (np.true_divide, m)
+    that of x_k / (m + k).  out, of shape
     x.shape[:-1] + (M,), receives the spectrum instead of a new array.
     """
     n, half = x.shape[-1], size // 2
@@ -529,18 +527,18 @@ def rfft(x: np.ndarray, size: int, out: np.ndarray | None = None,
 
     def pack(r0, r1):
         # rows [r0, r1) of the view: points [lo, hi) of z, where point p
-        # takes x_p, or p x_p when ramp, and x_{half + p} as its imaginary part
+        # takes x_p, or op(x_p, start + p) when ramp, as its real part, and
+        # x_{half + p} alike as its imaginary part
         lo, hi = r0 * cols, r1 * cols
         for part, base in ((z.real, 0), (z.imag, half)):
             stop = min(max(n - base, lo), hi)
             if ramp:
-                _ramp(np.multiply, x[..., base + lo:base + stop], base + lo,
+                op, start = ramp
+                _ramp(op, x[..., base + lo:base + stop], start + base + lo,
                       part[..., lo:stop])
             else:
                 part[..., lo:stop] = x[..., base + lo:base + stop]
             part[..., stop:hi] = 0.0
-        if ramp and lo == 0:
-            z.real[..., :1] = 0.0
         if rows > 1:
             view[..., r0:r1, :] *= weights[r0:r1]
 
@@ -561,27 +559,37 @@ def rfft(x: np.ndarray, size: int, out: np.ndarray | None = None,
 
 
 def irfft(f: np.ndarray, size: int, lo: int, hi: int,
-          out: np.ndarray | None = None) -> np.ndarray:
+          out: np.ndarray | None = None,
+          times: np.ndarray | None = None) -> np.ndarray:
     """Coefficients [lo, hi) of the real rows mod t^size + 1 whose
-    right-angle spectra (see rfft) are f; f is overwritten.
+    right-angle spectra (see rfft) are f, or f times when given, the
+    spectrum of a product; f is overwritten.
 
     The steps of rfft run backwards, unnormalised transforms with the 1/M
-    folded into the twiddles.  The unweighted inverse of a row is
-    z_j = c_j + i c_{M+j}, M = size // 2: coefficient j < M of the product
-    is the real part of z_j, and coefficient M + j its imaginary part.
-    out, of shape f.shape[:-1] + (hi - lo,), receives the coefficients
-    instead of a new array.
+    folded into the twiddles; times multiplies each block of rows of f,
+    as f times, just before its row FFTs.  The unweighted inverse of a row
+    is z_j = c_j + i c_{M+j}, M = size // 2: coefficient j < M of the
+    product is the real part of z_j, and coefficient M + j its imaginary
+    part.  Unless 0 <= lo <= hi <= size: ValueError.  out, of shape
+    f.shape[:-1] + (hi - lo,), receives the coefficients instead of a new
+    array.
     """
+    if not 0 <= lo <= hi <= size:
+        raise ValueError(f"coefficients [{lo}, {hi}) lie outside a product "
+                         f"mod t^{size} + 1")
     half = size // 2
     rows, cols = _split(half)
     weights, chunk, shifts = _tables(size, -1)
     view = f.reshape(f.shape[:-1] + (rows, cols))
     z = view.reshape(f.shape)
+    by = None if times is None else times.reshape(view.shape)
     if out is None:
         out = np.empty(z.shape[:-1] + (hi - lo,))
 
     def across(r0, r1):
         block = view[..., r0:r1, :]
+        if by is not None:
+            block *= by[..., r0:r1, :]
         np.fft.ifft(block, axis=-1, norm="forward", out=block)
         _twiddle(view, chunk, shifts, r0, r1)
 
@@ -638,16 +646,14 @@ def _product(x: np.ndarray, y: np.ndarray, lo: int, hi: int,
         return _convolve(x, y, lo, hi)
     if size is None:
         size = _fast_len(x.shape[-1] + y.shape[-1] - 1)
-    fx = rfft(x, size)
-    fx *= rfft(y, size)
-    return irfft(fx, size, lo, hi)
+    return irfft(rfft(x, size), size, lo, hi, times=rfft(y, size))
 
 
 def mul_trunc(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     """Cauchy product of a and b truncated to m coefficients (length exactly m)."""
     la = min(len(a), m)
     lb = min(len(b), m)
-    full = _product(a[:la], b[:lb], 0, m)
+    full = _product(a[:la], b[:lb], 0, min(m, la + lb - 1))
     if len(full) < m:
         full = np.concatenate([full, np.zeros(m - len(full))])
     return full
@@ -702,8 +708,8 @@ def _round(a: np.ndarray, e: np.ndarray, r: np.ndarray, m: int,
     # Every product of the round is direct or every one a right-angle
     # product mod t^N + 1, N = _fast_len(M), as (L a) e is: the refine
     # reads the spectra of e, r and eps together.  Those take the rows of
-    # spectra, a (3, need) workspace, and q and eps pass through e[m:M]
-    # until the step overwrites them.
+    # spectra, a (3, need) workspace, and q and k eps_k pass through
+    # e[m:M] until the step overwrites them.
     M = a.shape[-1]
     if M * m <= _DIRECT_WORK_LIMIT:
         la = a * np.arange(M)
@@ -723,28 +729,16 @@ def _round(a: np.ndarray, e: np.ndarray, r: np.ndarray, m: int,
     fe, f, fr = (row[:math.prod(shape)].reshape(shape) for row in spectra)
     new = e[..., m:M]
     rfft(e[..., :m], size, out=fe)
-    rfft(a, size, out=f, ramp=True)
-    _times(f, fe, size)
-    irfft(f, size, m, M, out=new)  # q
+    rfft(a, size, out=f, ramp=(np.multiply, 0))
+    irfft(f, size, m, M, out=new, times=fe)  # q
     rfft(r[..., :m], size, out=fr)
     rfft(new, size, out=f)
-    _times(f, fr, size)
-    irfft(f, size, 0, M - m, out=new)
-
-    def divide(lo, hi):  # eps, from k eps_k
-        _ramp(np.true_divide, new[..., lo:hi], m + lo, new[..., lo:hi])
-
-    _halves(divide, M - m, _PASS, new.size)
-    rfft(new, size, out=f)
+    irfft(f, size, 0, M - m, out=new, times=fr)  # k eps_k
+    rfft(new, size, out=f, ramp=(np.true_divide, m))  # eps
     if refine:
         _refine_spectra(fe, fr, f, size, m)
-        irfft(f, size, 0, M - m, out=new)
-        c = r[..., m:M]
-        irfft(fr, size, m, M, out=c)
-        np.negative(c, out=c)
-    else:
-        _times(f, fe, size)
-        irfft(f, size, 0, M - m, out=new)
+        irfft(fr, size, m, M, out=r[..., m:M])
+    irfft(f, size, 0, M - m, out=new, times=fe)
 
 
 def _exp_newton_monic(a: np.ndarray, pair: bool = False) -> tuple:
@@ -885,24 +879,35 @@ def _log_envelope(a: np.ndarray, h: float):
             (log_bound - signed).reshape(a.shape[:-1]))
 
 
-def _newton_envelope(a: np.ndarray, h: float):
-    # _log_envelope(a, h) when a goes to Newton, None when it goes to the
-    # recurrence: too short, or cancelling too strongly
-    if len(a) < _NEWTON_MIN_N:
-        return None
-    envelope = _log_envelope(a, h)
-    if envelope[1] > _NEWTON_MAX_EXCESS:
-        return None
-    return envelope
+def _route(a: np.ndarray, h: float, pair: bool):
+    # exp_star (pair False) or exp_star_pair on a row or a stack of rows,
+    # after one _log_envelope pass: the rows that go to Newton run as one
+    # stack, through the public exp_newton or exp_newton_pair, and the
+    # others on the recurrence, row by row
+    rows = np.reshape(a, (-1, a.shape[-1]))
+    log_bound, excess = _log_envelope(rows, h)
+    if pair:  # exp*(-a) has excess S + s
+        excess = np.maximum(excess, 2.0 * log_bound - excess)
+    # a NaN excess goes to Newton, whose _finish refuses the result
+    newton = (rows.shape[-1] >= _NEWTON_MIN_N) & ~(excess > _NEWTON_MAX_EXCESS)
+    exp = exp_newton_pair if pair else exp_newton
+    if newton.all():
+        return exp(a, h, log_bound.reshape(a.shape[:-1]))
+    outs = np.empty((1 + pair,) + rows.shape)
+    if newton.any():
+        outs[:, newton] = exp(rows[newton], h, log_bound[newton])
+    for i in np.flatnonzero(~newton):
+        for out, sign in zip(outs, (1.0, -1.0)):
+            out[i] = _recurrence(sign * rows[i])
+    outs = outs.reshape((1 + pair,) + a.shape)
+    return tuple(outs) if pair else outs[0]
 
 
 def exp_star(a: np.ndarray, h: float) -> np.ndarray:
     """exp* by Newton where it is fast and accurate, by the recurrence
-    elsewhere (see the module docstring)."""
-    envelope = _newton_envelope(a, h)
-    if envelope is None:
-        return _recurrence(a)
-    return exp_newton(a, h, envelope)
+    elsewhere (see the module docstring), on a row or on each row of a
+    (b, n) stack."""
+    return _route(a, h, pair=False)
 
 
 def exp_star_pair(a: np.ndarray, h: float):
@@ -914,26 +919,14 @@ def exp_star_pair(a: np.ndarray, h: float):
     others take the recurrence, row by row.  One _log_envelope pass serves
     every row's rule and envelope bound.
     """
-    rows = np.reshape(a, (-1, a.shape[-1]))
-    log_bound, excess = _log_envelope(rows, h)
-    newton = ((rows.shape[-1] >= _NEWTON_MIN_N)
-              & ~((excess > _NEWTON_MAX_EXCESS)
-                  | (2.0 * log_bound - excess > _NEWTON_MAX_EXCESS)))
-    if newton.all():
-        return exp_newton_pair(a, h, (log_bound.reshape(a.shape[:-1]), None))
-    pos, neg = np.empty(rows.shape), np.empty(rows.shape)
-    if newton.any():
-        pos[newton], neg[newton] = exp_newton_pair(
-            rows[newton], h, (log_bound[newton], None))
-    for i in np.flatnonzero(~newton):
-        pos[i], neg[i] = _recurrence(rows[i]), _recurrence(-rows[i])
-    return pos.reshape(a.shape), neg.reshape(a.shape)
+    return _route(a, h, pair=True)
 
 
-def _newton(a: np.ndarray, h: float, envelope, pair: bool):
+def _newton(a: np.ndarray, h: float, log_bound, pair: bool):
     # exp_newton (pair False) or exp_newton_pair on a row or a stack of rows
     a = np.asarray(a, dtype=float)
-    log_bound = (envelope or _log_envelope(a, h))[0]
+    if log_bound is None:
+        log_bound = _log_envelope(a, h)[0]
     rows = np.reshape(a, (-1, a.shape[-1]))
     bounds = np.reshape(log_bound, -1)
     # unwarned: _finish refuses an iteration that left the double range
@@ -945,25 +938,25 @@ def _newton(a: np.ndarray, h: float, envelope, pair: bool):
     return tuple(stack.reshape(a.shape) for stack in stacks)
 
 
-def exp_newton(a: np.ndarray, h: float, envelope=None) -> np.ndarray:
+def exp_newton(a: np.ndarray, h: float, log_bound=None) -> np.ndarray:
     """exp* via Newton/FFT, on the coefficients exactly as given.
 
     It never reweights: a raw, growing input is the caller's to weight (see
     the conditioning note above).  Raises OverflowError when the result
     cannot be represented in double precision, and ValueError when the
-    result breaks the a priori envelope bound (see _finish).  envelope is
-    _log_envelope(a, h) when the caller has it already.  A (b, n) stack
+    result breaks the a priori envelope bound (see _finish).  log_bound is
+    _log_envelope(a, h)[0] when the caller has it already.  A (b, n) stack
     runs its rows in lockstep and returns the stack of their exps.
     """
-    return _newton(a, h, envelope, pair=False)[0]
+    return _newton(a, h, log_bound, pair=False)[0]
 
 
-def exp_newton_pair(a: np.ndarray, h: float, envelope=None):
+def exp_newton_pair(a: np.ndarray, h: float, log_bound=None):
     """(exp* a, exp* -a) from one Newton iteration, on the coefficients as given.
 
     exp*(-a) is the convolution inverse of exp*(a), which the iteration
     tracks; the last round's refine, one inverse transform, takes it to
-    full length.  Both results pass the checks of exp_newton, and envelope
+    full length.  Both results pass the checks of exp_newton, and log_bound
     and stacks are as there.
     """
-    return _newton(a, h, envelope, pair=True)
+    return _newton(a, h, log_bound, pair=True)

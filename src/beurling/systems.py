@@ -317,12 +317,14 @@ def hypothesis_report(spec: SystemSpec, a: float = 1.0,
 
     pi0_w = _base_pi(spec, weight_sigma=1.0)
     m0_w = exp_star(negate(pi0_w))
-    # where t^a or |M0| t^a leaves the double range there is nothing to
-    # check, and a is refused
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals_iii = np.abs(checkpoint_sums(m0_w, ts, 1.0)) * ts ** a
-    if not np.all(np.isfinite(vals_iii)):
-        t = float(ts[~np.isfinite(vals_iii)][0])
+    # where t^a underflows, or t^a or |M0| t^a leaves the double range,
+    # there is nothing to check (a zero passes any decay), and a is refused
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        powers = ts ** a
+        vals_iii = np.abs(checkpoint_sums(m0_w, ts, 1.0)) * powers
+    outside = ~np.isfinite(vals_iii) | (powers < np.finfo(float).tiny)
+    if outside.any():
+        t = float(ts[outside][0])
         raise ParameterError(f"a={a}: |M0(x)| log^a x / x leaves the double "
                              f"range at checkpoint t={t:g}")
     series["m0_ratio"] = CheckpointSeries(ts, vals_iii, f"|M0(x)| log^{a} x / x")

@@ -173,7 +173,7 @@ def test_fft_exp_tracks_recurrence(a):
     # n = 256 and |a_j| <= 0.04 bound the cancellation excess
     # sum |a_j| e^{-jh} - sum a_j e^{-jh} by 7.4, so exp_star runs Newton
     # on every draw
-    assert kernels._newton_envelope(a, H) is not None
+    assert kernels._log_envelope(a, H)[1] <= kernels._NEWTON_MAX_EXCESS
     e_fft = exp_star(Measure(LogGrid(H, 256), a))
     assert relative_gap(e_fft, exp_recurrence(a)) <= 1e-8
 

@@ -477,20 +477,22 @@ def test_cli_hypotheses_refuses_a_sigma0_past_the_double_range(tmp_path, capsys)
     assert lines[0].startswith("FAIL parameters ") and "sigma0" in lines[0]
 
 
-def test_cli_hypotheses_refuses_an_a_past_the_double_range(tmp_path, capsys):
-    # at a = 400, t^a overflows at the checkpoints from t = 10 on: refused
-    # as a parameter, with no numpy warning and no series written, where it
-    # used to print numpy's overflow warnings, write inf into m0_ratio.csv
-    # and fail hypothesis_iii on final=inf
+@pytest.mark.parametrize("a", ["400", "-400"])
+def test_cli_hypotheses_refuses_an_a_past_the_double_range(tmp_path, capsys, a):
+    # at a = 400, t^a overflows at the checkpoints from t = 10 on, and at
+    # a = -400 it underflows there: refused as a parameter, with no numpy
+    # warning and no series written.  400 used to print numpy's overflow
+    # warnings, write inf into m0_ratio.csv and fail hypothesis_iii on
+    # final=inf; -400 passed hypothesis_iii on final=0, on any system
     cfg = write_config(tmp_path, SIGMA0_CFG)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main(["hypotheses", "--config", cfg, "--a=400",
+        code = main(["hypotheses", "--config", cfg, f"--a={a}",
                      "--out", str(tmp_path / "o")])
     assert code == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("FAIL parameters ") and "a=400" in lines[0]
+    assert lines[0].startswith("FAIL parameters ") and f"a={a}" in lines[0]
     assert not (tmp_path / "o" / "m0_ratio.csv").exists()
 
 

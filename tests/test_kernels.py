@@ -32,6 +32,11 @@ def test_mul_trunc_matches_direct_convolution():
 def test_mul_trunc_pads_short_products():
     got = mul_trunc(np.array([1.0, 2.0]), np.array([3.0]), 5)
     assert np.array_equal(got, np.array([3.0, 6.0, 0.0, 0.0, 0.0]))
+    # on the FFT path too: 599 coefficients, then zeros up to 1000
+    got = mul_trunc(np.ones(300), np.ones(300), 1000)
+    assert np.array_equal(got[599:], np.zeros(401))
+    assert np.allclose(got[:599], np.convolve(np.ones(300), np.ones(300)),
+                       rtol=0, atol=1e-12)
 
 
 def test_mul_trunc_fft_path_agrees_with_direct():
@@ -323,6 +328,28 @@ def test_exp_and_pair_stay_within_their_transform_budget(monkeypatch):
     assert volume["points"] <= 3.1 * product
 
 
+def test_exp_and_pair_stay_within_their_pass_budget(monkeypatch):
+    # the calls of _halves, one per pass over a row or a stack, whether or
+    # not it splits: the products, the divide by k and the reciprocal's
+    # sign ride in the transforms' own passes.  With each a pass of its
+    # own, an exp took 278 and a pair 283
+    passes = Counter()
+    halves = kernels._halves
+
+    def counted(*args, **kwargs):
+        passes["halves"] += 1
+        return halves(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "_halves", counted)
+    grid = KAHANE_GRID
+    a = kahane_tail(grid, weight_sigma=1.0).coeffs
+    exp_newton(a, grid.h)
+    assert passes["halves"] <= 244
+    passes.clear()
+    exp_newton_pair(a, grid.h)
+    assert passes["halves"] <= 250
+
+
 def test_exp_and_pair_stay_within_their_memory_budget():
     # the tracemalloc peak in units of 8n bytes, one row of n doubles, which
     # a spectrum of _fast_len(n) / 2 complex points also takes, near enough.
@@ -339,20 +366,24 @@ def test_exp_and_pair_stay_within_their_memory_budget():
 
 @pytest.mark.parametrize("n", [5000, kernels._FOUR_STEP_MIN * 3])
 def test_ramped_spectrum_and_inverse_in_place_match_to_the_bit(n):
-    # rfft(x, ramp=True) packs k x_k straight from x, and out= receives a
-    # spectrum or coefficients in place: the same numbers as the spectrum
-    # of x * arange and a new array, on a row and on a stack of rows
+    # rfft(x, ramp=(op, start)) packs op(x_k, start + k) straight from x,
+    # irfft(f, times=g) multiplies f by g inside its first pass, and out=
+    # receives a spectrum or coefficients in place: the same numbers as
+    # the unfused sequence into new arrays, on a row and on a stack of rows
     rng = np.random.default_rng(n)
     for x in (rng.standard_normal(n), rng.standard_normal((2, n))):
         size = kernels._fast_len(n + n // 3)
-        lx = x * np.arange(n)
-        want = kernels.rfft(lx, size)
-        out = np.full_like(want, np.nan)
-        assert kernels.rfft(x, size, out=out, ramp=True) is out
-        assert np.array_equal(out, want)
+        for op, start in ((np.multiply, 0), (np.true_divide, 11)):
+            want = kernels.rfft(op(x, np.arange(start, start + n)), size)
+            out = np.full_like(want, np.nan)
+            assert kernels.rfft(x, size, out=out, ramp=(op, start)) is out
+            assert np.array_equal(out, want)
+        g = kernels.rfft(rng.standard_normal(x.shape), size)
         coeffs = np.full(x.shape[:-1] + (n - 7,), np.nan)
-        assert kernels.irfft(out, size, 7, n, out=coeffs) is coeffs
-        assert np.array_equal(coeffs, kernels.irfft(want, size, 7, n))
+        assert kernels.irfft(out.copy(), size, 7, n, out=coeffs) is coeffs
+        assert np.array_equal(coeffs, kernels.irfft(want.copy(), size, 7, n))
+        assert np.array_equal(kernels.irfft(out, size, 7, n, times=g),
+                              kernels.irfft(want * g, size, 7, n))
 
 
 def test_spectral_refine_matches_the_recurrence():
@@ -460,6 +491,11 @@ def test_product_refuses_an_operand_longer_than_size():
         kernels._product(np.append(x, 1.0), y, 0, 600, 600)
     with pytest.raises(ValueError, match="601 points .* length 600"):
         kernels._product(x, np.append(y, 1.0), 0, 600, 600)
+    # nor does it hand out coefficients past the size it has, which it
+    # would leave unwritten
+    for lo, hi in ((0, 601), (-1, 5), (7, 6)):
+        with pytest.raises(ValueError, match="outside a product"):
+            kernels._product(x, y, lo, hi, 600)
 
 
 # ------------------------------------------------- rows run in lockstep
@@ -644,7 +680,7 @@ def test_weighted_kahane_pair_runs_newton(monkeypatch):
     monkeypatch.setattr(kernels, "exp_newton_pair", lambda *args: ran.append("newton"))
     monkeypatch.setattr(kernels, "_recurrence", lambda *args: ran.append("recurrence"))
     a = build_kahane_pi(KAHANE_GRID, weight_sigma=1.0).coeffs
-    assert kernels._newton_envelope(a, KAHANE_GRID.h) is not None
+    assert kernels._log_envelope(a, KAHANE_GRID.h)[1] <= kernels._NEWTON_MAX_EXCESS
     kernels.exp_star_pair(a, KAHANE_GRID.h)
     assert ran == ["newton"]
 

@@ -151,6 +151,18 @@ def test_only_kernels_names_threads():
         name: ["kernels.py"] for name in THREAD_NAMES}
 
 
+# the names of the transforms: only kernels, whose spectra sit in the
+# four-step's permuted order and whose rfft and irfft take a ramp and a
+# spectrum to multiply by inside their own passes
+TRANSFORM_NAMES = ("fft", "rfft", "irfft")
+
+
+def test_only_kernels_names_the_transforms():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert {name: modules_naming(name, sources) for name in TRANSFORM_NAMES} == {
+        name: ["kernels.py"] for name in TRANSFORM_NAMES}
+
+
 # A fresh interpreter imports the package and its CLI, splits a density cell
 # at a breakpoint by quadrature and runs one FFT exp pair whose products are
 # large enough for both the 1-D and the four-step transforms; then lists
