@@ -33,9 +33,9 @@ redundancy in high-precision Newton iteration", 2004; Hanrot & Zimmermann,
 of the transforms in units of M(n), one product of two n-term rows (three
 transforms of _fast_len(2n - 1) points), on the weighted Kahane tail:
 
-    n            exp_newton     exp_newton_pair    (refine apart: exp, pair)
-    500,001      2.85 M(n)      3.02 M(n)          3.35, 4.02
-    2,800,001    2.84 M(n)      3.01 M(n)          3.34, 4.01
+    n            exp_newton     exp_newton_pair
+    500,001      2.85 M(n)      3.02 M(n)
+    2,800,001    2.84 M(n)      3.01 M(n)
 
 against 17/6 = 2.83 for Bernstein's exp.  Since exp*(-a) = 1/exp*(a), the
 last round's refine, which a lone exp skips, turns the tracked r into
@@ -219,25 +219,21 @@ exp*) and weights back itself.  Inputs that grow too fast drive the Newton
 intermediates out of the double range; the result is then checked against
 the a priori envelope bound and refused.
 
-exp_star picks the path by size and by conditioning.  Time of the
-recurrence over the Newton time on weighted li (h = 0.01, one core of an
-AMD EPYC, one BLAS thread):
-
-    n       16    32    64    128   256   4096  16,383
-    ratio   0.37  0.60  0.98  1.6   2.4   9.2   29 (57 ms against 2 ms)
+exp_star picks the path by size and by conditioning.  The recurrences take
+a row or a stack of rows, one np.vecdot over the rows per step.  Newton
+runs from _NEWTON_MIN_N = 128, where one row of weighted li (h = 0.01)
+takes about as long on either path: the recurrence 0.87-1.10 times
+Newton's 0.3-0.6 ms (2-vCPU Intel Xeon, one BLAS thread, five runs).
 
 Newton needs a well-conditioned input.  The cancellation excess
 S - s, with S = sum |a_j| e^{-jh} and s = sum a_j e^{-jh}, is, untruncated,
 the log of the ratio of the weighted masses of exp*(|a|) and exp*(a), since
 the weighted mass of exp*(a) is e^s > 0.  The largest Newton-vs-recurrence
 gap (measure.relative_gap) over 300 inputs c * uniform(-1, 1) at n = 256,
-h = 0.01 (c = 0.006 i, seed i, i = 1..300) grows with it, unevenly; the
-second row is the same sweep with r refined in products of its own, whose
-e r - 1 dropped the coefficients below m that the round's refine keeps:
+h = 0.01 (c = 0.006 i, seed i, i = 1..300) grows with it, unevenly:
 
     excess     <= 8    8-16    16-24   24-32   32-48   48-64   64-100
     max gap    3e-16   3e-15   3e-14   1e-12   7e-11   7e-7    2e-7
-    (apart)    3e-16   2e-15   3e-15   1e-13   1e-12   4e-8    7e-9
 
 The FFT rounds behave alike.  On weighted li + c uniform(-1, 1) (seed 7)
 at h = 0.025, n = 2048, against the exact reference of the test suite
@@ -247,16 +243,10 @@ at h = 0.025, n = 2048, against the exact reference of the test suite
     0.1    1.39/2.81    2.2e-15   2.5e-15       2.2e-15   3.3e-15
     0.2    3.34/4.79    1.3e-13   1.7e-13       1.3e-13   3.3e-13
     0.3    5.30/6.79    8.0e-12   8.4e-12       8.0e-12   2.0e-11
-    (apart)
-    0.1                 1.7e-15   1.7e-15       1.7e-15   8.2e-15
-    0.2                 6.7e-14   8.1e-14       6.7e-14   1.7e-12
-    0.3                 2.5e-12   2.6e-12       2.5e-12   1.9e-10
 
-The two routes to exp*(-a) are now of one order; refined apart, the
-pair's was up to 20 times worse than the direct one, and the exps 2 to 3
-times better.  On weighted li at h = 0.01, n = 2^16 (excess 0, sum a =
-7.1), exp_newton is within 1.0e-14 of the recurrence, 2.1e-16 refined
-apart; on the Kahane and de Haan inputs the exps moved by 1.7e-16 at most.
+The two routes to exp*(-a) are of one order.  On weighted li at h = 0.01,
+n = 2^16 (excess 0, sum a = 7.1), exp_newton is within 1.0e-14 of the
+recurrence.
 
 So exp_star runs Newton from _NEWTON_MIN_N = 128 on inputs with excess
 <= _NEWTON_MAX_EXCESS = 8, and the recurrence otherwise; exp_star_pair
@@ -266,10 +256,9 @@ the uniform(-1, 1) inputs of the identity suite 33 to 60.  Both apply the
 rule through one router (_route), on a row or on each row of a stack, and
 the excess comes from the pass that takes the envelope bound of Newton
 anyway.  A badly conditioned input takes the recurrence at every size, at
-O(n^2) cost: 57 ms at n = 16,383 (above), four times that per doubling of
-n, some 45 s at n = 500,001.  A recurrence result holding an inf or NaN
-raises OverflowError, as a Newton result out of the double range does.
-invert and log_star run their recurrences on every size.
+O(n^2) cost.  A recurrence result holding an inf or NaN raises
+OverflowError, as a Newton result out of the double range does.  invert
+and log_star run their recurrences on every size.
 """
 from __future__ import annotations
 
@@ -660,44 +649,49 @@ def mul_trunc(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
 
 
 def exp_recurrence(a: np.ndarray) -> np.ndarray:
-    """exp* by the triangular recurrence m e_m = sum_{k=1..m} k a_k e_{m-k}."""
-    # built reversed, rev[n-1-m] = e_m, so that both operands of every dot
-    # are forward, contiguous slices (numpy copies a reversed view first)
-    n = len(a)
-    rev = np.zeros(n)
-    rev[n - 1] = math.exp(a[0])
-    w = np.arange(n) * a
+    """exp* by the triangular recurrence m e_m = sum_{k=1..m} k a_k e_{m-k},
+    on a row or on each row of a (b, n) stack."""
+    # built reversed, rev[:, n-1-m] = e_m, so that the dots read forward,
+    # contiguous slices; np.vecdot over the rows rounds as np.dot per row,
+    # and e_0 is math.exp, from which np.exp can differ in the last bit
+    rows = np.reshape(a, (-1, a.shape[-1]))
+    b, n = rows.shape
+    rev = np.zeros((b, n))
+    rev[:, n - 1] = [math.exp(x) for x in rows[:, 0].tolist()]
+    w = np.arange(n) * rows
     for m in range(1, n):
-        rev[n - 1 - m] = np.dot(w[1 : m + 1], rev[n - m :]) / m
-    return rev[::-1].copy()
+        rev[:, n - 1 - m] = np.vecdot(w[:, 1 : m + 1], rev[:, n - m :]) / m
+    return rev[:, ::-1].copy().reshape(a.shape)
 
 
 def log_recurrence(e: np.ndarray) -> np.ndarray:
-    """Inverse of exp_recurrence; requires e[0] > 0."""
-    if not e[0] > 0.0:
+    """Inverse of exp_recurrence, on a row or a stack; requires e_0 > 0."""
+    rows = np.reshape(e, (-1, e.shape[-1]))
+    if not np.all(rows[:, 0] > 0.0):
         raise ValueError("log* needs a positive mass at u = 1")
-    n = len(e)
-    a = np.zeros(n)
-    a[0] = math.log(e[0])
-    ka = np.zeros(n)
-    rev = e[::-1].copy()  # rev[n-1-j] = e_j, read forward as in exp_recurrence
+    b, n = rows.shape
+    a, ka = np.zeros((b, n)), np.zeros((b, n))
+    a[:, 0] = [math.log(x) for x in rows[:, 0].tolist()]
+    rev = rows[:, ::-1].copy()  # rev[:, n-1-j] = e_j, as in exp_recurrence
     for m in range(1, n):
-        s = np.dot(ka[1:m], rev[n - m : n - 1]) if m > 1 else 0.0
-        a[m] = (m * e[m] - s) / (m * e[0])
-        ka[m] = m * a[m]
-    return a
+        s = np.vecdot(ka[:, 1:m], rev[:, n - m : n - 1])
+        a[:, m] = (m * rows[:, m] - s) / (m * rows[:, 0])
+        ka[:, m] = m * a[:, m]
+    return a.reshape(e.shape)
 
 
 def invert_recurrence(a: np.ndarray) -> np.ndarray:
-    """Convolution inverse; requires a[0] != 0."""
-    if a[0] == 0.0:
+    """Convolution inverse, on a row or a stack; requires a_0 != 0."""
+    rows = np.reshape(a, (-1, a.shape[-1]))
+    head = rows[:, 0]
+    if np.any(head == 0.0):
         raise ValueError("inverse needs nonzero mass at u = 1")
-    n = len(a)
-    rev = np.zeros(n)  # rev[n-1-m] = b_m, as in exp_recurrence
-    rev[n - 1] = 1.0 / a[0]
+    b, n = rows.shape
+    rev = np.zeros((b, n))  # rev[:, n-1-m] = b_m, as in exp_recurrence
+    rev[:, n - 1] = 1.0 / head
     for m in range(1, n):
-        rev[n - 1 - m] = -np.dot(a[1 : m + 1], rev[n - m :]) / a[0]
-    return rev[::-1].copy()
+        rev[:, n - 1 - m] = -np.vecdot(rows[:, 1 : m + 1], rev[:, n - m :]) / head
+    return rev[:, ::-1].copy().reshape(a.shape)
 
 
 def _round(a: np.ndarray, e: np.ndarray, r: np.ndarray, m: int,
@@ -883,7 +877,7 @@ def _route(a: np.ndarray, h: float, pair: bool):
     # exp_star (pair False) or exp_star_pair on a row or a stack of rows,
     # after one _log_envelope pass: the rows that go to Newton run as one
     # stack, through the public exp_newton or exp_newton_pair, and the
-    # others on the recurrence, row by row
+    # others, both signs of a pair, as one stack on the recurrence
     rows = np.reshape(a, (-1, a.shape[-1]))
     log_bound, excess = _log_envelope(rows, h)
     if pair:  # exp*(-a) has excess S + s
@@ -896,9 +890,7 @@ def _route(a: np.ndarray, h: float, pair: bool):
     outs = np.empty((1 + pair,) + rows.shape)
     if newton.any():
         outs[:, newton] = exp(rows[newton], h, log_bound[newton])
-    for i in np.flatnonzero(~newton):
-        for out, sign in zip(outs, (1.0, -1.0)):
-            out[i] = _recurrence(sign * rows[i])
+    outs[:, ~newton] = _recurrence(np.multiply.outer((1.0, -1.0)[:1 + pair], rows[~newton]))
     outs = outs.reshape((1 + pair,) + a.shape)
     return tuple(outs) if pair else outs[0]
 

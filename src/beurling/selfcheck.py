@@ -4,11 +4,11 @@ Runs the ring laws, the derivation identity, the exponential recurrence
 against a truncated power-series oracle, the exponential law, and the
 inverse law on seeded random measures.  The oracle sums
 e^{a_0} (delta_1 + A' + A'*A'/2! + ...), A' the measure with its mass at
-u = 1 removed, by Horner's rule through truncated products only, so it
-shares no code path with the recurrence.  Its term count comes from a
-composition bound on each term whose log-concave tail is summed as a
-geometric series.  The suite checks the reference path, so every exp* here
-is kernels.exp_recurrence, never the Newton path.
+u = 1 removed, by Paterson-Stockmeyer through direct truncated products
+only, so it shares no code path with the recurrence.  Its term count comes
+from a composition bound on each term whose log-concave tail is summed as
+a geometric series.  The suite checks the reference path, so every exp*
+here is kernels.exp_recurrence, never the Newton path, run on stacks.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import numpy as np
 from . import kernels
 from .asymptotics import Checked, Verdict
 from .grid import LogGrid
-from .measure import (Measure, add, apply_log, convolve, delta_one, invert,
-                      negate, relative_gap)
+from .measure import (Measure, add, apply_log, convolve, delta_one,
+                      relative_gap)
 
 _LAWS = ("commutativity", "associativity", "identity", "derivation",
          "chebyshev", "series_oracle", "exponential_law", "inverse_law")
@@ -67,24 +67,29 @@ def series_terms(n: int, peak: float) -> int:
 def exp_series_oracle(a: Measure) -> Measure:
     """exp-star by summing the power series outright.
 
-    exp*(a) = e^{a_0} exp*(a') with a' = a less its mass at u = 1, and
-    exp*(a') sums series_terms(n, max_j |a_j|) terms by Horner's rule,
-    delta_1 + a'*(delta_1 + a'/2*(delta_1 + ...)), one truncated
-    convolution per term, so errors here are independent of the recurrence.
+    exp*(a) = e^{a_0} exp*(a'), a' = a less its mass at u = 1, and exp*(a')
+    sums M = series_terms(n, max_j |a_j|) terms a'^m / m! by Paterson and
+    Stockmeyer: the powers of a' up to k = isqrt(M), then Horner's rule in
+    a'^k over blocks of k terms, k - 1 + M // k products (13 at M = 53);
+    1/m! is a running product of 1/m, finite past m = 170.  The products
+    are direct truncated convolutions (kernels.mul_trunc), independent of
+    the recurrence; FFT products round relative to the largest term, far
+    above the cancelling sum.
     """
     n = a.grid.n
-    rest = a.coeffs.copy()
-    rest[0] = 0.0
-    out = np.zeros(n)
-    out[0] = 1.0
-    for m in range(series_terms(n, float(np.max(np.abs(rest)))), 0, -1):
-        out = kernels.mul_trunc(out, rest, n) / m
-        out[0] += 1.0
+    rest = np.r_[0.0, a.coeffs[1:]]
+    terms = series_terms(n, float(np.max(np.abs(rest))))
+    k = max(1, math.isqrt(terms))
+    powers = [delta_one(a.grid).coeffs, rest]  # powers[i] = a'^i
+    while len(powers) <= k:
+        powers.append(kernels.mul_trunc(powers[-1], rest, n))
+    coef = np.cumprod(np.r_[1.0, 1.0 / np.arange(1.0, terms + 1)])
+    blocks = [sum(c * p for c, p in zip(coef[j:j + k], powers))
+              for j in range(0, terms + 1, k)]
+    out = blocks.pop()
+    while blocks:
+        out = kernels.mul_trunc(out, powers[k], n) + blocks.pop()
     return Measure(a.grid, math.exp(a.coeffs[0]) * out)
-
-
-def _exp_reference(a: Measure) -> Measure:
-    return Measure(a.grid, kernels.exp_recurrence(a.coeffs))
 
 
 def run_identity_suite(seed: int = 2026, count: int = 100, n: int = 256,
@@ -93,8 +98,13 @@ def run_identity_suite(seed: int = 2026, count: int = 100, n: int = 256,
     one verdict per law, named by the law."""
     t0 = time.perf_counter()
     grid = LogGrid(h, n)
-    rng = np.random.default_rng(seed)
-    pool = [Measure(grid, rng.uniform(-1.0, 1.0, n)) for _ in range(count)]
+    draws = np.random.default_rng(seed).uniform(-1.0, 1.0, (count, n))
+    # the references as stacks: exp* of a, a + b (b the next) and -a, 1/exp*(a)
+    exps = kernels.exp_recurrence(draws)
+    sums = kernels.exp_recurrence(draws + np.roll(draws, -1, axis=0))
+    negs = kernels.exp_recurrence(-draws)
+    invs = kernels.invert_recurrence(exps)
+    pool, exps = ([Measure(grid, row) for row in x] for x in (draws, exps))
     one = delta_one(grid)
     worst = {law: 0.0 for law in _LAWS}
 
@@ -103,7 +113,6 @@ def run_identity_suite(seed: int = 2026, count: int = 100, n: int = 256,
         if gap > worst[law]:
             worst[law] = gap
 
-    exps = [_exp_reference(a) for a in pool]
     for i, a in enumerate(pool):
         b = pool[(i + 1) % count]
         c = pool[(i + 2) % count]
@@ -116,11 +125,9 @@ def run_identity_suite(seed: int = 2026, count: int = 100, n: int = 256,
              add(convolve(apply_log(a), b), convolve(a, apply_log(b))))
         note("chebyshev", apply_log(ea), convolve(apply_log(a), ea))
         note("series_oracle", ea, exp_series_oracle(a))
-        note("exponential_law", _exp_reference(add(a, b)),
-             convolve(ea, eb))
-        note("inverse_law", invert(ea), _exp_reference(negate(a)))
+        note("exponential_law", sums[i], convolve(ea, eb))
+        note("inverse_law", invs[i], negs[i])
 
     verdicts = tuple(Verdict(law, gap <= tol, {"worst": gap, "tol": tol})
                      for law, gap in worst.items())
     return SuiteResult(worst, tol, count, time.perf_counter() - t0, verdicts)
-

@@ -78,6 +78,38 @@ def test_recurrences_equal_forward_indexing_bit_for_bit(n):
     assert np.array_equal(log_recurrence(e), lg)
 
 
+@pytest.mark.parametrize("b", [1, 4])
+def test_stacked_recurrences_equal_each_row_alone_bit_for_bit(b):
+    # one np.vecdot per step over the rows rounds as one np.dot per row; row
+    # 0 takes heads at which np.exp and np.log differ from math.exp and
+    # math.log in the last bit, and the stacks take e_0 from math's
+    a = np.random.default_rng(35).uniform(-1.0, 1.0, (b, 300)) * (4.0 / 300)
+    a[:, 0] = np.linspace(0.134, 0.9, b)
+    e = np.abs(exp_recurrence(a)) + 0.1
+    e[:, 0] = np.linspace(0.691, 2.0, b)
+    assert np.exp(a[0, 0]) != math.exp(a[0, 0])
+    assert np.log(e[0, 0]) != math.log(e[0, 0])
+    stacked = exp_recurrence(a), invert_recurrence(a), log_recurrence(e)
+    for i in range(b):
+        want = _forward_recurrences(a[i], e[i])
+        alone = exp_recurrence(a[i]), invert_recurrence(a[i]), log_recurrence(e[i])
+        for got, row, ref in zip(stacked, alone, want):
+            assert got.shape == (b, 300) and row.shape == (300,)
+            assert np.array_equal(got[i], ref)
+            assert np.array_equal(row, ref)
+
+
+def test_a_stack_with_one_bad_head_is_refused():
+    a = np.full((3, 4), 0.5)
+    a[1, 0] = 0.0
+    with pytest.raises(ValueError, match="inverse needs nonzero mass"):
+        invert_recurrence(a)
+    for head in (0.0, -2.0, math.nan):
+        a[1, 0] = head
+        with pytest.raises(ValueError, match="log. needs a positive mass"):
+            log_recurrence(a)
+
+
 def test_exp_recurrence_matches_power_series():
     # exp*(a) = sum a^{*m} / m! summed directly to machine precision
     rng = np.random.default_rng(22)
@@ -566,14 +598,17 @@ def test_lockstep_pair_peaks_near_two_sequential_pairs():
 
 @pytest.fixture
 def exp_paths(monkeypatch):
-    """Counts of the exp kernels that ran, by name."""
+    """Counts of the exp kernels that ran, by name: the rows that the
+    recurrence ran, since one call runs a whole stack, and the calls of
+    the Newton kernels, each of which runs its rows in one ladder."""
     ran = Counter()
 
     def spy(name):
         fn = getattr(kernels, name)
 
         def wrapped(*args, **kwargs):
-            ran[name] += 1
+            a = np.asarray(args[0])
+            ran[name] += a.size // a.shape[-1] if name == "exp_recurrence" else 1
             return fn(*args, **kwargs)
         return wrapped
 
@@ -608,6 +643,19 @@ def test_identity_suite_runs_only_the_recurrence(exp_paths):
     count = 3
     run_identity_suite(count=count)
     assert exp_paths == {"exp_recurrence": 3 * count}
+
+
+def test_identity_suite_runs_each_reference_as_one_stack(monkeypatch):
+    # the exps of a, a + b and -a, and the inverses of the exps, are four
+    # stacked calls whatever the pool's size, not one call per measure
+    calls = Counter()
+    for name in ("exp_recurrence", "invert_recurrence"):
+        def spy(*args, fn=getattr(kernels, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(kernels, name, spy)
+    run_identity_suite(count=5)
+    assert calls == {"exp_recurrence": 3, "invert_recurrence": 1}
 
 
 def test_series_oracle_sums_53_terms_on_the_suites_inputs():
@@ -655,6 +703,34 @@ def test_series_oracle_matches_an_exact_reference(scale, terms):
     a = np.random.default_rng(64).uniform(-scale, scale, 64)
     assert series_terms(64, float(np.max(np.abs(a[1:])))) == terms
     got = exp_series_oracle(Measure(LogGrid(0.01, 64), a)).coeffs
+    envelope = exp_recurrence(np.abs(a))
+    assert np.max(np.abs(got - _exact_exp(a)) / envelope) <= 1e-13
+
+
+def _suite_measure():
+    # a measure as the identity suite draws them: n = 256, |a_j| <= 1
+    return Measure(LogGrid(0.01, 256),
+                   np.random.default_rng(2026).uniform(-1.0, 1.0, 256))
+
+
+def test_series_oracle_takes_few_products_at_the_suites_size(monkeypatch):
+    # Paterson-Stockmeyer on 53 terms: 6 powers and 7 Horner steps
+    products = Counter()
+    product = kernels.mul_trunc
+
+    def counted(*args):
+        products["mul_trunc"] += 1
+        return product(*args)
+
+    monkeypatch.setattr(kernels, "mul_trunc", counted)
+    exp_series_oracle(_suite_measure())
+    assert products["mul_trunc"] <= 15
+
+
+def test_series_oracle_matches_an_exact_reference_at_the_suites_size():
+    measure = _suite_measure()
+    a = measure.coeffs
+    got = exp_series_oracle(measure).coeffs
     envelope = exp_recurrence(np.abs(a))
     assert np.max(np.abs(got - _exact_exp(a)) / envelope) <= 1e-13
 
