@@ -233,14 +233,14 @@ def fit_loglog_model(sigmas, values, alpha_tol: float | None = None) -> FitRepor
                               "max_abs_residual": float(np.max(np.abs(resid)))})
 
 
-def fit_de_haan(series: CheckpointSeries, mellin_sigmas=None, mellin_values=None,
-                b1_tol: float = 0.05, intercept_tol: float = 0.10) -> FitReport:
+def fit_de_haan(series: CheckpointSeries, mellin_sigmas=None,
+                mellin_values=None) -> FitReport:
     """Fit I(x) = b1 loglog x + beta at checkpoints; optionally cross-check
     against mellin data fitted to b1 log(1/(sigma-1)) + b2.
 
     The slow-variation framework predicts beta - b2 = b1 * gamma; the fit
-    passes when the two b1 estimates agree within b1_tol and the intercept
-    difference matches b1 * gamma within intercept_tol.
+    passes when the two b1 estimates agree within 5% and the intercept
+    difference matches b1 * gamma within 10%.
     """
     ts = series.log_points
     design = np.column_stack([np.log(ts), np.ones_like(ts)])
@@ -268,6 +268,7 @@ def fit_de_haan(series: CheckpointSeries, mellin_sigmas=None, mellin_values=None
     b1_mell, b2 = float(coef2[0]), float(coef2[1])
     constants.update({"b1_mellin": b1_mell, "b2": b2})
 
+    b1_tol, intercept_tol = 0.05, 0.10
     b1_dev = abs(b1_chk / b1_mell - 1.0) if b1_mell != 0 else math.inf
     predicted = b1_mell * EULER_GAMMA
     gamma_dev = abs((beta - b2) / predicted - 1.0) if predicted != 0 else math.inf

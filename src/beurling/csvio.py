@@ -17,10 +17,9 @@ def _fmt(x) -> str:
     return repr(float(x)) if isinstance(x, float) else str(x)
 
 
-def write_series_csv(path, series: CheckpointSeries, grid: LogGrid | None = None):
+def write_series_csv(path, series: CheckpointSeries, grid: LogGrid):
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if grid is not None:
-            fh.write(f"# h={grid.h!r} n={grid.n}\n")
+        fh.write(f"# h={grid.h!r} n={grid.n}\n")
         fh.write("# checkpoints=" + ",".join(repr(float(t)) for t in series.log_points) + "\n")
         if series.label:
             fh.write(f"# series={series.label}\n")

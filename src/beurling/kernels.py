@@ -4,7 +4,8 @@ Everything here works on plain float64 arrays indexed by lattice position;
 the Measure wrapper and grid bookkeeping live one layer up.  Two exponential
 algorithms are provided: the O(n^2) weighted-coefficient recurrence (the
 derivation identity L exp* = (L a) * exp* read as a triangular solve) and an
-O(n log n) Newton iteration on top of FFT products.
+O(n log n) Newton iteration on top of FFT products.  Each rule below keeps
+the number that sets it; the BENCH_*.json file named with it holds the rest.
 
 The Newton iteration doubles the precision of e = exp*(a) each round and
 carries r = 1/e at the same precision alongside (Brent & Kung 1978).  A
@@ -21,26 +22,20 @@ spectrum point by point (_refine_spectra, which takes the negated
 spectrum, so that r[m:M] comes out of the inverse with its sign).  A round
 thus takes 5 forward transforms (e, L a, r, the product q, eps) and 4
 inverse ones (q, eps, the step, the refine) of its own length, 9 in all,
-where refining r in transforms of its own took 12: 10 at the round's
-length and 4 at half of it.  The round makes no whole-array pass of its
-own besides: a product of spectra rides in the first pass of its inverse
-(irfft(..., times=)), and the weighting by k and the divide by k in the
-packing of a forward transform (rfft(..., ramp=)).  Each product is taken
-mod t^N + 1 for the shortest length N whose
-wrap-around misses the coefficients it must deliver (Bernstein, "Removing
-redundancy in high-precision Newton iteration", 2004; Hanrot & Zimmermann,
-"Newton iteration revisited", 2004).  By transform volume, the summed sizes
-of the transforms in units of M(n), one product of two n-term rows (three
-transforms of _fast_len(2n - 1) points), on the weighted Kahane tail:
-
-    n            exp_newton     exp_newton_pair
-    500,001      2.85 M(n)      3.02 M(n)
-    2,800,001    2.84 M(n)      3.01 M(n)
-
-against 17/6 = 2.83 for Bernstein's exp.  Since exp*(-a) = 1/exp*(a), the
-last round's refine, which a lone exp skips, turns the tracked r into
-exp*(-a): exp_newton_pair returns both for one inverse transform more than
-one exponential.
+and no whole-array pass of its own besides: a product of spectra rides in
+the first pass of its inverse (irfft(..., times=)), and the weighting by k
+and the divide by k in the packing of a forward transform
+(rfft(..., ramp=)).  Each product is taken mod t^N + 1 for the shortest
+length N whose wrap-around misses the coefficients it must deliver
+(Bernstein, "Removing redundancy in high-precision Newton iteration",
+2004; Hanrot & Zimmermann, "Newton iteration revisited", 2004).  In units
+of M(n), one product of two n-term rows (three transforms of
+_fast_len(2n - 1) points), an exp_newton on the weighted Kahane tail
+transforms 2.85 M(n) and an exp_newton_pair 3.02 M(n) at n = 500,001,
+against 17/6 = 2.83 for Bernstein's exp (BENCH_21.json transform_volume).
+Since exp*(-a) = 1/exp*(a), the last round's refine, which a lone exp
+skips, turns the tracked r into exp*(-a): exp_newton_pair returns both for
+one inverse transform more than one exponential.
 
 Products are right-angle (Crandall & Fagin, "Discrete weighted transforms
 and large-integer arithmetic", Math. Comp. 62, 1994).  A real row x of at
@@ -49,10 +44,9 @@ M = N/2 points, w = e^{i pi/N}; one complex FFT of M points per operand,
 the product of the spectra, one inverse FFT and the weights w^-j give the
 product mod t^N + 1, coefficient j < M as the real part of point j and
 coefficient M + j as its imaginary part.  The product is negacyclic: a
-coefficient at j >= N lands at j - N with its sign flipped, in the
-positions a cyclic product of length N would wrap it to, which every
-caller drops.  N is even and N/2 is 5-smooth (_fast_len), since pocketfft
-runs factors 7 and 11 through slow generic passes.
+coefficient at j >= N lands at j - N with its sign flipped, where every
+caller drops it.  N is even and N/2 is 5-smooth (_fast_len), since
+pocketfft runs factors 7 and 11 through slow generic passes.
 
 The complex FFT is numpy.fft's pocketfft, run as a four-step transform
 (Bailey, "FFTs in external or hierarchical memory", J. Supercomputing 4,
@@ -66,197 +60,90 @@ remaining weight w^b, and the B-point FFTs run in place along the rows.
 Spectrum bin k + A l then sits at (k, l), a permuted order that no caller
 sees: products multiply spectra of one size point by point, and the
 inverse runs the same steps backwards, unnormalised, with 1/M folded into
-its twiddles, so no transpose is ever made.  The twiddles of a chunk of
-isqrt(A) rows are a table of that many rows times one row per chunk, each
-the outer product of two tables of about sqrt(B) exps, so no table is
-ever full length: a full table cached per length ran the de Haan exp
-(n = 2,800,001) in 1.16-1.21 s warm against 1.24-1.41 s, but it raised
-the peak RSS of a process running that exp from 352 to 483 MB.  The row
+its twiddles, so no transpose is ever made.  Below _FOUR_STEP_MIN points
+the split is (1, M), one 1-D FFT.  Each twiddle is rounded from an
+exponent reduced mod 2N; every one was within 7e-16 of its exact value at
+N = 2,812,500.  The twiddles of a chunk of isqrt(A) rows are a table of
+that many rows times one row per chunk, each the outer product of two
+tables of about sqrt(B) exps: a full table cached per length raised the
+peak RSS of a process running the de Haan exp from 352 to 483 MB.  The row
 weights and chunk tables are cached per size and direction (_tables, at
-most _TABLES_CACHED of them): the ladder of the Kahane pair keeps 2.5 MB
-of them, and that of the de Haan exp 6.6 MB.  Each cached table lives in
-an anonymous mapping of its own, outside the malloc heap, where it would
-outlive the ladders' buffers among theirs.  Below _FOUR_STEP_MIN points
-the split is (1, M), the same code reduced to one 1-D FFT, whose table is
-one row of M points.  One forward and one inverse
-transform of one row, median of 25 (11 at 2.8M) interleaved, on one core
-of a 2-vCPU Intel Xeon (AVX-512), against scipy.fft's 1-D pocketfft with
-its plan cache, which this replaced, and numpy.fft in one 1-D call:
+most _TABLES_CACHED), each in an anonymous mapping of its own, outside the
+malloc heap, where it would outlive the ladders' buffers among theirs.
 
-    N            scipy 1-D    numpy 1-D    this
-    1,000        0.038 ms     0.063 ms     0.063 ms (1-D)
-    8,000        0.170 ms     0.221 ms     0.221 ms (1-D)
-    31,104       0.623 ms     0.699 ms     0.699 ms (1-D; four-step 0.795)
-    62,500       1.90 ms      2.12 ms      1.46 ms
-    506,250      18.0 ms      21.3 ms      12.1 ms
-    2,812,500    149 ms       150 ms       101 ms
-
-Each twiddle is rounded from an exponent reduced mod 2N, and every one
-was within 7e-16 of its exact value at N = 2,812,500; the exps of the
-Kahane and de Haan workloads stayed within 2e-16 (max-norm relative) of
-those taken with scipy.fft.  Below the four-step, the per-call tables and
-numpy's plan cost 0.02-0.08 ms more per forward and inverse pair than
-scipy.fft's cached plans did.
-
-Independent exps run in lockstep.  exp_newton, exp_newton_pair and
-exp_star_pair take a (b, n) stack of rows as well as a single row, which is
-the one-row stack of the same ladder, and every FFT product of the ladder
-is then one forward and one inverse transform along the last axis of the
-stack, whose rows equal the 1-D transforms to the bit.  With scipy.fft,
-before the four-step, pocketfft gained nothing from batching complex
-rows: one 2-row call took 40-53 ms at 506,250 points, two 1-D calls 35 ms
-(same host).  Looping over the rows inside the transforms measured no
-faster end to end on kahane_pipeline, in five alternating pairs of
-processes, so the stacks stay batched.
-
-Every round runs in lockstep up to precision ceil(n/2).  The last round,
-whose products have full length, runs one row at a time, so that the
-spectra of a stack of two rows take no more room than those of one exp:
-two rows at precision ceil(n/2) transform about n/4 complex points each,
-one row at full length n/2.  Run in lockstep too, the last round raised
-the tracemalloc peak of the Kahane pair of two rows to 1.41 times that of
-two sequential pairs, for no gain in time; it is 1.08 times now.  What the
-stack adds is the other rows' e and r.
+Independent exps run in lockstep: exp_newton, exp_newton_pair and
+exp_star_pair take a (b, n) stack of rows, a single row being the one-row
+stack, and each FFT product of the ladder is one forward and one inverse
+transform along the stack's last axis, whose rows equal the 1-D
+transforms to the bit (BENCH_15.json).  Every round up to precision
+ceil(n/2) runs in lockstep; the last, whose products have full length,
+runs one row at a time, so that a stack's spectra take no more room than
+one exp's: the tracemalloc peak of the Kahane pair of two rows is 1.08
+times that of two sequential pairs.
 
 A ladder allocates its memory once (_exp_newton_monic): the (b, n) stacks
 e and r of its results, r only ceil(n/2) long for a lone exp, and one
-(3, need) complex workspace for the three spectra a round keeps alive,
-those of e, of the product and of r, with need the largest rows times N/2
-over the rounds.  Each round fills [m, M) of e and r in place through
-irfft(..., out=), q and k eps_k pass through e[m:M] until the step
-overwrites them, rfft packs L a straight from a and eps straight from
-k eps_k, and _log_envelope and _finish read
-their rows _PASS points at a time.  In units of 8n bytes, one row of n
-doubles, which a spectrum of N/2 ~ n/2 complex points takes too, a lone
-exp holds 1 + 1/2 + 3 = 4.5 and a pair 5.  The tracemalloc peaks of one
-exp on the weighted Kahane tail, against those of the ladder that
-allocated round by round and kept the weights e^{-kh} at full length:
-
-    n            exp_newton      exp_newton_pair
-    500,001      4.76 (6.08)     5.23 (6.04)
-    2,800,001    4.59 (6.02)     5.05 (6.01)
-
-On a 2-vCPU Intel Xeon the peak RSS of the perfbench transform workload,
-which runs the de Haan exp, fell from 212.8 to 160.9 MB, and that of
-kahane from 96.6 to 86.2 MB (medians of ten and of six runs a side).  No
-allocator option is set: at de Haan size the 67.5 MB workspace lies above
-glibc's 32 MB ceiling on its mmap threshold, so it is mapped and handed
-back when the exp returns, and tracemalloc sees it, as it would not see
-an anonymous mmap.
+(3, need) complex workspace for the spectra of e, of the product and of r,
+need being the largest rows times N/2 over the rounds; each round fills
+[m, M) of e and r in place, and its q and k eps_k pass through e[m:M]
+until the step overwrites them.  In units of 8n bytes a lone exp holds
+1 + 1/2 + 3 = 4.5 and a pair 5; tracemalloc reads 4.76 and 5.23 at
+n = 500,001 (BENCH_22.json tracemalloc).  No allocator option is set: at
+de Haan size the workspace lies above glibc's 32 MB ceiling on its mmap
+threshold, so it is mapped and handed back when the exp returns.
 
 Passes run in two parts when the process may use more than one CPU
 (os.sched_getaffinity): _halves runs the first part of a pass on the
 calling thread and hands the second to the one thread of a
-concurrent.futures.ThreadPoolExecutor, made on the first split, which
-waits on its queue between parts and so takes no CPU while idle.  rfft
-splits its packing, ramp and row weights by halves of the rows of the
-(A, B) view, its column FFTs by halves of the columns, and its twiddles
-and row FFTs by halves of the rows cut at a chunk of the twiddle table;
-irfft runs the same steps backwards, a product of spectra within its row
-FFTs' halves.  _refine_spectra splits its blocks of rows, and _log_envelope
-and _finish their blocks of _PASS points, whose partial sums
-_log_envelope adds afterwards in block order.  Each part writes only its
-own points, so every result is the same to the bit on one CPU or two.
-density.discretize splits its blocks of cells, measure.mellin its panels
-of sigma and asymptotics._tail_estimates its decays alike.  What stays on
-the calling thread, and why:
+concurrent.futures.ThreadPoolExecutor.  rfft and irfft split each pass
+by halves of the rows or of the columns of the (A, B) view, the twiddles
+at a chunk of their table; _refine_spectra, _log_envelope and _finish
+split their blocks (partial sums added afterwards in block order), and so
+do density.discretize, measure.mellin and asymptotics._tail_estimates.
+Each part writes only its own points, so every result is the same to the
+bit on one CPU or two.  What stays on the calling thread, and why:
 
   - a pass over fewer than _SPLIT_MIN = 2^16 points (a transform counts
-    the rows of its stack times M), where handing a part over costs more
-    than it saves: split, a forward and inverse pair of 32,768 points took
-    1.55 ms on two CPUs against 1.30 on one, and of 20,000 points 1.24 ms
-    against 0.95.  Every transform of a grid of 32,768 points or fewer
-    stays whole, and so do the Kahane ladder's rounds below two rows of
-    31,250 points;
+    the rows of its stack times M): split, a forward and inverse pair of
+    32,768 points took 1.55 ms on two CPUs against 1.30 on one
+    (BENCH_23.json transform_pair_one_cpu_against_two);
   - the cached tables (_tables), read before a split, and every public
-    function, which a tracer may wrap: perfbench's keeps one stack of
-    spans and assumes one thread;
+    function, which a tracer with one stack of spans may wrap;
   - large temporaries: memory the pool's thread allocates stays in its own
-    malloc arena, out of the calling thread's reach, so a part writes into
-    buffers its caller allocated (_tail_estimates' per-decay rows raised
-    the transform workload's peak RSS by 11 MB when that thread made its
-    own).  Its arena adds about 4 MB.
+    malloc arena, so a part writes into buffers its caller allocated
+    (rows made on that thread raised the transform workload's peak RSS by
+    11 MB).
 
-The pool's thread runs its part in a copy of the caller's context, since
-numpy's errstate is a context variable, and the part's Future carries an
-exception back to the caller, which raises it once both parts are done.
-_halves adds what the pool lacks: a split asked for on the pool's thread
-(known by its name) runs inline, where waiting for itself would hang; a
-forked child, in which that thread does not run, makes a pool of its own
-(os.register_at_fork); concurrent.futures, whose import takes 6-9 ms
-after numpy's, loads on the first split, so a process that never splits
-does not pay for it; and once interpreter shutdown has begun, when the
-pool refuses work (an exp in an atexit handler), a split runs whole on
-the caller, to the same bits.
+The pool's thread runs its part in a copy of the caller's context, numpy's
+errstate included, and its exception is raised on the caller once both
+parts are done.  A process that never splits never loads the pool.
 
-One forward and inverse transform pair of M points, one CPU against two
-(the same code with the split off), median of 8 alternating sets on a
-2-vCPU Intel Xeon, shared host, in a fresh process with sizes ascending
-and then after a sustained run:
-
-    M            fresh: one CPU   two        sustained: one CPU   two
-    93,750       3.70 ms          3.08 ms    5.59 ms              3.86 ms
-    253,125      10.1 ms          6.52 ms    11.6 ms              7.55 ms
-    506,250      24.9 ms          15.7 ms    20.5 ms              14.4 ms
-    1,406,250    98.6 ms          45.3 ms    95.0 ms              42.9 ms
-
-The second vCPU of that host is slow to wake from idle: in other fresh
-processes the sizes up to 506,250 ran 4-6% slower on two CPUs until a
-run of larger transforms had kept it busy, while 1,406,250 points ran 1.9
-times faster (1.4-2.5) even right after sleeps of 0.5-1.5 s.  A long run
-such as mellin-fit is sustained load: in one process, calls alternating
-with the unsplit code, the de Haan exp took 0.53 s against 0.86 s and the
-Kahane exp* pair (two rows of 500,001) 0.18 s against 0.27 s.
-
-Conditioning note: the exponential of a signed sequence can be dominated by
+Conditioning: the exponential of a signed sequence can be dominated by
 cancellation; relative accuracy is only meaningful when the positive
 envelope exp*(|a|) stays within a few orders of magnitude of the result.
-For the nonnegative inputs arising from prime densities both paths are
-stable once the input is weighted.  Nothing here reweights: a caller with
-raw, rapidly growing coefficients exponentiates the u^{-s}-weighted copy
-c_k e^{-s k h} (measure.tilt, an exact homomorphism that commutes with
-exp*) and weights back itself.  Inputs that grow too fast drive the Newton
-intermediates out of the double range; the result is then checked against
-the a priori envelope bound and refused.
+Nothing here reweights: a caller with raw, rapidly growing coefficients
+exponentiates the u^{-s}-weighted copy c_k e^{-s k h} (measure.tilt, an
+exact homomorphism that commutes with exp*) and weights back itself.
+A Newton result is checked against the a priori envelope bound and
+refused when inputs that grow too fast drove it out of the double range.
+The cancellation excess S - s, with S = sum |a_j| e^{-jh} and
+s = sum a_j e^{-jh}, is, untruncated, the log of the ratio of the weighted
+masses of exp*(|a|) and exp*(a).  Over 300 inputs c * uniform(-1, 1) at
+n = 256, h = 0.01, the largest Newton-vs-recurrence gap was 3e-16 at
+excess up to 8 and 3e-15 at 8 to 16, and it reached 7e-7 past 48
+(BENCH_28.json kernels_docstring_tables, with the FFT rounds' errors).
 
-exp_star picks the path by size and by conditioning.  The recurrences take
-a row or a stack of rows, one np.vecdot over the rows per step.  Newton
-runs from _NEWTON_MIN_N = 128, where one row of weighted li (h = 0.01)
-takes about as long on either path: the recurrence 0.87-1.10 times
-Newton's 0.3-0.6 ms (2-vCPU Intel Xeon, one BLAS thread, five runs).
-
-Newton needs a well-conditioned input.  The cancellation excess
-S - s, with S = sum |a_j| e^{-jh} and s = sum a_j e^{-jh}, is, untruncated,
-the log of the ratio of the weighted masses of exp*(|a|) and exp*(a), since
-the weighted mass of exp*(a) is e^s > 0.  The largest Newton-vs-recurrence
-gap (measure.relative_gap) over 300 inputs c * uniform(-1, 1) at n = 256,
-h = 0.01 (c = 0.006 i, seed i, i = 1..300) grows with it, unevenly:
-
-    excess     <= 8    8-16    16-24   24-32   32-48   48-64   64-100
-    max gap    3e-16   3e-15   3e-14   1e-12   7e-11   7e-7    2e-7
-
-The FFT rounds behave alike.  On weighted li + c uniform(-1, 1) (seed 7)
-at h = 0.025, n = 2048, against the exact reference of the test suite
-(max |error| over max |exact|), with the excess of exp*(a) / exp*(-a):
-
-    c      excess       exp_newton(a)  (-a)     pair (a)   (-a)
-    0.1    1.39/2.81    2.2e-15   2.5e-15       2.2e-15   3.3e-15
-    0.2    3.34/4.79    1.3e-13   1.7e-13       1.3e-13   3.3e-13
-    0.3    5.30/6.79    8.0e-12   8.4e-12       8.0e-12   2.0e-11
-
-The two routes to exp*(-a) are of one order.  On weighted li at h = 0.01,
-n = 2^16 (excess 0, sum a = 7.1), exp_newton is within 1.0e-14 of the
-recurrence.
-
-So exp_star runs Newton from _NEWTON_MIN_N = 128 on inputs with excess
-<= _NEWTON_MAX_EXCESS = 8, and the recurrence otherwise; exp_star_pair
-runs Newton only if both signs pass, S + |s| <= 8, as exp*(-a) has excess
-S + s.  Weighted prime densities have excess at most 1.52, either sign;
-the uniform(-1, 1) inputs of the identity suite 33 to 60.  Both apply the
-rule through one router (_route), on a row or on each row of a stack, and
-the excess comes from the pass that takes the envelope bound of Newton
-anyway.  A badly conditioned input takes the recurrence at every size, at
-O(n^2) cost.  A recurrence result holding an inf or NaN raises
+So exp_star runs Newton from _NEWTON_MIN_N = 128, where one row of weighted
+li (h = 0.01) takes about as long on either path (the recurrence 0.87-1.10
+times Newton's 0.3-0.6 ms), on inputs with excess <= _NEWTON_MAX_EXCESS = 8,
+and the recurrence otherwise; exp_star_pair runs Newton only if both signs
+pass, S + |s| <= 8, as exp*(-a) has excess S + s.  Weighted prime
+densities have excess at most 1.52, either sign; the uniform(-1, 1) inputs
+of the identity suite 33 to 60.  Both apply the rule in one router
+(_route), on each row of a stack, with the excess from Newton's envelope
+pass; a badly conditioned input takes the recurrence at every size, at
+O(n^2) cost.  The recurrences take a row or a stack of rows, one np.vecdot
+over the rows per step; a result holding an inf or NaN raises
 OverflowError, as a Newton result out of the double range does.  invert
 and log_star run their recurrences on every size.
 """
@@ -908,8 +795,8 @@ def exp_star_pair(a: np.ndarray, h: float):
     A row runs Newton only where exp_star would run Newton on both signs:
     the excess of exp*(-a) is S + s, so the pair's is S + |s|.  The rows
     that pass run as one stack, in lockstep (see the module docstring); the
-    others take the recurrence, row by row.  One _log_envelope pass serves
-    every row's rule and envelope bound.
+    others, both signs, as one stack on the recurrence.  One _log_envelope
+    pass serves every row's rule and envelope bound.
     """
     return _route(a, h, pair=True)
 

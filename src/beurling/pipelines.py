@@ -128,11 +128,11 @@ def kahane_pipeline(grid: LogGrid | None = None, checkpoints=DEFAULT_CHECKPOINTS
                         verdicts)
 
 
-def mellin_alpha_experiment(grid: LogGrid | None = None, sigma_grid=None,
+def mellin_alpha_experiment(grid: LogGrid | None = None,
                             alpha_tol: float = 0.02) -> FitReport:
     """Fit the loglog expansion of the Mellin transform of the Kahane tail.
 
-    The default sigma window reaches 1e-5 above 1, which forces a grid of
+    The sigma window reaches 1e-5 above 1, which forces a grid of
     log-length 1.4e6 through the truncation rule; the tail measure is
     discretized directly in weighted form, no exponential needed.
 
@@ -144,35 +144,21 @@ def mellin_alpha_experiment(grid: LogGrid | None = None, sigma_grid=None,
     """
     if grid is None:
         grid = MELLIN_GRID
-    if sigma_grid is None:
-        sigma_grid = 1.0 + np.logspace(-5, -2, 25)
     a_w = kahane_tail(grid, weight_sigma=1.0)
-    return fit_mellin_expansion(a_w, sigma_grid, weight_sigma=1.0,
-                                alpha_tol=alpha_tol)
+    return fit_mellin_expansion(a_w, 1.0 + np.logspace(-5, -2, 25),
+                                weight_sigma=1.0, alpha_tol=alpha_tol)
 
 
-def de_haan_experiment(grid: LogGrid | None = None, checkpoints=None,
-                       sigma_grid=None, b1_tol: float = 0.05,
-                       intercept_tol: float = 0.10) -> FitReport:
+def de_haan_experiment() -> FitReport:
     """Cross-check the slow-variation law for dB+ = exp*(dA) on both sides.
 
     Checkpoint side fits int dB+/u against b1 loglog x + beta; Mellin side
     fits b1 log(1/(sigma-1)) + b2; the intercepts must differ by b1 times
     Euler's constant.  Both windows need a long grid: convergence of the
-    o(1) terms is logarithmic, so checkpoints reach e^133000 by default.
+    o(1) terms is logarithmic, so the checkpoints reach e^133000.
     """
-    if grid is None:
-        grid = DE_HAAN_GRID
-    if checkpoints is None:
-        checkpoints = np.exp(np.linspace(4.0, math.log(0.95 * grid.log_end), 25))
-    if sigma_grid is None:
-        sigma_grid = 1.0 + np.logspace(-4, -2, 25)
-    sigma_grid = np.asarray(sigma_grid, dtype=float)
-
-    a_w = kahane_tail(grid, weight_sigma=1.0)
-    bp_w = exp_star(a_w)
-    ts = np.asarray(sorted(checkpoints), dtype=float)
+    ts = np.exp(np.linspace(4.0, math.log(0.95 * DE_HAAN_GRID.log_end), 25))
+    sigma_grid = 1.0 + np.logspace(-4, -2, 25)
+    bp_w = exp_star(kahane_tail(DE_HAAN_GRID, weight_sigma=1.0))
     series = CheckpointSeries(ts, checkpoint_sums(bp_w, ts), "int dB+/u")
-    mell = mellin(bp_w, sigma_grid - 1.0)
-    return fit_de_haan(series, sigma_grid, mell,
-                       b1_tol=b1_tol, intercept_tol=intercept_tol)
+    return fit_de_haan(series, sigma_grid, mellin(bp_w, sigma_grid - 1.0))

@@ -263,7 +263,7 @@ class HypothesisReport:
 
 
 def hypothesis_report(spec: SystemSpec, a: float = 1.0,
-                      checkpoints=DEFAULT_CHECKPOINTS, tail_k: int = 5,
+                      checkpoints=DEFAULT_CHECKPOINTS,
                       sigma0: float | None = None) -> HypothesisReport:
     """Checkpoint diagnostics for the three density hypotheses and the
     conclusion they support.
@@ -281,14 +281,14 @@ def hypothesis_report(spec: SystemSpec, a: float = 1.0,
     """
     grid = spec.grid
     ts = np.asarray(sorted(checkpoints), dtype=float)
-    check_ladder(ts, tail_k)
+    check_ladder(ts)
     series: dict[str, CheckpointSeries] = {}
     verdicts = []
 
     e_w = (discretize(spec.e_part, grid, 1.0) if spec.e_part is not None else zero(grid))
     vals_i = ts * checkpoint_sums(variation(e_w), ts, 1.0)
     series["e_variation_ratio"] = CheckpointSeries(ts, vals_i, "A_E(x) log x / x")
-    verdicts.append(_decays("hypothesis_i", series["e_variation_ratio"], tail_k))
+    verdicts.append(_decays("hypothesis_i", series["e_variation_ratio"]))
 
     r_w = (discretize(spec.r_part, grid, 1.0) if spec.r_part is not None else zero(grid))
     rvar = variation(r_w)
@@ -328,13 +328,13 @@ def hypothesis_report(spec: SystemSpec, a: float = 1.0,
         raise ParameterError(f"a={a}: |M0(x)| log^a x / x leaves the double "
                              f"range at checkpoint t={t:g}")
     series["m0_ratio"] = CheckpointSeries(ts, vals_iii, f"|M0(x)| log^{a} x / x")
-    verdicts.append(_decays("hypothesis_iii", series["m0_ratio"], tail_k))
+    verdicts.append(_decays("hypothesis_iii", series["m0_ratio"]))
 
     # the assemble_pi sum, in its order, from the measures built above
     m_w = exp_star(negate(add(add(pi0_w, e_w), r_w)))
     series["m_ratio"] = CheckpointSeries(ts, checkpoint_sums(m_w, ts, 1.0), "M(x)/x")
 
-    conclusion = _decays("conclusion_m_ratio", series["m_ratio"], tail_k)
+    conclusion = _decays("conclusion_m_ratio", series["m_ratio"])
     return HypothesisReport(series, (*verdicts, conclusion), conclusion)
 
 
@@ -343,9 +343,9 @@ def hypothesis_report(spec: SystemSpec, a: float = 1.0,
 NOISE_FLOOR = 1e-12
 
 
-def _decays(name: str, s: CheckpointSeries, tail_k: int) -> Verdict:
+def _decays(name: str, s: CheckpointSeries) -> Verdict:
     final = abs(float(s.values[-1]))
-    decay = check_decay(s, tail_k, name)
+    decay = check_decay(s, name=name)
     return Verdict(name, final <= NOISE_FLOOR or decay.passed,
                    {"final": final, "floor": NOISE_FLOOR, **decay.values})
 

@@ -49,7 +49,7 @@ def test_criterion_01_identity_suite(capsys):
     worst = max(res.worst.values())
     ok = res.passed and res.runtime < 10.0
     announce(capsys, 1, ok,
-             f"algebra laws worst={worst:.2e} tol={res.tol:.0e} "
+             f"algebra laws worst={worst:.2e} tol={res.verdicts[0].values['tol']:.0e} "
              f"({res.runtime:.1f}s)")
     assert res.passed, res.worst
     assert res.runtime < 10.0

@@ -666,6 +666,26 @@ def test_series_oracle_sums_53_terms_on_the_suites_inputs():
     assert series_terms(256, 1.0) == 53
 
 
+def _series_terms_two_calls(n, peak):
+    # series_terms as it was with log_t evaluated twice per count, head and
+    # next both afresh; carrying next over as the next head is the same sum
+    def log_t(m):
+        return (math.lgamma(n - 1) - math.lgamma(m) - math.lgamma(n - m)
+                + m * math.log(peak) - math.lgamma(m + 1))
+
+    for terms in range(n - 2):
+        head, nxt = log_t(terms + 1), log_t(terms + 2)
+        if nxt < head and head - math.log1p(-math.exp(nxt - head)) < math.log(1e-16):
+            return terms
+    return n - 1
+
+
+def test_series_terms_carries_each_term_over_to_the_same_counts():
+    for peak in np.logspace(-3.0, 1.0, 9).tolist():
+        assert ([series_terms(n, peak) for n in range(2, 301)]
+                == [_series_terms_two_calls(n, peak) for n in range(2, 301)])
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_series_oracle_of_a_point_mass_at_one_is_exact(n):
     c = np.zeros(n)

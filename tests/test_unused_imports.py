@@ -1,6 +1,7 @@
 """Every name a package or test module imports is used in that module, every
-module-level definition is referenced somewhere in the package, and every
-public re-export is used by the package or named in README.md.  The
+module-level definition is referenced somewhere in the package, every
+public re-export is used by the package or named in README.md, and every
+defaulted parameter of a public function is set by some call.  The
 package runs on numpy alone: no scipy module loads.
 
 A standard-library ast walk, since no linter is assumed installed.  The
@@ -116,6 +117,61 @@ def test_every_export_is_used_or_documented():
     sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
     init = (SRC / "__init__.py").read_text(encoding="utf-8")
     assert unused_exports(init, sources, README.read_text(encoding="utf-8")) == []
+
+
+# Every defaulted parameter of a public function is set by some call in
+# src/ or tests/, by name or by position; a default that no caller changes
+# is a constant.  Calls are found by the function's name, so kernels is left
+# out: _route calls exp_newton and exp_newton_pair through the alias exp.
+OPTION_MODULES = ("pipelines", "systems", "selfcheck", "asymptotics", "csvio")
+
+
+def unset_options(defining: dict, calling: dict) -> list:
+    """(module, function, parameter) for each defaulted parameter of a
+    public module-level function in defining that no call in calling
+    passes, by name or by position."""
+    options = {}  # function: (module, {parameter: position, or None})
+    for mod, src in defining.items():
+        for node in ast.parse(src).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                first = len(positional) - len(args.defaults)
+                params = {name: i for i, name in enumerate(positional) if i >= first}
+                params.update((a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                              if d is not None)
+                options[node.name] = (mod, params)
+    passed = set()
+    for src in calling.values():
+        for node in ast.walk(ast.parse(src)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name not in options:
+                continue
+            keywords = {k.arg for k in node.keywords}
+            spread = None in keywords or any(isinstance(a, ast.Starred) for a in node.args)
+            for param, pos in options[name][1].items():
+                if spread or param in keywords or (pos is not None and pos < len(node.args)):
+                    passed.add((name, param))
+    return sorted((mod, fn, param) for fn, (mod, params) in options.items()
+                  for param in params if (fn, param) not in passed)
+
+
+def test_checker_flags_an_option_no_call_sets():
+    defining = {"a.py": "def f(x, y=1, z=2, *, w=3):\n    pass\n"
+                        "def _g(v=0):\n    pass\n"
+                        "def h(u=0):\n    pass\n"}
+    calling = {"b.py": "f(0, 5)\nm.f(0, w=4)\nh(*args)\n"}
+    assert unset_options(defining, calling) == [("a.py", "f", "z")]
+
+
+def test_every_option_is_set_by_some_call():
+    defining = {f"{m}.py": (SRC / f"{m}.py").read_text(encoding="utf-8")
+                for m in OPTION_MODULES}
+    calling = {str(p): p.read_text(encoding="utf-8")
+               for p in sorted(SRC.glob("*.py")) + TESTS}
+    assert unset_options(defining, calling) == []
 
 
 # the modules that may name the O(n^2) reference exp: kernels, whose
