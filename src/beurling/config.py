@@ -15,7 +15,10 @@ Density expressions are functions of u on [1, inf) built from: numbers,
 u, log(u), loglog(u), exp(..), sqrt(..), indicator(a) (a > 0 constant;
 value 1 for u >= a and 0 below), the constants e and pi, and + - * / ** with parentheses.
 Expressions compile through an ast whitelist; any other syntax is
-rejected.  Every indicator cutoff above 1 is recorded as a breakpoint so
+rejected.  Every number, e and pi included, is a double, so constant
+arithmetic is IEEE arithmetic: 1/0 is inf and (-1)**0.5 is NaN, which
+discretization refuses, and a literal outside the double range is an
+error.  Every indicator cutoff above 1 is recorded as a breakpoint so
 discretization integrates the straddling cell piecewise exactly.
 
 An indicator written as a leading factor gates the rest of its term:
@@ -33,7 +36,9 @@ u itself overflows; only a genuinely u-sized density overflows there.
 from __future__ import annotations
 
 import ast
+import copy
 import math
+import sys
 
 import numpy as np
 
@@ -57,6 +62,8 @@ def _check_node(node, breakpoints, allow_u=True):
     elif isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
             raise ConfigError(f"literal {node.value!r} is not a number")
+        if not node.value <= sys.float_info.max:  # exact for ints too
+            raise ConfigError("a numeric literal lies outside the double range")
     elif isinstance(node, ast.Name):
         if node.id not in _NAMES or (node.id == "u" and not allow_u):
             raise ConfigError(f"name {node.id!r} not allowed here")
@@ -88,8 +95,9 @@ def _env(t):
     indicator cutoffs move to log a."""
     return {
         "logu": t,
-        "e": math.e,
-        "pi": math.pi,
+        "num": np.float64,
+        "e": np.float64(math.e),
+        "pi": np.float64(math.pi),
         "log": np.log,
         "loglog": lambda y: np.log(np.log(y)),
         "exp": np.exp,
@@ -113,7 +121,11 @@ def _name(ident):
 
 
 class _LogCoordinates(ast.NodeTransformer):
-    """Rewrite a u-expression into the same function of t = log u."""
+    """Rewrite a u-expression into the same function of t = log u, each
+    literal into num(literal), a double."""
+
+    def visit_Constant(self, node):
+        return ast.Call(func=_name("num"), args=[node], keywords=[])
 
     def visit_Name(self, node):
         if node.id == "u":
@@ -155,23 +167,27 @@ class _GateLeadingIndicators(ast.NodeTransformer):
 
 
 def _eval_scalar(node) -> float:
-    expr = ast.Expression(body=node)
+    # on a copy: the rewrite edits the tree it visits
+    expr = ast.Expression(body=_LogCoordinates().visit(copy.deepcopy(node)))
     ast.fix_missing_locations(expr)
     code = compile(expr, "<cutoff>", "eval")
-    return float(eval(code, {"__builtins__": {}}, _env(0.0)))
+    with np.errstate(all="ignore"):
+        return float(eval(code, {"__builtins__": {}}, _env(0.0)))
 
 
 def parse_density(text: str) -> DensitySpec:
     """Compile one density expression into a DensitySpec."""
+    breakpoints: list[float] = []
     try:
         tree = ast.parse(text, mode="eval")
+        _check_node(tree, breakpoints)
+        tree = _GateLeadingIndicators().visit(_LogCoordinates().visit(tree))
+        ast.fix_missing_locations(tree)
+        code = compile(tree, "<density>", "eval")
     except SyntaxError as exc:
         raise ConfigError(f"cannot parse density {text!r}: {exc}") from None
-    breakpoints: list[float] = []
-    _check_node(tree, breakpoints)
-    tree = _GateLeadingIndicators().visit(_LogCoordinates().visit(tree))
-    ast.fix_missing_locations(tree)
-    code = compile(tree, "<density>", "eval")
+    except (RecursionError, MemoryError):
+        raise ConfigError(f"density of {len(text)} characters nests too deeply") from None
 
     def log_density(t):
         with np.errstate(all="ignore"):
@@ -261,6 +277,6 @@ def load_spec(path, h: float | None = None, n: int | None = None) -> SystemSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return spec_from_text(text, h=h, n=n)

@@ -180,8 +180,6 @@ _TABLES_CACHED = 64
 # cancellation excess (see _log_envelope) is at most _NEWTON_MAX_EXCESS
 _NEWTON_MIN_N = 128
 _NEWTON_MAX_EXCESS = 8.0
-# _finish accepts on the weights a result within this factor of its bounds
-_ROOM = 1.0 - 1e-9
 _LEFT_THE_RANGE = ("exp* result left the double range; keep the computation "
                    "in a weighted (tilted) representation instead")
 # the one-thread pool that runs the second part of each _halves split:
@@ -663,13 +661,6 @@ def _exp_newton_monic(a: np.ndarray, pair: bool = False) -> tuple:
     return (e, r) if pair else (e,)
 
 
-def _decay(lo: int, hi: int, h: float) -> np.ndarray:
-    # the weights e^{-kh} for k in [lo, hi)
-    w = np.arange(lo, hi, dtype=float)
-    w *= -h
-    return np.exp(w, out=w)
-
-
 def _finish(e: np.ndarray, a0: float, log_bound: float, h: float) -> np.ndarray:
     # Scale e = exp*(a'), a' the input with its u = 1 mass a0 removed, to
     # exp*(a) after two checks on log |exp*(a)_k|.  The a priori bound
@@ -679,50 +670,32 @@ def _finish(e: np.ndarray, a0: float, log_bound: float, h: float) -> np.ndarray:
     # factor e above it is the garbage of an iteration whose intermediates
     # left the double range (ValueError); a result within it that is too
     # large for a double, or that holds a NaN, which no comparison with the
-    # bound catches, raises OverflowError.  The checks read |e_k| e^{-kh}
-    # and |e_k| against the exps of the two bounds; a result that does not
-    # pass both with room to spare, or whose bound is below 1, is decided
-    # on the logs instead.  Either pass runs _PASS points at a time, and
+    # bound catches, raises OverflowError.  One pass, _PASS points at a
+    # time, takes the maxima of a block's logs and then scales the block;
     # np.max of the blocks' maxima keeps a NaN.
-    c = log_bound + 1.0 - a0
     n = e.shape[-1]
     peaks, tops = np.empty(-(-n // _PASS)), np.empty(-(-n // _PASS))
+    scale = math.exp(min(a0, 708.0))  # e_0 = 1: past 708 the tops refuse
 
-    def weighed(lo, hi):
+    def checked(lo, hi):
         for k in range(lo, hi, _PASS):
-            mag = np.abs(e[k:k + _PASS])
-            tops[k // _PASS] = np.max(mag)
-            mag *= _decay(k, k + mag.size, h)
-            peaks[k // _PASS] = np.max(mag)
-
-    def logged(lo, hi):
-        for k in range(lo, hi, _PASS):
-            log_mag = np.log(np.abs(e[k:k + _PASS]))
+            block = e[k:k + _PASS]
+            log_mag = np.log(np.abs(block))
             log_mag += a0
             tops[k // _PASS] = np.max(log_mag)
-            log_mag -= h * np.arange(k, k + log_mag.size)
+            log_mag -= h * np.arange(k, k + block.size)
             peaks[k // _PASS] = np.max(log_mag)
+            block *= scale
 
-    with np.errstate(invalid="ignore"):  # inf e^{-kh} where e^{-kh} underflowed
-        _halves(weighed, n, _PASS)
-    if not (c >= 0.0
-            and float(np.max(peaks)) <= _ROOM * math.exp(min(c, 709.0))
-            and float(np.max(tops)) <= _ROOM * math.exp(min(708.0 - a0, 709.0))):
-        with np.errstate(divide="ignore"):
-            _halves(logged, n, _PASS)
-        if float(np.max(peaks)) > log_bound + 1.0:
-            raise ValueError(
-                "exp* result exceeds its a priori envelope bound: the FFT "
-                "iteration left the double range; use a weighted (tilted) input"
-            )
-        if not float(np.max(tops)) <= 708.0:
-            raise OverflowError(_LEFT_THE_RANGE)
-    scale = math.exp(a0)
-
-    def scaled(lo, hi):
-        np.multiply(e[lo:hi], scale, out=e[lo:hi])
-
-    _halves(scaled, n, _PASS)
+    with np.errstate(divide="ignore", over="ignore"):  # log 0; a refused result
+        _halves(checked, n, _PASS)
+    if float(np.max(peaks)) > log_bound + 1.0:
+        raise ValueError(
+            "exp* result exceeds its a priori envelope bound: the FFT "
+            "iteration left the double range; use a weighted (tilted) input"
+        )
+    if not float(np.max(tops)) <= 708.0:
+        raise OverflowError(_LEFT_THE_RANGE)
     return e
 
 
@@ -748,7 +721,9 @@ def _log_envelope(a: np.ndarray, h: float):
     def summed(lo, hi):
         for k in range(lo, hi, _PASS):
             block = rows[:, k:k + _PASS]
-            w = _decay(k, k + block.shape[-1], h)
+            w = np.arange(k, k + block.shape[-1], dtype=float)
+            w *= -h
+            np.exp(w, out=w)
             sums[k // _PASS] = np.abs(block) @ w, block @ w
 
     _halves(summed, n, _PASS, rows.size)

@@ -269,19 +269,23 @@ def load_measure(path) -> Measure:
     """Read a save_measure file.  A missing or foreign tag line, a header
     without h and n or with an h or n that LogGrid refuses, a non-numeric
     or non-finite coefficient, or a coefficient count other than n is a
-    ParameterError that names the file."""
-    with open(path) as fh:
-        tag = fh.readline().strip()
-        if tag != f"# {FORMAT_TAG}":
-            raise ParameterError(f"{path}: first line {tag!r} is not '# {FORMAT_TAG}'")
-        header = fh.readline().strip()
-        try:
-            fields = dict(part.split("=", 1) for part in header.split(","))
-            h, n = float(fields["h"]), int(fields["n"])
-        except (KeyError, ValueError):
-            raise ParameterError(f"{path}: header {header!r} is not h=<step>,n=<size>") from None
-        # one coefficient per line; split() also drops blank lines
-        body = fh.read().split()
+    ParameterError that names the file, and so is a file that is not
+    UTF-8 text."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            tag = fh.readline().strip()
+            if tag != f"# {FORMAT_TAG}":
+                raise ParameterError(f"{path}: first line {tag!r} is not '# {FORMAT_TAG}'")
+            header = fh.readline().strip()
+            try:
+                fields = dict(part.split("=", 1) for part in header.split(","))
+                h, n = float(fields["h"]), int(fields["n"])
+            except (KeyError, ValueError):
+                raise ParameterError(f"{path}: header {header!r} is not h=<step>,n=<size>") from None
+            # one coefficient per line; split() also drops blank lines
+            body = fh.read().split()
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: not UTF-8 text: {exc}") from None
     try:  # ParameterError, from LogGrid and Measure, is a ValueError too
         coeffs = np.fromiter(map(float, body), dtype=float, count=len(body))
         return Measure(LogGrid(h=h, n=n), coeffs)

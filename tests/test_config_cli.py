@@ -152,6 +152,12 @@ def test_indicator_bookkeeping():
     "lambda u: u",             # function syntax
     "'text'",                  # non-numeric literal
     "u **",                    # syntax error
+    "indicator(1/0) * u",      # cutoffs are doubles: inf
+    "indicator(2**2000) * u",
+    "indicator(exp(1000)) * u",
+    pytest.param("1" + "0" * 400 + " * u", id="400-digit-literal"),  # past the doubles
+    pytest.param("-" * 500 + "u", id="nested-500"),
+    pytest.param("-" * 100_000 + "u", id="nested-100000"),
 ])
 def test_density_expression_rejections(expr):
     with pytest.raises(ConfigError):
@@ -313,14 +319,29 @@ def test_cli_refuses_a_sieve_limit_below_two(tmp_path, capsys, command):
 def test_cli_refuses_a_density_with_a_non_finite_cell(tmp_path, capsys, command):
     # the pole at u = e^3 falls on the lattice point of cell 300; densities
     # from a config file evaluate with numpy warnings off, and discretize
-    # refuses the infinite mass they give there
-    cfg = write_config(tmp_path, ("base = li\ngrid.h = 0.01\ngrid.n = 2000\n"
-                                  "e.density = 1/(log(u) - 3)\n"))
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    # refuses the infinite mass they give there.  Numbers are doubles, so
+    # the constant densities are inf or NaN from cell 0 on
+    for density, cell in [("1/(log(u) - 3)", 300), ("1/0", 0), ("0**-1", 0),
+                          ("(-1)**0.5", 0), ("(-8)**(1/3) + u*0", 0),
+                          ("2**10000", 0), ("10**400", 0), ("e**1000", 0),
+                          ("pi**pi**pi**pi", 0)]:
+        cfg = write_config(tmp_path, ("base = li\ngrid.h = 0.01\ngrid.n = 2000\n"
+                                      f"e.density = {density}\n"))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, density
+        assert lines[0].startswith("FAIL parameters error=ParameterError(")
+        assert f"non-finite mass in cell {cell} " in lines[0], density
+
+
+def test_cli_refuses_a_config_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "system.cfg"
+    path.write_bytes(b"base = li\ngrid.h = 0.01\ngrid.n = 2000\n# \xff\n")
+    assert main(["build", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("FAIL parameters error=ParameterError(")
-    assert "non-finite mass in cell 300" in lines[0]
+    assert lines[0].startswith("FAIL config error=ConfigError(")
+    assert "utf-8" in lines[0]
 
 
 def test_cli_build_is_deterministic(tmp_path):

@@ -502,6 +502,17 @@ def test_load_refuses_a_malformed_file_naming_it(tmp_path, text, names):
     assert names in str(exc.value)
 
 
+@pytest.mark.parametrize("data", [b"# beurling-measure-\xff\n",
+                                  b"# beurling-measure-v1\nh=0.001,n=3\n1.5\n\xfe\n0.25\n"],
+                         ids=["in-the-tag", "in-the-body"])
+def test_load_refuses_a_file_that_is_not_utf8_naming_it(tmp_path, data):
+    path = tmp_path / "m.txt"
+    path.write_bytes(data)
+    with pytest.raises(ParameterError) as exc:
+        load_measure(path)
+    assert str(exc.value).startswith(f"{path}: not UTF-8 text")
+
+
 @pytest.mark.parametrize("text, names", [
     ("# beurling-measure-v1\nh=0.001,n=5\n" + BODY + "4.0\n", "expected 5 coefficients"),
     ("# beurling-measure-v1\nh=0.001,n=2\n" + BODY, "expected 2 coefficients"),
