@@ -185,8 +185,8 @@ def fit_mellin_expansion(a: Measure, sigma_grid, weight_sigma: float = 0.0,
     within ~1e-15 relative of a long-double direct sum.
     """
     sigmas = np.asarray(sorted(sigma_grid, reverse=True), dtype=float)
-    if np.any(sigmas <= 1.0) or np.any(sigmas > 2.0):
-        raise FitError("sigma grid must lie in (1, 2]")
+    if np.any(sigmas <= 1.0) or np.any(sigmas >= 2.0):  # fit_loglog_model's domain
+        raise FitError("sigma grid must lie in (1, 2)")
     ok = (sigmas - 1.0) * a.grid.log_end >= TAIL_RULE
     ok[ok] = np.asarray(_tail_estimates(a.coeffs, a.grid.h,
                                         sigmas[ok] - weight_sigma)) <= 1e-6

@@ -37,6 +37,13 @@ Since exp*(-a) = 1/exp*(a), the last round's refine, which a lone exp
 skips, turns the tracked r into exp*(-a): exp_newton_pair returns both for
 one inverse transform more than one exponential.
 
+The ladder starts at m0, the first precision whose round multiplies more
+than _DIRECT_WORK_LIMIT coefficient pairs (245 at n = 500,001, 256 at
+16,383 and 32,768, 342 at 2,800,001, n up to 362): below it, rather than a
+direct copy of the round, e and r are one stacked exp_recurrence on a and
+-a, a_0 dropped, so a row with a_0 = 0 is the recurrence's to the bit, for
+0.1-0.4 ms more per ladder than the direct rounds (BENCH_31.json seed_cost).
+
 Products are right-angle (Crandall & Fagin, "Discrete weighted transforms
 and large-integer arithmetic", Math. Comp. 62, 1994).  A real row x of at
 most N points packs into the complex row z_j = (x_j + i x_{M+j}) w^j of
@@ -75,11 +82,11 @@ Independent exps run in lockstep: exp_newton, exp_newton_pair and
 exp_star_pair take a (b, n) stack of rows, a single row being the one-row
 stack, and each FFT product of the ladder is one forward and one inverse
 transform along the stack's last axis, whose rows equal the 1-D
-transforms to the bit (BENCH_15.json).  Every round up to precision
-ceil(n/2) runs in lockstep; the last, whose products have full length,
-runs one row at a time, so that a stack's spectra take no more room than
-one exp's: the tracemalloc peak of the Kahane pair of two rows is 1.08
-times that of two sequential pairs.
+transforms to the bit (BENCH_15.json).  The seed and every round up to
+precision ceil(n/2) run in lockstep; the last, whose products have full
+length, runs one row at a time, so that a stack's spectra take no more
+room than one exp's: the tracemalloc peak of the Kahane pair of two rows
+is 1.08 times that of two sequential pairs.
 
 A ladder allocates its memory once (_exp_newton_monic): the (b, n) stacks
 e and r of its results, r only ceil(n/2) long for a lone exp, and one
@@ -133,13 +140,13 @@ n = 256, h = 0.01, the largest Newton-vs-recurrence gap was 3e-16 at
 excess up to 8 and 3e-15 at 8 to 16, and it reached 7e-7 past 48
 (BENCH_28.json kernels_docstring_tables, with the FFT rounds' errors).
 
-So exp_star runs Newton from _NEWTON_MIN_N = 128, where one row of weighted
-li (h = 0.01) takes about as long on either path (the recurrence 0.87-1.10
-times Newton's 0.3-0.6 ms), on inputs with excess <= _NEWTON_MAX_EXCESS = 8,
-and the recurrence otherwise; exp_star_pair runs Newton only if both signs
-pass, S + |s| <= 8, as exp*(-a) has excess S + s.  Weighted prime
-densities have excess at most 1.52, either sign; the uniform(-1, 1) inputs
-of the identity suite 33 to 60.  Both apply the rule in one router
+So exp_star runs Newton from _NEWTON_MIN_N = 128, below which a row is
+exp_recurrence's own to the bit, a_0 included (BENCH_31.json newton_min_n),
+on inputs with excess <= _NEWTON_MAX_EXCESS = 8, and the recurrence
+otherwise; exp_star_pair runs Newton only if both signs pass,
+S + |s| <= 8, as exp*(-a) has excess S + s.  Weighted prime densities
+have excess at most 1.52, either sign; the uniform(-1, 1) inputs of the
+identity suite 33 to 60.  Both apply the rule in one router
 (_route), on each row of a stack, with the excess from Newton's envelope
 pass; a badly conditioned input takes the recurrence at every size, at
 O(n^2) cost.  The recurrences take a row or a stack of rows, one np.vecdot
@@ -158,6 +165,8 @@ import threading
 
 import numpy as np
 
+# np.convolve beats transforms on products of at most this many coefficient
+# pairs (mul_trunc); Newton ladders start past it (see the docstring)
 _DIRECT_WORK_LIMIT = 1 << 16
 # complex transforms of fewer points run as one 1-D FFT, the rest as a
 # four-step (see the docstring).  A forward and inverse pair took, 1-D
@@ -491,46 +500,21 @@ def irfft(f: np.ndarray, size: int, lo: int, hi: int,
     return out
 
 
-def _convolve(x: np.ndarray, y: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    # coefficients [lo, hi) of the Cauchy product x*y by np.convolve, for a
-    # row or row by row for equal stacks of rows
-    if x.ndim == 1:
-        return np.convolve(x, y)[lo:hi]
-    return np.stack([np.convolve(u, v)[lo:hi] for u, v in zip(x, y)])
-
-
-def _product(x: np.ndarray, y: np.ndarray, lo: int, hi: int,
-             size: int | None = None) -> np.ndarray:
-    """Coefficients [lo, hi) of the Cauchy product x*y.
-
-    x and y are single rows or equal stacks of rows, multiplied row by row
-    along the last axis.  Products with x.shape[-1] * y.shape[-1] <=
-    _DIRECT_WORK_LIMIT are direct, one np.convolve per row.  Larger ones
-    are right-angle products mod t^size + 1 (rfft, irfft): one complex
-    transform of size // 2 points per operand and one inverse, every row
-    in one batched call.  The product is negacyclic: its coefficient
-    j >= size lands at j - size with its sign flipped, and the caller
-    picks size so that those positions miss [lo, hi).  An operand longer
-    than size: ValueError.  Only [lo, hi) is copied out of the transform,
-    so that a caller holding it does not hold all size points alive.  size
-    None takes the shortest length that holds the whole product, worked
-    out only on the FFT path.
-    """
-    if x.shape[-1] * y.shape[-1] <= _DIRECT_WORK_LIMIT:
-        return _convolve(x, y, lo, hi)
-    if size is None:
-        size = _fast_len(x.shape[-1] + y.shape[-1] - 1)
-    return irfft(rfft(x, size), size, lo, hi, times=rfft(y, size))
-
-
 def mul_trunc(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """Cauchy product of a and b truncated to m coefficients (length exactly m)."""
-    la = min(len(a), m)
-    lb = min(len(b), m)
-    full = _product(a[:la], b[:lb], 0, min(m, la + lb - 1))
-    if len(full) < m:
-        full = np.concatenate([full, np.zeros(m - len(full))])
-    return full
+    """Cauchy product of a and b truncated to m coefficients (length exactly m).
+
+    Up to _DIRECT_WORK_LIMIT coefficient pairs one np.convolve, past it a
+    right-angle product (rfft, irfft) of the shortest length that holds it.
+    """
+    a, b = a[:m], b[:m]
+    hi = min(m, len(a) + len(b) - 1)
+    out = np.zeros(m)
+    if len(a) * len(b) <= _DIRECT_WORK_LIMIT:
+        out[:hi] = np.convolve(a, b)[:hi]
+    else:
+        size = _fast_len(len(a) + len(b) - 1)
+        irfft(rfft(a, size), size, 0, hi, out=out[:hi], times=rfft(b, size))
+    return out
 
 
 def exp_recurrence(a: np.ndarray) -> np.ndarray:
@@ -583,26 +567,11 @@ def _round(a: np.ndarray, e: np.ndarray, r: np.ndarray, m: int,
            spectra: np.ndarray, refine: bool) -> None:
     # One round of _exp_newton_monic on each row, in place: from
     # e = exp(a) mod x^m and r = 1/e mod x^m, held in [0, m) of e and r,
-    # it fills [m, M) of e, and of r when refine, M = a.shape[-1] <= 2m.
-    # Every product of the round is direct or every one a right-angle
-    # product mod t^N + 1, N = _fast_len(M), as (L a) e is: the refine
-    # reads the spectra of e, r and eps together.  Those take the rows of
-    # spectra, a (3, need) workspace, and q and k eps_k pass through
-    # e[m:M] until the step overwrites them.
+    # it fills [m, M) of e, and of r when refine, M = a.shape[-1] <= 2m,
+    # by right-angle products mod t^N + 1, N = _fast_len(M).  The spectra
+    # of e, r and eps take the rows of spectra, a (3, need) workspace, and
+    # q and k eps_k pass through e[m:M] until the step overwrites them.
     M = a.shape[-1]
-    if M * m <= _DIRECT_WORK_LIMIT:
-        la = a * np.arange(M)
-        la[..., 0] = 0.0
-        q = _convolve(la, e[..., :m], m, M)
-        eps = _convolve(q, r[..., :m], 0, M - m) / np.arange(m, M)
-        if refine:
-            g = np.zeros(e.shape[:-1] + (M,))
-            g[..., :2 * m - 1] = _convolve(e[..., :m], r[..., :m], 0, M)
-            g[..., 0] -= 1.0
-            g[..., m:] += eps
-            r[..., m:M] = -_convolve(g, r[..., :m], m, M)
-        e[..., m:M] = _convolve(eps, e[..., :m], 0, M - m)
-        return
     size = _fast_len(M)
     shape = e.shape[:-1] + (size // 2,)
     fe, f, fr = (row[:math.prod(shape)].reshape(shape) for row in spectra)
@@ -622,7 +591,8 @@ def _round(a: np.ndarray, e: np.ndarray, r: np.ndarray, m: int,
 
 def _exp_newton_monic(a: np.ndarray, pair: bool = False) -> tuple:
     # Newton iteration on each row of the (b, n) stack a, taken as if
-    # a[:, 0] = 0, over the precisions n, ceil(n/2), ..., 1 taken upwards.
+    # a[:, 0] = 0, over the precisions n, ceil(n/2), ..., m0 taken upwards,
+    # from the recurrence's e and r below m0 (see the module docstring).
     # Entering a round m -> M <= 2m, e = exp(a) mod x^m and r = 1/e mod x^m.
     # The round
     #   1. gets eps = a - log e, which vanishes below m, on [m, M): with L
@@ -639,19 +609,19 @@ def _exp_newton_monic(a: np.ndarray, pair: bool = False) -> tuple:
     # round runs one row at a time (see the module docstring), and refines
     # only when pair.  The stacks e and r and the spectra's workspace are
     # allocated here, once, and every round fills its part of them; r is
-    # ceil(n/2) long unless pair.  Returns (e,), or (e, r) when pair.
+    # ceil(n/2) long unless pair or m0 = n.  Returns (e,), or (e, r) when pair.
     b, n = a.shape
-    ladder = [n]
-    while ladder[-1] > 1:
-        ladder.append((ladder[-1] + 1) // 2)
-    ladder.reverse()
-    rounds = list(zip(ladder, ladder[1:]))
-    need = max([(b if M < n else 1) * (_fast_len(M) // 2) for m, M in rounds
-                if M * m > _DIRECT_WORK_LIMIT], default=0)
+    rounds, m0 = [], n
+    while m0 * ((m0 + 1) // 2) > _DIRECT_WORK_LIMIT:
+        rounds.insert(0, ((m0 + 1) // 2, m0))
+        m0 = (m0 + 1) // 2
+    need = max([(b if M < n else 1) * _fast_len(M) // 2 for m, M in rounds], default=0)
     spectra = np.empty((3, need), dtype=complex)
     e = np.empty((b, n))
-    r = np.empty((b, n if pair else (n + 1) // 2))
-    e[:, 0] = r[:, 0] = 1.0
+    r = np.empty((b, n if pair else max(m0, (n + 1) // 2)))
+    seed = np.stack((a[:, :m0], -a[:, :m0]))
+    seed[..., 0] = 0.0
+    e[:, :m0], r[:, :m0] = exp_recurrence(seed)
     for m, M in rounds[:-1]:
         _round(a[:, :M], e[:, :M], r[:, :M], m, spectra, True)
     if rounds:

@@ -166,11 +166,11 @@ class SystemSpec:
 
     def __post_init__(self):
         if self.base not in ("li", "classical", "kahane", "custom"):
-            raise ValueError(f"unknown base {self.base!r}")
+            raise ParameterError(f"unknown base {self.base!r}")
         if self.base == "classical" and self.sieve_limit is None:
-            raise ValueError("classical base needs sieve_limit")
+            raise ParameterError("classical base needs sieve_limit")
         if self.base == "custom" and self.custom is None:
-            raise ValueError("custom base needs a density")
+            raise ParameterError("custom base needs a density")
 
 
 @dataclass(frozen=True)

@@ -108,17 +108,21 @@ def test_fit_loglog_model_validation():
         fit_loglog_model([1.5, 1.5, 1.5, 1.5], np.zeros(4))
 
 
-def test_fit_mellin_expansion_sigma_window():
+def test_fit_mellin_expansion_sigma_window(monkeypatch):
     g = LogGrid(0.01, 3001)
     a = kahane_tail(g, weight_sigma=1.0)
     with pytest.raises(FitError):
         fit_mellin_expansion(a, [1.0, 1.5, 1.8, 1.9], weight_sigma=1.0)
     with pytest.raises(FitError):
         fit_mellin_expansion(a, [1.5, 1.8, 2.1], weight_sigma=1.0)
-    # sigma = 2 passes the range gate but the model is singular there
-    # (log(1/(sigma-1)) = 0), so the fit itself must refuse it
-    with pytest.raises(FitError, match="strictly below"):
+    # the model is singular at sigma = 2 (log(1/(sigma-1)) = 0): refused up
+    # front, before the tail estimates and the Mellin pass run
+    ran = []
+    monkeypatch.setattr(asymptotics, "mellin", lambda *args: ran.append(args))
+    monkeypatch.setattr(asymptotics, "_tail_estimates", lambda *args: ran.append(args))
+    with pytest.raises(FitError, match=r"\(1, 2\)"):
         fit_mellin_expansion(a, [1.5, 1.6, 1.7, 1.8, 2.0], weight_sigma=1.0)
+    assert ran == []
 
 
 def test_fit_mellin_expansion_clips_short_grids():

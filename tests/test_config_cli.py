@@ -571,8 +571,9 @@ def test_cli_hypotheses_runs_newton_on_both_exps(tmp_path, monkeypatch):
         return wrapped
 
     monkeypatch.setattr(kernels, "exp_newton", spy("fft", kernels.exp_newton))
-    monkeypatch.setattr(kernels, "exp_recurrence",
-                        spy("recurrence", kernels.exp_recurrence))
+    # the rule's fallback; exp_recurrence itself seeds every Newton ladder
+    monkeypatch.setattr(kernels, "_recurrence",
+                        spy("recurrence", kernels._recurrence))
     cfg = write_config(tmp_path, (
         "base = li\ngrid.h = 0.01\ngrid.n = 8192\n"
         "e.density = indicator(e**e) / (log(u) * loglog(u))\n"))

@@ -189,7 +189,7 @@ def test_exp_newton_overflow_message_points_to_weighting():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 257, 4096, 5000, (1 << 15) + 1])
 def test_newton_and_pair_match_recurrence_on_signed_inputs(n):
-    # sizes on both sides of the direct/FFT switch, odd ones included.  The
+    # sizes on both sides of the first FFT round, odd ones included.  The
     # envelope exp*(|a|) dominates every coefficient and has total mass
     # exp(sum |a_j|), so rounding is measured against that
     rng = np.random.default_rng(n)
@@ -201,6 +201,59 @@ def test_newton_and_pair_match_recurrence_on_signed_inputs(n):
     assert np.max(np.abs(exp_newton(a, h=0.01) - ref_pos)) <= tol
     assert np.max(np.abs(pos - ref_pos)) <= tol
     assert np.max(np.abs(neg - ref_neg)) <= tol
+
+
+def _seeds(monkeypatch):
+    # the lengths of the rows exp_recurrence runs on, call by call
+    lengths = []
+    recurrence = kernels.exp_recurrence
+
+    def recorded(a):
+        lengths.append(a.shape[-1])
+        return recurrence(a)
+
+    monkeypatch.setattr(kernels, "exp_recurrence", recorded)
+    return lengths
+
+
+def test_ladder_below_its_first_fft_round_is_the_recurrence(monkeypatch):
+    # at n = 5000 the round 157 -> 313 multiplies 49,141 coefficient pairs
+    # and 313 -> 625 195,625, past _DIRECT_WORK_LIMIT: the ladder starts at
+    # m0 = 313, and below it a row with a_0 = 0 is the recurrence's
+    seeds = _seeds(monkeypatch)
+    a = _signed_rows(1, 5000)[0]
+    a[0] = 0.0
+    e = exp_newton(a, 0.01)
+    pos, neg = exp_newton_pair(a, 0.01)
+    assert seeds == [313, 313]
+    m0 = seeds[0]
+    assert np.array_equal(e[:m0], exp_recurrence(a)[:m0])
+    assert np.array_equal(pos[:m0], exp_recurrence(a)[:m0])
+    assert np.array_equal(neg[:m0], exp_recurrence(-a)[:m0])
+
+
+@pytest.mark.parametrize("n, m0", [(362, 362), (363, 182)])
+def test_newton_on_either_side_of_the_first_fft_round(monkeypatch, n, m0):
+    # 362 * 181 pairs stay within _DIRECT_WORK_LIMIT, so the recurrence
+    # runs the whole ladder; at 363 one FFT round, 182 -> 363, follows it
+    seeds = _seeds(monkeypatch)
+    for a in (_signed_rows(1, n)[0], build_li_pi(LogGrid(0.01, n), weight_sigma=1.0).coeffs):
+        ref_pos, ref_neg = exp_recurrence(a), exp_recurrence(-a)
+        pos, neg = exp_newton_pair(a, 0.01)
+        for got, ref in ((exp_newton(a, 0.01), ref_pos), (pos, ref_pos), (neg, ref_neg)):
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert seeds == [m0] * 4
+
+
+def test_kahane_size_exp_makes_no_direct_product(monkeypatch):
+    # from m0 = 245 up every round of the n = 500,001 ladder is an FFT round
+    seeds = _seeds(monkeypatch)
+    convolved = []
+    monkeypatch.setattr(np, "convolve", lambda *args: convolved.append(args))
+    a = build_kahane_pi(KAHANE_GRID, weight_sigma=1.0).coeffs
+    exp_newton_pair(a, KAHANE_GRID.h)
+    assert seeds == [245]
+    assert convolved == []
 
 
 def test_envelope_guard_refuses_raw_long_grid_inverse():
@@ -479,6 +532,13 @@ def test_every_transform_length_is_5_smooth(monkeypatch, n):
             if kernels._smooth_len(m) != next_fast_len(m, real=True)] == []
 
 
+def _right_angle(x, y, lo, hi, size):
+    # coefficients [lo, hi) of the product of the rows x and y mod
+    # t^size + 1, as mul_trunc and the Newton rounds take them
+    return kernels.irfft(kernels.rfft(x, size), size, lo, hi,
+                         times=kernels.rfft(y, size))
+
+
 @pytest.mark.parametrize("n", [600, 601, kernels._FOUR_STEP_MIN + 1,
                                2 * kernels._FOUR_STEP_MIN])
 def test_right_angle_product_matches_convolve(n):
@@ -494,11 +554,11 @@ def test_right_angle_product_matches_convolve(n):
     scale = np.max(np.abs(want))
     for lo, hi in ((0, n), (n // 3, n + n // 2 - 1),
                    (size // 2 - 7, size // 2 + 5)):
-        got = kernels._product(x, y, lo, hi, size)
+        got = _right_angle(x, y, lo, hi, size)
         assert got.shape == (hi - lo,)
         assert np.max(np.abs(got - want[lo:hi])) <= 1e-14 * scale
     xs, ys = np.stack([x, -2.0 * x]), np.stack([y, y[::-1]])
-    got = kernels._product(xs, ys, 3, n, size)
+    got = _right_angle(xs, ys, 3, n, size)
     for row, u, v in zip(got, xs, ys):
         want = np.convolve(u, v)[3:n]
         assert np.max(np.abs(row - want)) <= 1e-14 * np.max(np.abs(want))
@@ -514,7 +574,7 @@ def test_right_angle_product_wraps_negated():
     want = np.convolve(x, y)
     wrapped = want[:size].copy()
     wrapped[:len(want) - size] -= want[size:]
-    got = kernels._product(x, y, 0, size, size)
+    got = _right_angle(x, y, 0, size, size)
     assert np.max(np.abs(got - wrapped)) <= 1e-13 * np.max(np.abs(want))
     assert np.max(np.abs(got - want[:size])) > 1.0
 
@@ -524,14 +584,14 @@ def test_product_refuses_an_operand_longer_than_size():
     x = rng.standard_normal(600)
     y = rng.standard_normal(600)
     with pytest.raises(ValueError, match="601 points .* length 600"):
-        kernels._product(np.append(x, 1.0), y, 0, 600, 600)
+        _right_angle(np.append(x, 1.0), y, 0, 600, 600)
     with pytest.raises(ValueError, match="601 points .* length 600"):
-        kernels._product(x, np.append(y, 1.0), 0, 600, 600)
+        _right_angle(x, np.append(y, 1.0), 0, 600, 600)
     # nor does it hand out coefficients past the size it has, which it
     # would leave unwritten
     for lo, hi in ((0, 601), (-1, 5), (7, 6)):
         with pytest.raises(ValueError, match="outside a product"):
-            kernels._product(x, y, lo, hi, 600)
+            _right_angle(x, y, lo, hi, 600)
 
 
 # ------------------------------------------------- rows run in lockstep
@@ -545,8 +605,8 @@ def _signed_rows(b, n):
 @pytest.mark.parametrize("n", [127, 257, 5000, (1 << 15) + 1, 1 << 16])
 @pytest.mark.parametrize("b", [1, 2, 3])
 def test_stacked_pair_equals_one_pair_per_row_to_the_bit(b, n):
-    # batched transforms and per-row convolutions must round as the 1-d
-    # calls do; at n = 127 every row takes the recurrence
+    # batched transforms and the stacked seed recurrence must round as the
+    # 1-d calls do; at n = 127 every row takes the recurrence
     rows = _signed_rows(b, n)
     pos, neg = kernels.exp_star_pair(rows, 0.01)
     assert pos.shape == neg.shape == (b, n)
@@ -602,22 +662,25 @@ def test_lockstep_pair_peaks_near_two_sequential_pairs():
 
 @pytest.fixture
 def exp_paths(monkeypatch):
-    """Counts of the exp kernels that ran, by name: the rows that the
-    recurrence ran, since one call runs a whole stack, and the calls of
-    the Newton kernels, each of which runs its rows in one ladder."""
+    """Counts of the paths the exp rule took: under "exp_recurrence" the
+    rows that its fallback kernels._recurrence ran, since one call runs a
+    whole stack, and the calls of the Newton kernels, each of which runs
+    its rows in one ladder.  The fallback is spied, not exp_recurrence
+    itself, which also seeds every Newton ladder."""
     ran = Counter()
 
-    def spy(name):
+    def spy(name, key):
         fn = getattr(kernels, name)
 
         def wrapped(*args, **kwargs):
             a = np.asarray(args[0])
-            ran[name] += a.size // a.shape[-1] if name == "exp_recurrence" else 1
+            ran[key] += a.size // a.shape[-1] if name == "_recurrence" else 1
             return fn(*args, **kwargs)
         return wrapped
 
-    for name in ("exp_recurrence", "exp_newton", "exp_newton_pair"):
-        monkeypatch.setattr(kernels, name, spy(name))
+    for name, key in (("_recurrence", "exp_recurrence"), ("exp_newton", "exp_newton"),
+                      ("exp_newton_pair", "exp_newton_pair")):
+        monkeypatch.setattr(kernels, name, spy(name, key))
     return ran
 
 
@@ -641,12 +704,22 @@ def test_auto_keeps_cancelling_input_on_the_recurrence(exp_paths):
     assert exp_paths == {"exp_recurrence": 3}
 
 
-def test_identity_suite_runs_only_the_recurrence(exp_paths):
+def test_identity_suite_runs_only_the_recurrence(exp_paths, monkeypatch):
     # the suite checks the reference path by name, whatever the rule picks:
-    # one exp per pool measure, plus exp(a + b) and exp(-a) per step
+    # one exp per pool measure, plus exp(a + b) and exp(-a) per step, and
+    # neither the rule's fallback nor a Newton kernel
+    rows = Counter()
+    recurrence = kernels.exp_recurrence
+
+    def counted(a):
+        rows["exp_recurrence"] += a.size // a.shape[-1]
+        return recurrence(a)
+
+    monkeypatch.setattr(kernels, "exp_recurrence", counted)
     count = 3
     run_identity_suite(count=count)
-    assert exp_paths == {"exp_recurrence": 3 * count}
+    assert exp_paths == {}
+    assert rows == {"exp_recurrence": 3 * count}
 
 
 def test_identity_suite_runs_each_reference_as_one_stack(monkeypatch):

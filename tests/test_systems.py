@@ -21,8 +21,8 @@ import numpy as np
 import pytest
 import scipy.special
 
-from beurling import (ConstructionError, DensitySpec, LogGrid, Measure,
-                      RangeError, SystemSpec, add, assemble_pi,
+from beurling import (BeurlingError, ConstructionError, DensitySpec, LogGrid,
+                      Measure, RangeError, SystemSpec, add, assemble_pi,
                       build_kahane_pi, build_li_pi, build_system,
                       check_decay, convolve, delta_one, checkpoint_sums,
                       discretize, exp_star, hypothesis_report, kahane_tail,
@@ -154,13 +154,12 @@ def test_zero_perturbations_match_either_slot():
 
 
 def test_spec_validation():
+    # the package's ParameterError, still a ValueError
     g = LogGrid(0.01, 64)
-    with pytest.raises(ValueError):
-        SystemSpec(base="euler", grid=g)
-    with pytest.raises(ValueError):
-        SystemSpec(base="classical", grid=g)
-    with pytest.raises(ValueError):
-        SystemSpec(base="custom", grid=g)
+    for kwargs in ({"base": "euler"}, {"base": "classical"}, {"base": "custom"}):
+        with pytest.raises(ValueError) as exc:
+            SystemSpec(grid=g, **kwargs)
+        assert isinstance(exc.value, BeurlingError)
 
 
 def test_tail_needs_room():

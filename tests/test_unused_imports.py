@@ -219,6 +219,26 @@ def test_only_kernels_names_the_transforms():
         name: ["kernels.py"] for name in TRANSFORM_NAMES}
 
 
+# the direct product: only kernels, whose mul_trunc takes a product of at
+# most _DIRECT_WORK_LIMIT coefficient pairs by np.convolve
+def modules_calling_numpy(name: str, sources: dict) -> list:
+    return sorted(mod for mod, src in sources.items()
+                  if any(isinstance(node, ast.Attribute) and node.attr == name
+                         and getattr(node.value, "id", None) == "np"
+                         for node in ast.walk(ast.parse(src))))
+
+
+def test_checker_finds_a_numpy_call():
+    sources = {"a.py": "np.convolve(x, y)\n", "b.py": "convolve(x, y)\n",
+               "c.py": "measure.convolve(x, y)\n"}
+    assert modules_calling_numpy("convolve", sources) == ["a.py"]
+
+
+def test_only_kernels_convolves_directly():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert modules_calling_numpy("convolve", sources) == ["kernels.py"]
+
+
 # A fresh interpreter imports the package and its CLI, splits a density cell
 # at a breakpoint by quadrature and runs one FFT exp pair whose products are
 # large enough for both the 1-D and the four-step transforms; then lists
