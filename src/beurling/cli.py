@@ -74,7 +74,10 @@ def _finite(flag: str):
 
 
 def _outdir(args) -> str:
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:  # a file where the directory would go, say
+        raise ConfigError(f"cannot make output directory {args.out!r}: {exc}") from None
     return args.out
 
 

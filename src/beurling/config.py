@@ -12,14 +12,16 @@ starting with # are ignored.  Recognized keys:
     r.density     density expression, optional signed perturbation
 
 Density expressions are functions of u on [1, inf) built from: numbers,
-u, log(u), loglog(u), exp(..), sqrt(..), indicator(a) (a > 0 constant;
-value 1 for u >= a and 0 below), the constants e and pi, and + - * / ** with parentheses.
-Expressions compile through an ast whitelist; any other syntax is
-rejected.  Every number, e and pi included, is a double, so constant
+u, log(u), loglog(u), exp(..), sqrt(..), indicator(a) (1 for u >= a, 0
+below), the constants e and pi, and + - * / ** with parentheses.  A cutoff
+a is a positive, finite constant expression: no u and no indicator.
+Expressions compile in one pass through an ast whitelist; any other syntax
+is rejected.  Every number, e and pi included, is a double, so constant
 arithmetic is IEEE arithmetic: 1/0 is inf and (-1)**0.5 is NaN, which
 discretization refuses, and a literal outside the double range is an
-error.  Every indicator cutoff above 1 is recorded as a breakpoint so
-discretization integrates the straddling cell piecewise exactly.
+error.  Each cutoff is evaluated once, as it compiles, and every cutoff
+above 1 is a breakpoint, so discretization integrates the straddling cell
+piecewise exactly.
 
 An indicator written as a leading factor gates the rest of its term:
 indicator(a) * X and indicator(a) / X are exact zeros below the cutoff
@@ -36,7 +38,6 @@ u itself overflows; only a genuinely u-sized density overflows there.
 from __future__ import annotations
 
 import ast
-import copy
 import math
 import sys
 
@@ -54,40 +55,6 @@ _CALLS = {"log", "loglog", "indicator", "exp", "sqrt"}
 _NAMES = {"u", "e", "pi"}
 _BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _UNARY = (ast.UAdd, ast.USub)
-
-
-def _check_node(node, breakpoints, allow_u=True):
-    if isinstance(node, ast.Expression):
-        _check_node(node.body, breakpoints, allow_u)
-    elif isinstance(node, ast.Constant):
-        if not isinstance(node.value, (int, float)):
-            raise ConfigError(f"literal {node.value!r} is not a number")
-        if not node.value <= sys.float_info.max:  # exact for ints too
-            raise ConfigError("a numeric literal lies outside the double range")
-    elif isinstance(node, ast.Name):
-        if node.id not in _NAMES or (node.id == "u" and not allow_u):
-            raise ConfigError(f"name {node.id!r} not allowed here")
-    elif isinstance(node, ast.BinOp) and isinstance(node.op, _BINOPS):
-        _check_node(node.left, breakpoints, allow_u)
-        _check_node(node.right, breakpoints, allow_u)
-    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, _UNARY):
-        _check_node(node.operand, breakpoints, allow_u)
-    elif isinstance(node, ast.Call):
-        if not isinstance(node.func, ast.Name) or node.func.id not in _CALLS:
-            raise ConfigError("only log, loglog, indicator, exp, sqrt may be called")
-        if node.keywords or len(node.args) != 1:
-            raise ConfigError(f"{node.func.id} takes exactly one positional argument")
-        if node.func.id == "indicator":
-            # cutoffs must be fixed numbers so they can become breakpoints
-            _check_node(node.args[0], breakpoints, allow_u=False)
-            cut = _eval_scalar(node.args[0])
-            if not (math.isfinite(cut) and cut > 0):
-                raise ConfigError("indicator cutoff must be positive and finite")
-            breakpoints.append(cut)
-        else:
-            _check_node(node.args[0], breakpoints, allow_u)
-    else:
-        raise ConfigError(f"disallowed syntax: {ast.dump(node)[:60]}")
 
 
 def _env(t):
@@ -120,70 +87,100 @@ def _name(ident):
     return ast.Name(id=ident, ctx=ast.Load())
 
 
-class _LogCoordinates(ast.NodeTransformer):
-    """Rewrite a u-expression into the same function of t = log u, each
-    literal into num(literal), a double."""
+def _call(ident, *args):
+    return ast.Call(func=_name(ident), args=list(args), keywords=[])
+
+
+def _gated(node):
+    # indicator(a) * X and indicator(a) / X, and X * indicator(a), to gate(a, X-form)
+    if isinstance(node.op, (ast.Mult, ast.Div)) and _is_indicator(node.left):
+        inner = node.right if isinstance(node.op, ast.Mult) else \
+            ast.BinOp(left=ast.Constant(1.0), op=ast.Div(), right=node.right)
+        return _call("gate", node.left.args[0], inner)
+    if isinstance(node.op, ast.Mult) and _is_indicator(node.right):
+        return _call("gate", node.right.args[0], node.left)
+    return node
+
+
+class _Compiler(ast.NodeTransformer):
+    """One pass over a parsed density: each node is checked against the
+    whitelist (a node with no visit_ method is refused), rewritten into t =
+    log u with each literal num(literal), a double, and gated where an
+    indicator leads it.  A cutoff is folded in as the float it evaluates
+    to, which breakpoints records."""
+
+    def __init__(self):
+        self.breakpoints: list[float] = []
+        self.in_cutoff = False
+
+    def generic_visit(self, node):
+        raise ConfigError(f"disallowed syntax: {ast.dump(node)[:60]}")
 
     def visit_Constant(self, node):
-        return ast.Call(func=_name("num"), args=[node], keywords=[])
+        if not isinstance(node.value, (int, float)):
+            raise ConfigError(f"literal {node.value!r} is not a number")
+        if not node.value <= sys.float_info.max:  # exact for ints too
+            raise ConfigError("a numeric literal lies outside the double range")
+        return _call("num", node)
 
     def visit_Name(self, node):
-        if node.id == "u":
-            return ast.Call(func=_name("exp"), args=[_name("logu")], keywords=[])
+        if node.id not in _NAMES or (node.id == "u" and self.in_cutoff):
+            raise ConfigError(f"name {node.id!r} not allowed here")
+        return _call("exp", _name("logu")) if node.id == "u" else node
+
+    def visit_UnaryOp(self, node):
+        if not isinstance(node.op, _UNARY):
+            return self.generic_visit(node)
+        node.operand = self.visit(node.operand)
         return node
 
     def visit_BinOp(self, node):
-        if isinstance(node.op, ast.Pow) and _is_u(node.left):
-            exponent = self.visit(node.right)
-            prod = ast.BinOp(left=exponent, op=ast.Mult(), right=_name("logu"))
-            return ast.Call(func=_name("exp"), args=[prod], keywords=[])
-        self.generic_visit(node)
-        return node
+        if not isinstance(node.op, _BINOPS):
+            return self.generic_visit(node)
+        power_of_u = isinstance(node.op, ast.Pow) and _is_u(node.left)
+        node.left, node.right = self.visit(node.left), self.visit(node.right)
+        if power_of_u:  # u**c is exp(c t)
+            return _call("exp", _gated(ast.BinOp(left=node.right, op=ast.Mult(),
+                                                 right=_name("logu"))))
+        return _gated(node)
 
     def visit_Call(self, node):
-        if isinstance(node.func, ast.Name) and len(node.args) == 1:
-            if node.func.id == "log" and _is_u(node.args[0]):
-                return _name("logu")
-            if node.func.id == "loglog" and _is_u(node.args[0]):
-                return ast.Call(func=_name("log"), args=[_name("logu")], keywords=[])
-        self.generic_visit(node)
+        if not isinstance(node.func, ast.Name) or node.func.id not in _CALLS:
+            raise ConfigError("only log, loglog, indicator, exp, sqrt may be called")
+        if node.keywords or len(node.args) != 1:
+            raise ConfigError(f"{node.func.id} takes exactly one positional argument")
+        ident, (arg,) = node.func.id, node.args
+        if ident == "indicator":
+            return _call(ident, ast.Constant(self._cutoff(arg)))
+        node.args = [self.visit(arg)]
+        if _is_u(arg) and ident in ("log", "loglog"):  # log u is t
+            return _name("logu") if ident == "log" else _call("log", _name("logu"))
         return node
 
-
-class _GateLeadingIndicators(ast.NodeTransformer):
-    """Rewrite indicator(a) * X and indicator(a) / X to gate(a, X-form)."""
-
-    def visit_BinOp(self, node):
-        self.generic_visit(node)
-        if isinstance(node.op, (ast.Mult, ast.Div)) and _is_indicator(node.left):
-            inner = node.right if isinstance(node.op, ast.Mult) else \
-                ast.BinOp(left=ast.Constant(1.0), op=ast.Div(), right=node.right)
-            return ast.Call(func=ast.Name(id="gate", ctx=ast.Load()),
-                            args=[node.left.args[0], inner], keywords=[])
-        if isinstance(node.op, ast.Mult) and _is_indicator(node.right):
-            return ast.Call(func=ast.Name(id="gate", ctx=ast.Load()),
-                            args=[node.right.args[0], node.left], keywords=[])
-        return node
-
-
-def _eval_scalar(node) -> float:
-    # on a copy: the rewrite edits the tree it visits
-    expr = ast.Expression(body=_LogCoordinates().visit(copy.deepcopy(node)))
-    ast.fix_missing_locations(expr)
-    code = compile(expr, "<cutoff>", "eval")
-    with np.errstate(all="ignore"):
-        return float(eval(code, {"__builtins__": {}}, _env(0.0)))
+    def _cutoff(self, node) -> float:
+        # a constant expression, no u and no indicator, so that it is one
+        # number at every t and can be a breakpoint
+        if self.in_cutoff:
+            raise ConfigError("an indicator cutoff may not hold an indicator")
+        self.in_cutoff = True
+        form = ast.fix_missing_locations(ast.Expression(body=self.visit(node)))
+        self.in_cutoff = False
+        with np.errstate(all="ignore"):
+            cut = float(eval(compile(form, "<cutoff>", "eval"),
+                             {"__builtins__": {}}, _env(0.0)))
+        if not (math.isfinite(cut) and cut > 0):
+            raise ConfigError("indicator cutoff must be positive and finite")
+        self.breakpoints.append(cut)
+        return cut
 
 
 def parse_density(text: str) -> DensitySpec:
     """Compile one density expression into a DensitySpec."""
-    breakpoints: list[float] = []
+    compiler = _Compiler()
     try:
-        tree = ast.parse(text, mode="eval")
-        _check_node(tree, breakpoints)
-        tree = _GateLeadingIndicators().visit(_LogCoordinates().visit(tree))
-        ast.fix_missing_locations(tree)
-        code = compile(tree, "<density>", "eval")
+        body = compiler.visit(ast.parse(text, mode="eval").body)
+        code = compile(ast.fix_missing_locations(ast.Expression(body=body)),
+                       "<density>", "eval")
     except SyntaxError as exc:
         raise ConfigError(f"cannot parse density {text!r}: {exc}") from None
     except (RecursionError, MemoryError):
@@ -193,7 +190,7 @@ def parse_density(text: str) -> DensitySpec:
         with np.errstate(all="ignore"):
             return eval(code, {"__builtins__": {}}, _env(t))
 
-    cuts = tuple(sorted(b for b in breakpoints if b > 1.0))
+    cuts = tuple(sorted(b for b in compiler.breakpoints if b > 1.0))
     return DensitySpec(breakpoints=cuts, log_density=log_density)
 
 

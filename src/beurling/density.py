@@ -1,4 +1,4 @@
-"""Projection of continuous densities and point atoms onto the lattice.
+"""Projection of continuous densities onto the lattice.
 
 The mass of cell k is the integral of the density over the half-open slab
 [e^{(k-1/2)h}, e^{(k+1/2)h}); cell 0 starts at u = 1.  In log coordinates
@@ -125,72 +125,66 @@ def quad(f, a: float, b: float, epsabs: float, epsrel: float, limit: int):
 
 @dataclass(frozen=True)
 class DensitySpec:
-    atoms: Sequence[tuple[float, float]] = ()
+    log_density: Callable[[np.ndarray], np.ndarray]
     breakpoints: Sequence[float] = ()
-    log_density: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def discretize(spec: DensitySpec, grid: LogGrid, weight_sigma: float = 0.0) -> Measure:
     h, n = grid.h, grid.n
     coeffs = np.zeros(n)
 
-    if spec.log_density is not None:
-        growth = 1.0 - weight_sigma
-        if growth * grid.log_end > LOG_DOUBLE_MAX:
-            first = min(n - 1, int(LOG_DOUBLE_MAX / (growth * h)) + 1)
-            raise ParameterError(
-                f"cell masses overflow a double from cell {first} (log u ~ "
-                f"{first * h:.6g}); discretize with weight_sigma > "
-                f"{1.0 - LOG_DOUBLE_MAX / grid.log_end:.6g} instead")
-        fl = spec.log_density
+    growth = 1.0 - weight_sigma
+    if growth * grid.log_end > LOG_DOUBLE_MAX:
+        first = min(n - 1, int(LOG_DOUBLE_MAX / (growth * h)) + 1)
+        raise ParameterError(
+            f"cell masses overflow a double from cell {first} (log u ~ "
+            f"{first * h:.6g}); discretize with weight_sigma > "
+            f"{1.0 - LOG_DOUBLE_MAX / grid.log_end:.6g} instead")
+    fl = spec.log_density
 
-        def g(t):
-            # a constant density may come back as a scalar
-            vals = np.broadcast_to(np.asarray(fl(t), dtype=float), np.shape(t))
-            if growth == 0.0:  # the factor e^0 = 1 changes no bit
-                return vals
-            # an overflowing cell is reported by the non-finite check below
-            with np.errstate(over="ignore"):
-                return vals * np.exp(growth * t)
+    def g(t):
+        # a constant density may come back as a scalar
+        vals = np.broadcast_to(np.asarray(fl(t), dtype=float), np.shape(t))
+        if growth == 0.0:  # the factor e^0 = 1 changes no bit
+            return vals
+        # an overflowing cell is reported by the non-finite check below
+        with np.errstate(over="ignore"):
+            return vals * np.exp(growth * t)
 
-        # in blocks, so that no temporary holds all n cells, and in two
-        # halves of the blocks where there are more than one
-        def cells(lo, hi):
-            for k in range(1 + lo, 1 + hi, _BLOCK):
-                stop = min(1 + hi, k + _BLOCK)
-                np.multiply(h, g(np.arange(k, stop) * h), out=coeffs[k:stop])
+    # in blocks, so that no temporary holds all n cells, and in two
+    # halves of the blocks where there are more than one
+    def cells(lo, hi):
+        for k in range(1 + lo, 1 + hi, _BLOCK):
+            stop = min(1 + hi, k + _BLOCK)
+            np.multiply(h, g(np.arange(k, stop) * h), out=coeffs[k:stop])
 
-        _halves(cells, n - 1, _BLOCK)
-        coeffs[0] = 0.5 * h * float(g(np.array([0.25 * h]))[0])
+    _halves(cells, n - 1, _BLOCK)
+    coeffs[0] = 0.5 * h * float(g(np.array([0.25 * h]))[0])
 
-        cuts = sorted(float(np.log(b)) for b in spec.breakpoints if b > 1.0)
-        cell_cuts: dict[int, list[float]] = {}
-        for t_cut in cuts:
-            if t_cut >= grid.log_end:
-                continue
-            k = int(round(t_cut / h))
-            if k >= n:
-                continue
-            cell_cuts.setdefault(k, []).append(t_cut)
+    cuts = sorted(float(np.log(b)) for b in spec.breakpoints if b > 1.0)
+    cell_cuts: dict[int, list[float]] = {}
+    for t_cut in cuts:
+        if t_cut >= grid.log_end:
+            continue
+        k = int(round(t_cut / h))
+        if k >= n:
+            continue
+        cell_cuts.setdefault(k, []).append(t_cut)
 
-        for k in sorted(cell_cuts):
-            lo = 0.0 if k == 0 else (k - 0.5) * h
-            hi = (k + 0.5) * h
-            pieces = [lo] + [c for c in cell_cuts[k] if lo < c < hi] + [hi]
-            total = 0.0
-            for a, b in zip(pieces[:-1], pieces[1:]):
-                if b > a:
-                    try:
-                        val, _ = quad(g, a, b, epsabs=1e-14, epsrel=1e-11, limit=200)
-                    except ParameterError as exc:
-                        raise ParameterError(f"density cell {k} (log u in [{lo:.6g}, "
-                                             f"{hi:.6g}]): {exc}") from None
-                    total += val
-            coeffs[k] = total
-
-    for u, mass in spec.atoms:
-        k = grid.nearest_index_of_log(float(np.log(u)))
-        coeffs[k] += mass * np.exp(-weight_sigma * k * h)
+    for k in sorted(cell_cuts):
+        lo = 0.0 if k == 0 else (k - 0.5) * h
+        hi = (k + 0.5) * h
+        pieces = [lo] + [c for c in cell_cuts[k] if lo < c < hi] + [hi]
+        total = 0.0
+        for a, b in zip(pieces[:-1], pieces[1:]):
+            if b > a:
+                try:
+                    val, _ = quad(g, a, b, epsabs=1e-14, epsrel=1e-11, limit=200)
+                except ParameterError as exc:
+                    raise ParameterError(f"density cell {k} (log u in [{lo:.6g}, "
+                                         f"{hi:.6g}]): {exc}") from None
+                total += val
+        coeffs[k] = total
 
     if not np.all(np.isfinite(coeffs)):
         bad = int(np.flatnonzero(~np.isfinite(coeffs))[0])

@@ -27,6 +27,8 @@ class LogGrid:
             raise ParameterError(f"grid step must be positive and finite, got {self.h}")
         if not (isinstance(self.n, int) and self.n >= 1):
             raise ParameterError(f"grid size must be a positive integer, got {self.n}")
+        if not math.isfinite(self.n * self.h):  # then every kh is a double
+            raise ParameterError(f"grid end n*h = {self.n}*{self.h} leaves the double range")
 
     @property
     def log_end(self) -> float:
@@ -41,28 +43,14 @@ class LogGrid:
         """
         if t < 0.0:
             raise RangeError(f"log point {t} below 1")
-        k = int(math.floor(t / self.h + 1e-9))
-        if k >= self.n:
+        q = float(t) / self.h + 1e-9  # a Python float: inf, unwarned, past the doubles
+        if not q < self.n:
             raise RangeError(f"log point {t} beyond lattice end {self.log_end}")
-        return k
+        return int(q)
 
     def indices_of_log(self, ts) -> np.ndarray:
         """index_of_log of each log point in ts, as an integer array."""
         return np.array([self.index_of_log(t) for t in ts], dtype=np.int64)
-
-    def index_of(self, x: float) -> int:
-        if x < 1.0:
-            raise RangeError(f"evaluation point {x} below 1")
-        return self.index_of_log(math.log(x))
-
-    def nearest_index_of_log(self, t: float) -> int:
-        """Nearest lattice point; used when snapping atoms."""
-        if t < 0.0:
-            raise RangeError(f"log point {t} below 1")
-        k = int(round(t / self.h))
-        if k >= self.n:
-            raise RangeError(f"log point {t} beyond lattice end {self.log_end}")
-        return k
 
     def require_same(self, other: "LogGrid"):
         if self != other:

@@ -43,6 +43,7 @@ than _DIRECT_WORK_LIMIT coefficient pairs (245 at n = 500,001, 256 at
 direct copy of the round, e and r are one stacked exp_recurrence on a and
 -a, a_0 dropped, so a row with a_0 = 0 is the recurrence's to the bit, for
 0.1-0.4 ms more per ladder than the direct rounds (BENCH_31.json seed_cost).
+A lone exp with no round (n up to 362) reads no r and seeds a alone.
 
 Products are right-angle (Crandall & Fagin, "Discrete weighted transforms
 and large-integer arithmetic", Math. Comp. 62, 1994).  A real row x of at
@@ -609,7 +610,8 @@ def _exp_newton_monic(a: np.ndarray, pair: bool = False) -> tuple:
     # round runs one row at a time (see the module docstring), and refines
     # only when pair.  The stacks e and r and the spectra's workspace are
     # allocated here, once, and every round fills its part of them; r is
-    # ceil(n/2) long unless pair or m0 = n.  Returns (e,), or (e, r) when pair.
+    # ceil(n/2) long unless pair, and the seed takes -a only where a round
+    # or the pair reads r.  Returns (e,), or (e, r) when pair.
     b, n = a.shape
     rounds, m0 = [], n
     while m0 * ((m0 + 1) // 2) > _DIRECT_WORK_LIMIT:
@@ -618,10 +620,12 @@ def _exp_newton_monic(a: np.ndarray, pair: bool = False) -> tuple:
     need = max([(b if M < n else 1) * _fast_len(M) // 2 for m, M in rounds], default=0)
     spectra = np.empty((3, need), dtype=complex)
     e = np.empty((b, n))
-    r = np.empty((b, n if pair else max(m0, (n + 1) // 2)))
-    seed = np.stack((a[:, :m0], -a[:, :m0]))
+    r = np.empty((b, n if pair else (n + 1) // 2))
+    seed = np.stack((a[:, :m0], -a[:, :m0]) if pair or rounds else (a[:, :m0],))
     seed[..., 0] = 0.0
-    e[:, :m0], r[:, :m0] = exp_recurrence(seed)
+    e[:, :m0], *tracked = exp_recurrence(seed)
+    if tracked:
+        r[:, :m0] = tracked[0]
     for m, M in rounds[:-1]:
         _round(a[:, :M], e[:, :M], r[:, :M], m, spectra, True)
     if rounds:

@@ -115,7 +115,9 @@ def tilt(a: Measure, sigma: float) -> Measure:
     double-precision range; see the pipeline code for usage.
     """
     k = np.arange(a.grid.n)
-    return Measure(a.grid, a.coeffs * np.exp(-sigma * a.grid.h * k))
+    # a weight past the double range leaves an inf or NaN, which Measure refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Measure(a.grid, a.coeffs * np.exp(-sigma * a.grid.h * k))
 
 
 def exp_star(a: Measure) -> Measure:

@@ -113,16 +113,19 @@ def _snap(x: np.ndarray, h: float) -> np.ndarray:
     return np.rint(np.log(x.astype(float)) / h)
 
 
-def _cell_edges(ks: np.ndarray, h: float) -> np.ndarray:
-    """B_k, the smallest integer p >= 2 with _snap(p) >= k, for each k.
+def _cell_edges(ks: np.ndarray, h: float, cap: int) -> np.ndarray:
+    """min(B_k, cap), B_k the smallest integer p >= 2 with _snap(p) >= k,
+    for each k.
 
     ceil(e^{(k - 1/2)h}) is B_k unless log p / h falls within rounding of
     k - 1/2; there the snap of the guess and of its predecessor moves it,
-    so every integer lands in the cell that _snap names.
+    so every integer lands in the cell that _snap names.  The cap keeps a
+    guess past the int64 range, on a coarse grid, out of the cast.
     """
-    b = np.maximum(np.ceil(np.exp((ks - 0.5) * h)), 2.0).astype(np.int64)
+    guess = np.exp(np.minimum((ks - 0.5) * h, math.log(cap)))
+    b = np.clip(np.ceil(guess), 2.0, cap).astype(np.int64)
     while True:
-        up = _snap(b, h) < ks
+        up = (b < cap) & (_snap(b, h) < ks)
         down = (b > 2) & (_snap(b - 1, h) >= ks)
         if not (up.any() or down.any()):
             return b
@@ -144,7 +147,8 @@ def build_classical_pi(grid: LogGrid, sieve_limit: int) -> Measure:
     coeffs = np.zeros(n)
     k0, k1 = _snap(np.array([2, sieve_limit]), h).astype(np.int64).tolist()
     k1 = min(k1, n - 1)
-    edges = _cell_edges(np.arange(k0, k1 + 2), h)
+    # an edge past the limit counts as limit + 1
+    edges = _cell_edges(np.arange(k0, k1 + 2), h, sieve_limit + 1)
     coeffs[k0:k1 + 1] = sievemod.count_primes_in_ranges(edges, sieve_limit)
     for p in sievemod.simple_sieve(math.isqrt(sieve_limit)).tolist():
         pj, j = p * p, 2

@@ -107,6 +107,16 @@ def test_criterion_03_kahane_identity(capsys, kahane_acceptance):
     assert secs < 120.0
 
 
+def test_identity_residual_is_the_lattice_term(kahane_acceptance):
+    # the relative residual of the Kahane identity is h^2/16 = 6.25e-10 at
+    # every checkpoint, a term of comparing sums on the lattice, up to the
+    # arithmetic error (2.8e-11 on this grid); a kernel change that costs
+    # accuracy shows here long before it reaches criterion 03's 1e-6
+    rep, _ = kahane_acceptance
+    resid = rep.series["identity_residual"].values
+    assert np.max(np.abs(resid - rep.grid.h ** 2 / 16)) <= 1e-10
+
+
 def test_criterion_04_decay_checkpoints(capsys, kahane_acceptance,
                                         tail_s_reference):
     rep, _ = kahane_acceptance

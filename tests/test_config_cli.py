@@ -4,6 +4,8 @@ CLI tests drive main(argv) in-process (exit codes, stdout/stderr contract,
 emitted files); one subprocess smoke test covers the module entry point.
 """
 
+import contextlib
+import io
 import math
 import os
 import re
@@ -13,10 +15,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beurling import (ConfigError, LogGrid, Measure, build_li_pi, kahane_tail,
                       load_measure, relative_gap)
-from beurling.cli import main
+from beurling.cli import build_parser, main
 from beurling.config import parse_config, parse_density, spec_from_text
 from beurling.density import discretize
 from beurling.systems import _li_density_log, assemble_pi
@@ -146,6 +150,8 @@ def test_indicator_bookkeeping():
     "x + 1",                   # unknown name
     "u(2)",                    # u is not callable
     "indicator(u)",            # cutoff must be constant
+    "indicator(log(u))",
+    "indicator(indicator(2))",  # no indicator inside a cutoff
     "indicator(0)",            # cutoff must be positive
     "log(u, 2)",               # arity
     "[1, 2]",                  # container literal
@@ -342,6 +348,20 @@ def test_cli_refuses_a_config_that_is_not_utf8(tmp_path, capsys):
     assert len(lines) == 1
     assert lines[0].startswith("FAIL config error=ConfigError(")
     assert "utf-8" in lines[0]
+
+
+@pytest.mark.parametrize("density", [
+    "indicator(3 + indicator(0.5) * 2) / log(u)",
+    "indicator(1 + 0*indicator(0.5))",
+])
+def test_cli_refuses_an_indicator_inside_a_cutoff(tmp_path, capsys, density):
+    # a cutoff is one number at every t; an indicator inside it would be an
+    # array at run time, which no breakpoint can stand for
+    cfg = write_config(tmp_path, "base = li\ngrid.h = 0.01\ngrid.n = 300\n"
+                                 f"e.density = {density}\n")
+    assert main(["build", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("FAIL config "), lines
 
 
 def test_cli_build_is_deterministic(tmp_path):
@@ -682,3 +702,98 @@ def test_cli_module_entry_point(tmp_path):
     assert proc.returncode == 0
     assert "built li system" in proc.stdout
 
+
+
+# ---------------------------------------------------------------- argv fuzz
+# Every subcommand's argv drawn from its own argparse actions.  A numeric
+# flag takes the edges of the doubles and of its domain; --n stays at most
+# 2^12 wherever it is valid, and kahane and mellin-fit always get one, since
+# their default grids take 500,001 and 5.6M points.  Each mellin-fit example
+# that passes its Mellin fit runs the 2.8M-point de Haan grid, so it gets
+# the fewest examples.
+
+FUZZ_FLOATS = ("nan", "inf", "-inf", "0", "-0.0", "-1", "1e308", "-1e308",
+               "1e-308", "5e-324", "1e-3", "0.01", "0.5", "2", "50")
+FUZZ_INTS = ("-4096", "-1", "0", "1", "2", "3", "64", "513", "4096")
+FUZZ_EXAMPLES = {"build": 150, "identities": 20, "kahane": 150, "hypotheses": 150,
+                 "mellin-fit": 10}
+FUZZ_NEEDS_N = ("kahane", "mellin-fit")
+FUZZ_CONFIGS = {
+    "li.cfg": "base = li\ngrid.h = 0.01\ngrid.n = 600\n",
+    "custom.cfg": ("base = custom\ngrid.h = 0.02\ngrid.n = 3000\n"
+                   "base.density = (1 - 1/u)/log(u)\n"
+                   "e.density = indicator(e**e) / (log(u) * loglog(u))\n"),
+    "classical.cfg": "base = classical\ngrid.h = 0.005\ngrid.n = 2000\nsieve_limit = 1000\n",
+}
+# a config that does not parse, one that is not UTF-8, and no file
+FUZZ_BAD_CONFIGS = {
+    "bad.cfg": b"base = li\ngrid.h = 0.01\ne.density = indicator(u)\n",
+    "latin1.cfg": b"base = li\n# \xe9\n",
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, text in FUZZ_CONFIGS.items():
+        (root / name).write_text(text)
+    for name, data in FUZZ_BAD_CONFIGS.items():
+        (root / name).write_bytes(data)
+    return root
+
+
+def _fuzz_value(action, root):
+    kind = getattr(action.type, "__name__", None)
+    if kind == "float":
+        return st.sampled_from(FUZZ_FLOATS) | st.floats().map(repr)
+    if kind == "int":
+        return st.sampled_from(FUZZ_INTS)
+    if action.dest == "config":
+        names = st.sampled_from(sorted(FUZZ_CONFIGS)) | st.sampled_from(
+            sorted(FUZZ_BAD_CONFIGS) + ["missing.cfg"])
+        return names.map(lambda name: str(root / name))
+    if action.dest == "checkpoints":
+        return st.lists(st.sampled_from(FUZZ_FLOATS), max_size=4).map(",".join)
+    assert action.dest == "out", action.dest
+    # a directory, or now and then a file where the directory would go
+    return st.sampled_from([str(root / "out")] * 3 + [str(root / "li.cfg")])
+
+
+@st.composite
+def _fuzz_argv(draw, command, root):
+    parser = build_parser()
+    sub = parser._subparsers._group_actions[0].choices[command]
+    argv = [command]
+    for action in sub._actions:
+        if not action.option_strings or action.dest == "help":
+            continue
+        always = action.required or action.dest == "out" or (
+            action.dest == "n" and command in FUZZ_NEEDS_N)
+        if always or draw(st.booleans()):
+            argv.append(f"{action.option_strings[0]}={draw(_fuzz_value(action, root))}")
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_EXAMPLES))
+def test_cli_fuzzed_argv_exits_by_the_contract(fuzz_dir, command):
+    # exit 0 with no FAIL line, 1 with FAIL lines for failed verdicts, checks
+    # or overflows, 2 with one FAIL config or FAIL parameters line; nothing
+    # raised, a numpy warning included
+    @given(_fuzz_argv(command, fuzz_dir))
+    @settings(max_examples=FUZZ_EXAMPLES[command], deadline=None, database=None,
+              derandomize=True)
+    def check(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        fails = [line.split()[1] for line in err.getvalue().splitlines()
+                 if line.startswith("FAIL ")]
+        assert code in (0, 1, 2), (argv, code)
+        if code == 0:
+            assert fails == [], (argv, err.getvalue())
+        elif code == 1:
+            assert fails and not {"config", "parameters"} & set(fails), (argv, err.getvalue())
+        else:
+            assert fails in (["config"], ["parameters"]), (argv, err.getvalue())
+
+    check()

@@ -1,4 +1,4 @@
-"""Discretization of densities and atoms onto the lattice.
+"""Discretization of densities onto the lattice.
 
 Closed forms: du/u has log-coordinate integrand 1, so midpoint cells carry
 exactly h (half of it in cell 0); the u^{-1}-weighted slow tail has
@@ -13,35 +13,13 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from beurling import (DensitySpec, LogGrid, delta_one, discretize,
-                      kahane_tail, primitive, tilt)
+from beurling import (DensitySpec, LogGrid, discretize, kahane_tail,
+                      primitive, tilt)
 from beurling.density import quad
 from beurling.errors import ParameterError
 from beurling.systems import (TAIL_CUT, _li_density_log, _tail_density_log,
                               build_li_pi)
 from conftest import u_density
-
-
-def test_atom_at_one_is_delta():
-    g = LogGrid(0.1, 32)
-    m = discretize(DensitySpec(atoms=[(1.0, 1.0)]), g)
-    assert np.array_equal(m.coeffs, delta_one(g).coeffs)
-
-
-def test_atoms_snap_to_nearest_lattice_point():
-    g = LogGrid(0.1, 32)
-    m = discretize(DensitySpec(atoms=[(math.exp(0.26), 2.0),
-                                      (math.exp(0.24), 1.0)]), g)
-    assert m.coeffs[3] == 2.0
-    assert m.coeffs[2] == 1.0
-    assert np.count_nonzero(m.coeffs) == 2
-
-
-def test_atom_weighting():
-    g = LogGrid(0.1, 32)
-    m = discretize(DensitySpec(atoms=[(math.exp(0.5), 3.0)]), g,
-                   weight_sigma=2.0)
-    assert m.coeffs[5] == pytest.approx(3.0 * math.exp(-2.0 * 0.5), rel=1e-15)
 
 
 def test_harmonic_density_cells_are_exact():

@@ -245,6 +245,27 @@ def test_newton_on_either_side_of_the_first_fft_round(monkeypatch, n, m0):
     assert seeds == [m0] * 4
 
 
+@pytest.mark.parametrize("n, lone_height", [(362, 1), (363, 2)])
+def test_seed_runs_minus_a_only_where_the_ladder_reads_r(monkeypatch, n, lone_height):
+    # a lone exp with no FFT round reads no r, so its seed stacks a alone;
+    # one round, or a pair, reads r = exp(-a) mod x^m0 and stacks a and -a.
+    # The rows of a stack round one by one: the lone exp equals the pair's
+    # exp(a) to the bit either way
+    heights = []
+    recurrence = kernels.exp_recurrence
+
+    def recorded(a):
+        heights.append(a.shape[0])
+        return recurrence(a)
+
+    monkeypatch.setattr(kernels, "exp_recurrence", recorded)
+    a = _signed_rows(2, n)
+    lone = exp_newton(a, 0.01)
+    pos, _ = exp_newton_pair(a, 0.01)
+    assert heights == [lone_height, 2]
+    assert np.array_equal(lone, pos)
+
+
 def test_kahane_size_exp_makes_no_direct_product(monkeypatch):
     # from m0 = 245 up every round of the n = 500,001 ladder is an FFT round
     seeds = _seeds(monkeypatch)

@@ -68,6 +68,16 @@ def test_linear_ops():
     assert np.array_equal(zero(g).coeffs, np.zeros(8))
 
 
+def test_tilt_past_the_double_range():
+    # e^{-sigma kh} underflows to 0 past cell 0, unwarned; a weight that
+    # overflows leaves inf or NaN, which the Measure refuses
+    a = harmonic_measure(LogGrid(0.01, 600))
+    assert tilt(a, 1e308).coeffs.tolist() == [0.005] + [0.0] * 599
+    for sigma in (-1e308, math.inf):
+        with pytest.raises(ParameterError):
+            tilt(a, sigma)
+
+
 def test_grid_mismatch_is_rejected():
     a = zero(LogGrid(0.1, 8))
     b = zero(LogGrid(0.1, 9))

@@ -227,13 +227,23 @@ def test_classical_needs_grid_room():
         build_classical_pi(LogGrid(0.1, 10), 1)
 
 
+@pytest.mark.parametrize("h", [20.0, 100.0, 1e300])
+def test_classical_pi_on_a_grid_coarser_than_the_primes(h):
+    # every prime power up to 1000 snaps to cell 0; the edge of cell 1,
+    # e^{h/2}, lies past the int64 range (or the doubles), and is counted
+    # as 1001 without a warning
+    m = build_classical_pi(LogGrid(h, 3), 1000)
+    assert m.coeffs[0] == pytest.approx(float(prime_power_mass(1000)), rel=1e-15)
+    assert m.coeffs[1:].tolist() == [0.0, 0.0]
+
+
 def test_classical_masses_are_thirds_and_halves():
     grid = LogGrid(1e-4, 30_000)
     m = build_classical_pi(grid, 10)
-    idx = {p: grid.nearest_index_of_log(math.log(p)) for p in (2, 3, 5, 7)}
+    cell = {q: round(math.log(q) / grid.h) for q in (2, 3, 4, 5, 7, 8, 9)}
     for p in (2, 3, 5, 7):
-        assert m.coeffs[idx[p]] == 1.0
-    assert m.coeffs[grid.nearest_index_of_log(math.log(4))] == 0.5
-    assert m.coeffs[grid.nearest_index_of_log(math.log(9))] == 0.5
-    assert m.coeffs[grid.nearest_index_of_log(math.log(8))] == pytest.approx(1 / 3)
+        assert m.coeffs[cell[p]] == 1.0
+    assert m.coeffs[cell[4]] == 0.5
+    assert m.coeffs[cell[9]] == 0.5
+    assert m.coeffs[cell[8]] == pytest.approx(1 / 3)
     assert float(np.sum(m.coeffs)) == pytest.approx(16.0 / 3.0, rel=1e-15)

@@ -73,10 +73,11 @@ def test_build_system_li():
 
 
 def test_build_system_rejects_broken_pi():
-    # an atom at 1 shifts Pi(1) beyond the half-cell tolerance
+    # a density of 100 puts about 100 h / 2 = 0.5 in cell 0, past the
+    # tolerance 10 h on Pi(1)
     bad = SystemSpec(base="custom", grid=LogGrid(0.01, 64),
-                     custom=DensitySpec(atoms=[(1.0, 1.0)]))
-    with pytest.raises(ConstructionError):
+                     custom=DensitySpec(log_density=lambda t: np.full_like(t, 100.0)))
+    with pytest.raises(ConstructionError, match=r"Pi\(1\)"):
         build_system(bad)
 
 

@@ -1,5 +1,6 @@
 """Every name a package or test module imports is used in that module, every
-module-level definition is referenced somewhere in the package, every
+module-level definition and every method of a module-level class is
+referenced somewhere in the package, every
 public re-export is used by the package or named in README.md, and every
 defaulted parameter of a public function is set by some call.  The
 package runs on numpy alone: no scipy module loads.
@@ -51,11 +52,17 @@ def test_module_has_no_unused_imports(path):
 
 
 def module_definitions(source: str) -> dict:
-    """{name: line} of the module-level functions, classes and constants."""
+    """{name: line} of the module-level functions, classes and constants,
+    and of the methods of module-level classes: all but the dunders and the
+    visit_ methods, which Python and ast.NodeVisitor call by name."""
     defs = {}
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             defs[node.name] = node.lineno
+        if isinstance(node, ast.ClassDef):
+            defs.update((item.name, item.lineno) for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not re.fullmatch(r"__\w+__|visit_\w+", item.name))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
@@ -90,6 +97,15 @@ def test_checker_flags_an_unreferenced_definition():
     sources = {"a.py": "X = 1\ndef f():\n    return g()\ndef g():\n    pass\n",
                "b.py": "from a import X\n"}
     assert unreferenced_definitions(sources) == [("a.py", 2, "f")]
+
+
+def test_checker_flags_a_method_only_tests_call():
+    sources = {"a.py": "class C:\n    def __init__(self):\n        self.kept()\n"
+                       "    def kept(self):\n        pass\n"
+                       "    def visit_Name(self, node):\n        pass\n"
+                       "    def index_of(self, x):\n        pass\n",
+               "b.py": "from a import C\n"}
+    assert unreferenced_definitions(sources) == [("a.py", 8, "index_of")]
 
 
 def test_every_definition_is_referenced():
