@@ -21,7 +21,7 @@ values whose tail bound exceeds 1e-6 are clipped from the fit and reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -194,12 +194,18 @@ def fit_mellin_expansion(a: Measure, sigma_grid, weight_sigma: float = 0.0,
     clipped = sigmas[~ok].tolist()
     if len(keep) < 4:
         raise FitError(f"only {len(keep)} usable sigma values after tail clipping")
-    values = mellin(a, keep - weight_sigma)
-    report = fit_loglog_model(keep, values, alpha_tol=alpha_tol)
-    details = dict(report.details)
-    details["sigma_clipped"] = clipped
-    return FitReport(report.model_name, report.constants, report.residual_rms,
-                     report.verdicts, report.criterion, details)
+    report = fit_loglog_model(keep, mellin(a, keep - weight_sigma), alpha_tol=alpha_tol)
+    return replace(report, details={**report.details, "sigma_clipped": clipped})
+
+
+def _least_squares(design, values, name: str):
+    # (coefficients, residual, residual RMS), or a FitError naming the fit
+    # when its design matrix is rank deficient
+    coef, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)
+    if rank < design.shape[1]:
+        raise FitError(f"{name} design matrix is rank deficient")
+    resid = values - design @ coef
+    return coef, resid, float(np.sqrt(np.mean(resid ** 2)))
 
 
 def fit_loglog_model(sigmas, values, alpha_tol: float | None = None) -> FitReport:
@@ -215,11 +221,7 @@ def fit_loglog_model(sigmas, values, alpha_tol: float | None = None) -> FitRepor
         raise FitError("sigma must lie strictly below 2 for the loglog model")
     ell = np.log(1.0 / (sig - 1.0))
     design = np.column_stack([np.log(ell), np.ones_like(ell), 1.0 / ell])
-    coef, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)
-    if rank < 3:
-        raise FitError("mellin fit design matrix is rank deficient")
-    resid = values - design @ coef
-    rms = float(np.sqrt(np.mean(resid ** 2)))
+    coef, resid, rms = _least_squares(design, values, "mellin fit")
     constants = {"alpha": float(coef[0]), "c1": float(coef[1]), "c2": float(coef[2])}
     if alpha_tol is None:
         verdicts, criterion = (), "least-squares solve"
@@ -244,12 +246,8 @@ def fit_de_haan(series: CheckpointSeries, mellin_sigmas=None,
     """
     ts = series.log_points
     design = np.column_stack([np.log(ts), np.ones_like(ts)])
-    coef, _, rank, _ = np.linalg.lstsq(design, series.values, rcond=None)
-    if rank < 2:
-        raise FitError("checkpoint fit design matrix is rank deficient")
+    coef, _, rms = _least_squares(design, series.values, "checkpoint fit")
     b1_chk, beta = float(coef[0]), float(coef[1])
-    resid = series.values - design @ coef
-    rms = float(np.sqrt(np.mean(resid ** 2)))
     constants = {"b1_checkpoint": b1_chk, "beta": beta}
 
     if mellin_sigmas is None:
@@ -262,10 +260,7 @@ def fit_de_haan(series: CheckpointSeries, mellin_sigmas=None,
         raise FitError("mellin sigma values must exceed 1")
     ell = np.log(1.0 / (sig - 1.0))
     design2 = np.column_stack([ell, np.ones_like(ell)])
-    coef2, _, rank2, _ = np.linalg.lstsq(design2, mv, rcond=None)
-    if rank2 < 2:
-        raise FitError("mellin-side design matrix is rank deficient")
-    b1_mell, b2 = float(coef2[0]), float(coef2[1])
+    b1_mell, b2 = map(float, _least_squares(design2, mv, "mellin-side")[0])
     constants.update({"b1_mellin": b1_mell, "b2": b2})
 
     b1_tol, intercept_tol = 0.05, 0.10

@@ -73,21 +73,12 @@ def _finite(flag: str):
     return _number(float, flag, "finite", math.isfinite)
 
 
-def _outdir(args) -> str:
-    try:
-        os.makedirs(args.out, exist_ok=True)
-    except OSError as exc:  # a file where the directory would go, say
-        raise ConfigError(f"cannot make output directory {args.out!r}: {exc}") from None
-    return args.out
-
-
 def cmd_build(args) -> int:
     spec = load_spec(args.config, h=args.h, n=args.n)
     system = build_system(spec)
-    out = _outdir(args)
     paths, verdicts = [], []
     for name, meas in (("pi", system.pi), ("n", system.n), ("m", system.m)):
-        path = os.path.join(out, f"{name}.csv")
+        path = os.path.join(args.out, f"{name}.csv")
         save_measure(meas, path)
         mismatches = int(np.count_nonzero(load_measure(path).coeffs != meas.coeffs))
         verdicts.append(Verdict("serialization_roundtrip", mismatches == 0,
@@ -108,23 +99,19 @@ def cmd_identities(args) -> int:
 
 def cmd_kahane(args) -> int:
     grid = LogGrid(args.h, args.n)
-    checkpoints = _parse_checkpoints(args.checkpoints)
-    report = kahane_pipeline(grid=grid, checkpoints=checkpoints,
+    report = kahane_pipeline(grid=grid, checkpoints=args.checkpoints,
                              identity_tol=args.tol)
-    out = _outdir(args)
     for name, series in report.series.items():
-        write_series_csv(os.path.join(out, f"{name}.csv"), series, grid)
+        write_series_csv(os.path.join(args.out, f"{name}.csv"), series, grid)
     return _report(report.verdicts)
 
 
 def cmd_hypotheses(args) -> int:
     spec = load_spec(args.config, h=args.h, n=args.n)
-    checkpoints = _parse_checkpoints(args.checkpoints)
-    report = hypothesis_report(spec, a=args.a, checkpoints=checkpoints,
+    report = hypothesis_report(spec, a=args.a, checkpoints=args.checkpoints,
                                sigma0=args.sigma0)
-    out = _outdir(args)
     for name, series in report.series.items():
-        write_series_csv(os.path.join(out, f"{name}.csv"), series, spec.grid)
+        write_series_csv(os.path.join(args.out, f"{name}.csv"), series, spec.grid)
     return _report(report.verdicts)
 
 
@@ -133,11 +120,10 @@ def cmd_mellin_fit(args) -> int:
         raise ParameterError("--h and --n set the Mellin-fit grid together; "
                              "give both or neither")
     grid = None if args.h is None else LogGrid(args.h, args.n)
-    out = _outdir(args)
     mrep = mellin_alpha_experiment(grid=grid, alpha_tol=args.tol)
-    write_keyvalue(os.path.join(out, "mellin_fit.txt"), report_to_mapping(mrep))
+    write_keyvalue(os.path.join(args.out, "mellin_fit.txt"), report_to_mapping(mrep))
     drep = de_haan_experiment()
-    write_keyvalue(os.path.join(out, "de_haan_fit.txt"), report_to_mapping(drep))
+    write_keyvalue(os.path.join(args.out, "de_haan_fit.txt"), report_to_mapping(drep))
     return _report(mrep.verdicts + drep.verdicts)
 
 
@@ -152,7 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
         # each subcommand accepts exactly the flags it uses; no prefixes, or
         # --h would mean --help where there is no grid
         p.allow_abbrev = False
-        p.add_argument("--out", default=".", help="output directory")
+        if "out" in flags:
+            p.add_argument("--out", default=".", help="output directory")
         if "grid" in flags:
             p.add_argument("--h", type=float, default=h, help="grid step in log u")
             p.add_argument("--n", type=int, default=n, help="grid size")
@@ -165,13 +152,13 @@ def build_parser() -> argparse.ArgumentParser:
                            type=_number(int, "--seed", "non-negative",
                                         lambda v: v >= 0))
         if "checkpoints" in flags:
-            p.add_argument("--checkpoints", default=",".join(
-                str(int(t)) for t in DEFAULT_CHECKPOINTS),
-                help="comma-separated log x checkpoints")
+            p.add_argument("--checkpoints", type=_parse_checkpoints,
+                           default=",".join(str(int(t)) for t in DEFAULT_CHECKPOINTS),
+                           help="comma-separated log x checkpoints")
 
     p = sub.add_parser("build", help="build a system from config and serialize it")
     p.add_argument("--config", required=True)
-    common(p, "grid")
+    common(p, "out", "grid")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("identities", help="run the random measure-algebra suite")
@@ -179,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_identities)
 
     p = sub.add_parser("kahane", help="run the Kahane system experiment suite")
-    common(p, "grid", "tol", "checkpoints",
+    common(p, "out", "grid", "tol", "checkpoints",
            h=KAHANE_GRID.h, n=KAHANE_GRID.n, tol=1e-6)
     p.set_defaults(func=cmd_kahane)
 
@@ -190,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exponent in the |M0(x)| log^a x / x check")
     p.add_argument("--sigma0", type=_finite("--sigma0"), default=None,
                    help="also check the u^{-sigma0}-weighted tail integral")
-    common(p, "grid", "checkpoints")
+    common(p, "out", "grid", "checkpoints")
     p.set_defaults(func=cmd_hypotheses)
 
     p = sub.add_parser("mellin-fit",
@@ -199,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "only (give with --n); the de Haan fit keeps its own grid")
     p.add_argument("--n", type=int, help="grid size of the Mellin-fit grid only "
                    "(give with --h)")
-    common(p, "tol", tol=0.02)
+    common(p, "out", "tol", tol=0.02)
     p.set_defaults(func=cmd_mellin_fit)
     return parser
 
@@ -207,8 +194,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        # a numeric flag outside its domain raises ConfigError as it parses
+        # a numeric flag outside its domain, or a bad checkpoint list, raises
+        # ConfigError as it parses; --out is made next, before any work
         args = parser.parse_args(argv)
+        if "out" in args:
+            try:
+                os.makedirs(args.out, exist_ok=True)
+            except OSError as exc:  # a file where the directory would go, say
+                raise ConfigError(f"cannot make output directory {args.out!r}: {exc}") from None
         return args.func(args)
     except ConfigError as exc:
         _fail("config", f"error={exc!r}")

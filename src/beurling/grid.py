@@ -39,7 +39,9 @@ class LogGrid:
         """Largest k with kh <= t, with a small forgiveness for roundoff.
 
         Primitives up to x = e^t therefore include every point whose
-        nominal position does not exceed t.
+        nominal position does not exceed t.  It is the one range rule for
+        checkpoints: checkpoint_sums refuses a ladder by it (RangeError),
+        and so does kahane_pipeline, before any work.
         """
         if t < 0.0:
             raise RangeError(f"log point {t} below 1")

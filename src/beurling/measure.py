@@ -176,11 +176,14 @@ def checkpoint_sums(a: Measure, ts, rate: float = 0.0) -> np.ndarray:
     coefficients 0..K_last: segment (K_{j-1}, K_j] is summed pairwise with
     factors e^{rate (k - K_j) h}, and the sum carried from the previous
     checkpoint is rescaled by e^{rate (K_{j-1} - K_j) h}.  For rate >= 0 no
-    factor exceeds 1, so the sums stay finite on any grid length.
+    factor exceeds 1, so the sums stay finite on any grid length; a negative
+    or non-finite rate is refused (ParameterError).
     """
+    if not (rate >= 0 and math.isfinite(rate)):
+        raise ParameterError(f"rate must be finite and non-negative, got {rate}")
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1 or np.any(np.diff(ts) < 0):
-        raise ValueError(f"checkpoints must be 1-d and ascending, got {ts}")
+        raise ParameterError(f"checkpoints must be 1-d and ascending, got {ts}")
     step = rate * a.grid.h
     out = np.empty(len(ts))
     carry, start = 0.0, 0
@@ -226,11 +229,12 @@ def mellin(a: Measure, sigma):
 
     The sum stops at the grid end; callers probing sigma near 1 must pick a
     grid whose log-length makes the dropped tail negligible (the fitting
-    code enforces (sigma - 1) * n * h >= 14).
+    code enforces (sigma - 1) * n * h >= 14).  A sigma whose transform is
+    not a finite double, a non-finite sigma included, is refused (ParameterError).
     """
     sig = np.asarray(sigma, dtype=float)
     if sig.ndim > 1:
-        raise ValueError(f"sigma must be a scalar or 1-d, got shape {sig.shape}")
+        raise ParameterError(f"sigma must be a scalar or 1-d, got shape {sig.shape}")
     flat = sig.reshape(-1)
     n, h = a.grid.n, a.grid.h
     block = math.isqrt(n)
@@ -252,8 +256,12 @@ def mellin(a: Measure, sigma):
             out[p: p + _MELLIN_PANEL] = ((outer[:, :rows] * (inner @ body)).sum(axis=1)
                                          + outer[:, rows] * (inner[:, :ragged] @ tail))
 
-    kernels._halves(panels, len(padded), _MELLIN_PANEL, len(padded) * n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernels._halves(panels, len(padded), _MELLIN_PANEL, len(padded) * n)
     out = out[: len(flat)]
+    if not np.all(np.isfinite(out)):
+        raise ParameterError(f"sigma={flat[~np.isfinite(out)][0]}: the Mellin "
+                             "transform is not a finite double")
     return float(out[0]) if sig.ndim == 0 else out
 
 

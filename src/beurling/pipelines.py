@@ -23,7 +23,6 @@ import numpy as np
 from .asymptotics import (Checked, CheckpointSeries, FitReport, Verdict,
                           check_decay, check_growth, check_ladder, fit_de_haan,
                           fit_mellin_expansion)
-from .errors import RangeError
 from .grid import LogGrid
 from .measure import (Measure, apply_log, checkpoint_sums, exp_star,
                       exp_star_pairs, mellin)
@@ -62,8 +61,7 @@ def kahane_pipeline(grid: LogGrid | None = None, checkpoints=DEFAULT_CHECKPOINTS
         grid = KAHANE_GRID
     ts = np.asarray(sorted(checkpoints), dtype=float)
     check_ladder(ts)
-    if ts[-1] > grid.log_end:
-        raise RangeError(f"checkpoint t={ts[-1]} beyond grid end {grid.log_end}")
+    ks = grid.indices_of_log(ts)  # refuses a checkpoint past the lattice
     h = grid.h
 
     a_w = kahane_tail(grid, weight_sigma=1.0)
@@ -77,7 +75,6 @@ def kahane_pipeline(grid: LogGrid | None = None, checkpoints=DEFAULT_CHECKPOINTS
     m_over_x = checkpoint_sums(m_w, ts, 1.0)
     blog_over_x = checkpoint_sums(apply_log(bm_w), ts, 1.0)
     g_over_x = checkpoint_sums(apply_log(a_w), ts, 1.0)
-    ks = grid.indices_of_log(ts)
     # e^{t - Kh}: moves a sum over x = e^t to the lattice point e^{Kh}
     to_lattice = np.exp(ts - ks * h)
     b_over_xeff = checkpoint_sums(bm_w, ts, 1.0) * to_lattice * math.exp(-h / 2)

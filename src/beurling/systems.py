@@ -286,6 +286,10 @@ def hypothesis_report(spec: SystemSpec, a: float = 1.0,
     grid = spec.grid
     ts = np.asarray(sorted(checkpoints), dtype=float)
     check_ladder(ts)
+    # refuse first an a whose t^a leaves the doubles (0 passes any decay)
+    with np.errstate(over="ignore", under="ignore"):
+        powers = ts ** a
+    _refuse(~np.isfinite(powers) | (powers < np.finfo(float).tiny), ts, f"a={a}: log^a x")
     series: dict[str, CheckpointSeries] = {}
     verdicts = []
 
@@ -303,17 +307,13 @@ def hypothesis_report(spec: SystemSpec, a: float = 1.0,
         # sum_{k <= K} |r_k| e^{(1 - sigma0) kh}.  Below sigma0 = 1 that
         # factor grows, so sum at rate 1 - sigma0 and restore e^{(1 - sigma0) t}
         # last; above, tilt, whose factors shrink.  No factor then exceeds the
-        # value, on any grid length.  Where that factor or the partial leaves
-        # the double range there is nothing to check, and sigma0 is refused.
+        # value, on any grid length; a value past the doubles refuses sigma0.
         rate = 1.0 - sigma0
         if rate > 0:
             with np.errstate(over="ignore", invalid="ignore"):
                 vals_s0 = checkpoint_sums(rvar, ts, rate) * np.exp(rate * ts)
-            if not np.all(np.isfinite(vals_s0)):
-                t = float(ts[~np.isfinite(vals_s0)][0])
-                raise ParameterError(
-                    f"sigma0={sigma0}: the u^-sigma0-weighted partial of |dR|/u "
-                    f"leaves the double range at checkpoint t={t:g}")
+            _refuse(~np.isfinite(vals_s0), ts,
+                    f"sigma0={sigma0}: the u^-sigma0-weighted partial of |dR|/u")
         else:
             vals_s0 = checkpoint_sums(tilt(rvar, -rate), ts)
         series["r_sigma0_partial"] = CheckpointSeries(ts, vals_s0, f"int |dR|/u^{sigma0} to x")
@@ -321,16 +321,9 @@ def hypothesis_report(spec: SystemSpec, a: float = 1.0,
 
     pi0_w = _base_pi(spec, weight_sigma=1.0)
     m0_w = exp_star(negate(pi0_w))
-    # where t^a underflows, or t^a or |M0| t^a leaves the double range,
-    # there is nothing to check (a zero passes any decay), and a is refused
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        powers = ts ** a
+    with np.errstate(over="ignore", under="ignore"):
         vals_iii = np.abs(checkpoint_sums(m0_w, ts, 1.0)) * powers
-    outside = ~np.isfinite(vals_iii) | (powers < np.finfo(float).tiny)
-    if outside.any():
-        t = float(ts[outside][0])
-        raise ParameterError(f"a={a}: |M0(x)| log^a x / x leaves the double "
-                             f"range at checkpoint t={t:g}")
+    _refuse(~np.isfinite(vals_iii), ts, f"a={a}: |M0(x)| log^a x / x")
     series["m0_ratio"] = CheckpointSeries(ts, vals_iii, f"|M0(x)| log^{a} x / x")
     verdicts.append(_decays("hypothesis_iii", series["m0_ratio"]))
 
@@ -345,6 +338,14 @@ def hypothesis_report(spec: SystemSpec, a: float = 1.0,
 # these ratios are O(1)-normalized; once below NOISE_FLOOR the lattice dot
 # products are rounding noise and the decay and convergence tests meaningless
 NOISE_FLOOR = 1e-12
+
+
+def _refuse(outside: np.ndarray, ts: np.ndarray, what: str):
+    # a parameter that drives a series past the doubles leaves nothing to
+    # check: ParameterError at the first checkpoint where `outside` holds
+    if outside.any():
+        raise ParameterError(f"{what} leaves the double range at checkpoint "
+                             f"t={float(ts[outside][0]):g}")
 
 
 def _decays(name: str, s: CheckpointSeries) -> Verdict:

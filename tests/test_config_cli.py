@@ -445,6 +445,54 @@ def no_exp(monkeypatch):
         monkeypatch.setattr(kernels, name, refuse)
 
 
+@pytest.fixture
+def no_sieve(monkeypatch):
+    """Make the prime sieve fail the test: a refusal must come first."""
+    from beurling import sieve
+
+    def refuse(*args):
+        raise AssertionError("the sieve ran before the refusal")
+
+    monkeypatch.setattr(sieve, "count_primes_in_ranges", refuse)
+
+
+# a classical base sieves before its exps run
+CLASSICAL_CFG = ("base = classical\ngrid.h = 0.004\ngrid.n = 16383\n"
+                 "sieve_limit = 100000000\n")
+
+
+@pytest.mark.parametrize("command", ["build", "kahane", "hypotheses"])
+def test_cli_refuses_an_out_that_is_a_file_before_any_work(tmp_path, capsys, no_exp,
+                                                           no_sieve, command):
+    # --out is made right after the flags parse; a file there used to be
+    # refused only after the sieve and the exps had run
+    cfg = write_config(tmp_path, CLASSICAL_CFG)
+    config = [] if command == "kahane" else ["--config", cfg]
+    assert main([command, *config, "--out", cfg]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("FAIL config error=ConfigError(")
+    assert "cannot make output directory" in lines[0]
+
+
+def test_cli_kahane_refuses_a_checkpoint_past_the_lattice_before_any_work(
+        tmp_path, capsys, no_exp):
+    # on h = 0.01, n = 5001 the last lattice point is t = 50; 50.01 = nh
+    # passed the pipeline's own test and failed only after the exp pair ran
+    argv = ["kahane", "--h", "0.01", "--n", "5001", "--out", str(tmp_path / "o")]
+    assert main([*argv, "--checkpoints", "30,35,40,45,50.01"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("FAIL parameters error=RangeError(")
+    assert "50.01" in lines[0]
+
+
+def test_cli_kahane_runs_a_checkpoint_on_the_last_lattice_cell(tmp_path):
+    # within index_of_log's roundoff forgiveness of the lattice end
+    assert main(["kahane", "--h", "0.01", "--n", "5001", "--out", str(tmp_path / "o"),
+                 "--checkpoints", "30,35,40,45,50.009999999"]) in (0, 1)
+
+
 @pytest.mark.parametrize("command", ["kahane", "hypotheses"])
 def test_cli_refuses_a_ladder_shorter_than_the_decay_tail(tmp_path, capsys,
                                                         no_exp, command):
@@ -518,14 +566,16 @@ def test_cli_hypotheses_refuses_a_sigma0_past_the_double_range(tmp_path, capsys)
     assert lines[0].startswith("FAIL parameters ") and "sigma0" in lines[0]
 
 
-@pytest.mark.parametrize("a", ["400", "-400"])
-def test_cli_hypotheses_refuses_an_a_past_the_double_range(tmp_path, capsys, a):
+@pytest.mark.parametrize("a", ["400", "-400", "1e300"])
+def test_cli_hypotheses_refuses_an_a_past_the_double_range(tmp_path, capsys,
+                                                           no_exp, no_sieve, a):
     # at a = 400, t^a overflows at the checkpoints from t = 10 on, and at
     # a = -400 it underflows there: refused as a parameter, with no numpy
-    # warning and no series written.  400 used to print numpy's overflow
-    # warnings, write inf into m0_ratio.csv and fail hypothesis_iii on
-    # final=inf; -400 passed hypothesis_iii on final=0, on any system
-    cfg = write_config(tmp_path, SIGMA0_CFG)
+    # warning and no series written, before the sieve and M0's exp run.
+    # 400 used to print numpy's overflow warnings, write inf into
+    # m0_ratio.csv and fail hypothesis_iii on final=inf; -400 passed
+    # hypothesis_iii on final=0, on any system
+    cfg = write_config(tmp_path, CLASSICAL_CFG)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(["hypotheses", "--config", cfg, f"--a={a}",
@@ -533,7 +583,7 @@ def test_cli_hypotheses_refuses_an_a_past_the_double_range(tmp_path, capsys, a):
     assert code == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("FAIL parameters ") and f"a={a}" in lines[0]
+    assert lines[0].startswith("FAIL parameters error=ParameterError('a=")
     assert not (tmp_path / "o" / "m0_ratio.csv").exists()
 
 
@@ -544,9 +594,11 @@ def test_cli_hypotheses_refuses_an_a_past_the_double_range(tmp_path, capsys, a):
     ["hypotheses", "--sigma0", "-1"],
 ], ids=["identities", "kahane", "hypotheses"])
 def test_cli_fail_lines_name_the_failed_verdicts(tmp_path, capsys, argv):
+    if argv[0] != "identities":
+        argv = [*argv, "--out", str(tmp_path / "o")]
     if argv[0] == "hypotheses":
         argv = [*argv, "--config", write_config(tmp_path, SIGMA0_CFG)]
-    code = main([*argv, "--out", str(tmp_path / "o")])
+    code = main(argv)
     captured = capsys.readouterr()
     verdicts = [line for line in captured.out.splitlines()
                 if line.endswith((" pass", " FAIL"))]
@@ -642,6 +694,7 @@ def test_cli_mellin_fit_refuses_lone_grid_flag(tmp_path, capsys, flag):
     ("identities", "--n", "512"),
     ("identities", "--fft", "on"),
     ("identities", "--checkpoints", "5,10"),
+    ("identities", "--out", "o"),  # the suite writes nothing
     ("kahane", "--seed", "7"),
     ("kahane", "--fft", "off"),
     ("hypotheses", "--tol", "1e-3"),
@@ -659,15 +712,14 @@ def test_cli_refuses_flags_the_command_ignores(tmp_path, capsys, command, flag, 
     assert not (tmp_path / "o").exists()
 
 
-def test_cli_identities(tmp_path, capsys):
-    assert main(["identities", "--out", str(tmp_path)]) == 0
+def test_cli_identities(capsys):
+    assert main(["identities"]) == 0
     out = capsys.readouterr().out
     assert "identity suite: 100 measures" in out
     assert "pass" in out
 
 
-def test_cli_identities_check_only_the_recurrence(tmp_path, capsys,
-                                                  monkeypatch):
+def test_cli_identities_check_only_the_recurrence(capsys, monkeypatch):
     # the suite checks the reference path; its uniform(-1, 1) inputs would
     # not reach Newton under the exp_star rule either, but it must not rely
     # on that
@@ -679,7 +731,7 @@ def test_cli_identities_check_only_the_recurrence(tmp_path, capsys,
     for name in ("exp_newton", "exp_newton_pair"):
         monkeypatch.setattr(kernels, name, no_newton)
     monkeypatch.setattr(kernels, "_NEWTON_MAX_EXCESS", math.inf)
-    assert main(["identities", "--out", str(tmp_path)]) == 0
+    assert main(["identities"]) == 0
     assert "pass" in capsys.readouterr().out
 
 
@@ -775,14 +827,31 @@ def _fuzz_argv(draw, command, root):
 
 
 @pytest.mark.parametrize("command", sorted(FUZZ_EXAMPLES))
-def test_cli_fuzzed_argv_exits_by_the_contract(fuzz_dir, command):
+def test_cli_fuzzed_argv_exits_by_the_contract(fuzz_dir, monkeypatch, command):
     # exit 0 with no FAIL line, 1 with FAIL lines for failed verdicts, checks
-    # or overflows, 2 with one FAIL config or FAIL parameters line; nothing
-    # raised, a numpy warning included
+    # or overflows, 2 with one FAIL config or FAIL parameters line, and with
+    # no exponential and no sieve run; nothing raised, a numpy warning included
+    from beurling import kernels, sieve
+
+    work = []
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def call(*args, **kwargs):
+            work.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, call)
+
+    for name in ("exp_recurrence", "exp_newton", "exp_newton_pair"):
+        counted(kernels, name)
+    counted(sieve, "count_primes_in_ranges")
+
     @given(_fuzz_argv(command, fuzz_dir))
     @settings(max_examples=FUZZ_EXAMPLES[command], deadline=None, database=None,
               derandomize=True)
     def check(argv):
+        work.clear()
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)
@@ -795,5 +864,6 @@ def test_cli_fuzzed_argv_exits_by_the_contract(fuzz_dir, command):
             assert fails and not {"config", "parameters"} & set(fails), (argv, err.getvalue())
         else:
             assert fails in (["config"], ["parameters"]), (argv, err.getvalue())
+            assert work == [], (argv, err.getvalue(), work)
 
     check()

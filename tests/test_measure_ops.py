@@ -373,6 +373,17 @@ def test_checkpoint_sums_reject_bad_checkpoints():
         checkpoint_sums(a, [[0.1, 0.2]])
 
 
+def test_checkpoint_sums_refuse_a_rate_outside_their_domain():
+    # a negative rate made math.exp raise a bare OverflowError; every factor
+    # stays at most 1 only for rate >= 0
+    a = Measure(LogGrid(0.01, 100_000), np.ones(100_000))
+    for rate in (-1.0, math.nan, math.inf):
+        with pytest.raises(ParameterError, match="rate"):
+            checkpoint_sums(a, [5.0, 999.0], rate)
+    with pytest.raises(ParameterError, match="ascending"):
+        checkpoint_sums(a, [999.0, 5.0])
+
+
 def test_mellin_of_delta_is_one():
     g = LogGrid(0.1, 32)
     for sigma in (0.0, 1.0, 1.7, 3.0):
@@ -453,8 +464,19 @@ def test_mellin_sigma_shapes():
     assert isinstance(mellin(a, np.float64(2.0)), float)
     assert np.array_equal(mellin(a, [1.5, 2.0]),
                           [mellin(a, 1.5), mellin(a, 2.0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError, match="sigma"):
         mellin(a, np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf, [1.0, -1.0],
+                                   [1.0] * 8 + [-1.0]])
+def test_mellin_refuses_a_sigma_outside_the_double_range(sigma):
+    # sigma = -1 gave inf after numpy's overflow warnings, NaN gave NaN
+    # with no warning; the pytest config turns any RuntimeWarning into an
+    # error.  Nine sigma make two panels, the second on the worker thread
+    a = Measure(LogGrid(0.01, 100_000), np.ones(100_000))
+    with pytest.raises(ParameterError, match="sigma"):
+        mellin(a, sigma)
 
 
 # -------------------------------------------------------------- round trip
