@@ -78,17 +78,20 @@ class FitReport(Checked):
     details: dict = field(default_factory=dict)
 
 
-def check_ladder(log_points, tail_k: int = 5) -> None:
-    """Refuse a sorted checkpoint ladder that repeats a point or is too
-    short for the decay proxy's tail of tail_k; pipelines call it before
-    any exponential runs."""
-    count = len(log_points)
-    if not (3 <= tail_k <= count):
-        raise ParameterError(f"{count} checkpoints cannot carry a decay tail of "
-                             f"tail_k={tail_k}: need 3 <= tail_k <= {count}")
-    if np.any(np.diff(log_points) <= 0):
-        raise ParameterError("checkpoints must be distinct, got "
-                             f"{np.asarray(log_points).tolist()}")
+def check_ladder(log_points, tail_k: int = 5) -> np.ndarray:
+    """The one rule for a checkpoint ladder in log x: at least tail_k
+    points, the decay proxy's tail, each finite and positive, none
+    repeated.  Returns the ladder as a sorted float array, or raises
+    ParameterError; pipelines call it before any exponential runs."""
+    ts = np.sort(np.asarray(log_points, dtype=float))
+    if not (3 <= tail_k <= ts.size):
+        raise ParameterError(f"{ts.size} checkpoints cannot carry a decay tail of "
+                             f"tail_k={tail_k}: need 3 <= tail_k <= {ts.size}")
+    if not np.all(np.isfinite(ts) & (ts > 0)):
+        raise ParameterError(f"checkpoints must be finite and positive, got {ts.tolist()}")
+    if np.any(np.diff(ts) <= 0):
+        raise ParameterError(f"checkpoints must be distinct, got {ts.tolist()}")
+    return ts
 
 
 def check_decay(series: CheckpointSeries, tail_k: int = 5,

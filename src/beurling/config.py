@@ -4,12 +4,20 @@ Config files are line-oriented key = value pairs; blank lines and lines
 starting with # are ignored.  Recognized keys:
 
     base          li | classical | kahane | custom
-    grid.h        positive float
-    grid.n        positive integer
-    sieve_limit   integer >= 2, classical base only
-    base.density  density expression, custom base only
+    grid.h        float
+    grid.n        integer
+    sieve_limit   integer
+    base.density  density expression
     e.density     density expression, optional signed perturbation
     r.density     density expression, optional signed perturbation
+
+This module only reads and parses: a file that cannot be read, a line or
+value that cannot be parsed, a density that cannot be compiled, or a grid
+key missing is a ConfigError.  The values it parses are judged by the
+library, which refuses them with ParameterError: LogGrid takes a positive
+finite h and a positive n, SystemSpec the base, the sieve_limit that base
+classical needs and the base.density that base custom alone takes, and
+build_classical_pi a sieve_limit of at least 2.
 
 Density expressions are functions of u on [1, inf) built from: numbers,
 u, log(u), loglog(u), exp(..), sqrt(..), indicator(a) (1 for u >= a, 0
@@ -50,7 +58,6 @@ from .systems import SystemSpec
 
 _KEYS = {"base", "grid.h", "grid.n", "sieve_limit",
          "base.density", "e.density", "r.density"}
-_BASES = {"li", "classical", "kahane", "custom"}
 _CALLS = {"log", "loglog", "indicator", "exp", "sqrt"}
 _NAMES = {"u", "e", "pi"}
 _BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
@@ -215,59 +222,33 @@ def parse_config(text: str) -> dict:
     return out
 
 
-def _positive_float(raw: str, key: str) -> float:
+def _value(raw: dict, key: str, convert):
+    """raw[key] converted, or None when the file does not set it."""
     try:
-        val = float(raw)
+        return convert(raw[key]) if key in raw else None
     except ValueError:
-        raise ConfigError(f"{key} must be a number, got {raw!r}") from None
-    if not (val > 0 and math.isfinite(val)):
-        raise ConfigError(f"{key} must be positive and finite, got {raw!r}")
-    return val
-
-
-def _positive_int(raw: str, key: str) -> int:
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
-    if val <= 0:
-        raise ConfigError(f"{key} must be positive, got {raw!r}")
-    return val
+        raise ConfigError(f"{key}: cannot read {raw[key]!r} as {convert.__name__}") from None
 
 
 def spec_from_text(text: str, h: float | None = None,
                    n: int | None = None) -> SystemSpec:
-    """Parse a config document into a SystemSpec; h and n override the file."""
+    """Parse a config document into a SystemSpec; h and n override the file.
+
+    Every value is converted and every density compiled before any is
+    judged: text that fails to is a ConfigError, and LogGrid and SystemSpec
+    then refuse values with ParameterError."""
     raw = parse_config(text)
-    base = raw.get("base", "").lower()
-    if base not in _BASES:
-        raise ConfigError(f"base must be one of {sorted(_BASES)}, got {raw.get('base')!r}")
-    if h is None:
-        if "grid.h" not in raw:
-            raise ConfigError("grid.h missing and no override given")
-        h = _positive_float(raw["grid.h"], "grid.h")
-    if n is None:
-        if "grid.n" not in raw:
-            raise ConfigError("grid.n missing and no override given")
-        n = _positive_int(raw["grid.n"], "grid.n")
-    grid = LogGrid(h, n)
-
-    sieve_limit = None
-    if "sieve_limit" in raw:
-        sieve_limit = _positive_int(raw["sieve_limit"], "sieve_limit")
-    if base == "classical" and sieve_limit is None:
-        raise ConfigError("base classical requires sieve_limit")
-
-    custom = parse_density(raw["base.density"]) if "base.density" in raw else None
-    if base == "custom" and custom is None:
-        raise ConfigError("base custom requires base.density")
-    if base != "custom" and custom is not None:
-        raise ConfigError("base.density only applies to base custom")
-
-    e_part = parse_density(raw["e.density"]) if "e.density" in raw else None
-    r_part = parse_density(raw["r.density"]) if "r.density" in raw else None
-    return SystemSpec(base=base, grid=grid, e_part=e_part, r_part=r_part,
-                      sieve_limit=sieve_limit, custom=custom)
+    for key, override in (("grid.h", h), ("grid.n", n)):
+        if override is None and key not in raw:
+            raise ConfigError(f"{key} missing and no override given")
+    h = _value(raw, "grid.h", float) if h is None else h
+    n = _value(raw, "grid.n", int) if n is None else n
+    sieve_limit = _value(raw, "sieve_limit", int)
+    custom, e_part, r_part = (parse_density(raw[key]) if key in raw else None
+                              for key in ("base.density", "e.density", "r.density"))
+    return SystemSpec(base=raw.get("base", "").lower(), grid=LogGrid(h, n),
+                      e_part=e_part, r_part=r_part, sieve_limit=sieve_limit,
+                      custom=custom)
 
 
 def load_spec(path, h: float | None = None, n: int | None = None) -> SystemSpec:

@@ -19,7 +19,9 @@ class FitError(BeurlingError):
 
 
 class ConfigError(BeurlingError):
-    """A system description file is malformed."""
+    """Text that could not be read, parsed or compiled: a config file, a
+    density expression, a command-line value.  A parsed value that a
+    library rule refuses is a ParameterError."""
 
 
 class ParameterError(BeurlingError, ValueError):

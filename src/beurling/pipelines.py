@@ -59,8 +59,7 @@ def kahane_pipeline(grid: LogGrid | None = None, checkpoints=DEFAULT_CHECKPOINTS
     """
     if grid is None:
         grid = KAHANE_GRID
-    ts = np.asarray(sorted(checkpoints), dtype=float)
-    check_ladder(ts)
+    ts = check_ladder(checkpoints)
     ks = grid.indices_of_log(ts)  # refuses a checkpoint past the lattice
     h = grid.h
 

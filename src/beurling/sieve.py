@@ -127,18 +127,15 @@ def count_primes_in_ranges(edges, limit: int) -> np.ndarray:
 
 
 def prime_powers(limit: int) -> Iterator[tuple[int, int, int]]:
-    """Yield (p, j, p**j) for every prime power p^j <= limit, j >= 1.
-
-    Sieves all primes up to limit, so this is meant for moderate limits;
-    the lattice builder counts primes per cell from the segmented sieve
-    instead for its j = 1 pass.
-    """
-    for p in simple_sieve(limit).tolist():
-        pj, j = p, 1
-        while pj <= limit:
-            yield p, j, pj
-            j += 1
-            pj *= p
+    """Yield (p, j, p**j) for every prime power p^j <= limit, j >= 1, in
+    ascending p, the primes taken segment by segment from iter_primes."""
+    for chunk in iter_primes(limit):
+        for p in chunk.tolist():
+            pj, j = p, 1
+            while pj <= limit:
+                yield p, j, pj
+                j += 1
+                pj *= p
 
 
 def prime_power_mass(limit: int) -> Fraction:

@@ -170,11 +170,13 @@ class SystemSpec:
 
     def __post_init__(self):
         if self.base not in ("li", "classical", "kahane", "custom"):
-            raise ParameterError(f"unknown base {self.base!r}")
+            raise ParameterError(f"unknown base {self.base!r}: li, classical, kahane or custom")
         if self.base == "classical" and self.sieve_limit is None:
             raise ParameterError("classical base needs sieve_limit")
         if self.base == "custom" and self.custom is None:
             raise ParameterError("custom base needs a density")
+        if self.base != "custom" and self.custom is not None:
+            raise ParameterError(f"a custom density only applies to base custom, not {self.base!r}")
 
 
 @dataclass(frozen=True)
@@ -284,8 +286,7 @@ def hypothesis_report(spec: SystemSpec, a: float = 1.0,
     (iii) are; not being a hypothesis, it is left out of `passed`.
     """
     grid = spec.grid
-    ts = np.asarray(sorted(checkpoints), dtype=float)
-    check_ladder(ts)
+    ts = check_ladder(checkpoints)
     # refuse first an a whose t^a leaves the doubles (0 passes any decay)
     with np.errstate(over="ignore", under="ignore"):
         powers = ts ** a

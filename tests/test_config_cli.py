@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beurling import (ConfigError, LogGrid, Measure, build_li_pi, kahane_tail,
+from beurling import (ConfigError, LogGrid, Measure, ParameterError, SystemSpec,
+                      build_li_pi, hypothesis_report, kahane_pipeline, kahane_tail,
                       load_measure, relative_gap)
 from beurling.cli import build_parser, main
 from beurling.config import parse_config, parse_density, spec_from_text
@@ -67,18 +68,21 @@ def test_spec_overrides_grid():
     assert spec2.grid == LogGrid(0.01, 50)
 
 
-@pytest.mark.parametrize("text,h,n", [
-    ("base = li\n", None, None),                       # grid missing
-    ("base = nope\ngrid.h = 0.01\ngrid.n = 10", None, None),
-    ("base = classical\ngrid.h = 0.01\ngrid.n = 10", None, None),
-    ("base = custom\ngrid.h = 0.01\ngrid.n = 10", None, None),
-    ("base = li\ngrid.h = -1\ngrid.n = 10", None, None),
-    ("base = li\ngrid.h = 0.01\ngrid.n = 0", None, None),
-    ("base = li\ngrid.h = 0.01\ngrid.n = 10\nbase.density = u", None, None),
+# text that does not parse is a ConfigError; a value LogGrid or SystemSpec
+# refuses is a ParameterError
+@pytest.mark.parametrize("text,error", [
+    ("base = li\n", ConfigError),                       # grid missing
+    ("base = li\ngrid.h = 0.01\ngrid.n = 1e3", ConfigError),
+    ("base = nope\ngrid.h = 0.01\ngrid.n = 10", ParameterError),
+    ("base = classical\ngrid.h = 0.01\ngrid.n = 10", ParameterError),
+    ("base = custom\ngrid.h = 0.01\ngrid.n = 10", ParameterError),
+    ("base = li\ngrid.h = -1\ngrid.n = 10", ParameterError),
+    ("base = li\ngrid.h = 0.01\ngrid.n = 0", ParameterError),
+    ("base = li\ngrid.h = 0.01\ngrid.n = 10\nbase.density = u", ParameterError),
 ])
-def test_spec_from_text_rejects(text, h, n):
-    with pytest.raises(ConfigError):
-        spec_from_text(text, h=h, n=n)
+def test_spec_from_text_rejects(text, error):
+    with pytest.raises(error):
+        spec_from_text(text)
 
 
 def test_custom_base_expression_matches_stock_li():
@@ -224,6 +228,22 @@ def test_cli_build_reports_a_failed_roundtrip_as_a_verdict(tmp_path, capsys,
         assert (out / f"{name}.csv").exists()
 
 
+def test_cli_build_roundtrip_tells_a_negative_zero_from_zero(tmp_path, capsys,
+                                                            monkeypatch):
+    # the custom density -0.0 gives pi 512 negative zeros; a reload that
+    # drops their signs equals it under != but is not what was written
+    def load_unsigned(path):
+        meas = load_measure(path)
+        return Measure(meas.grid, meas.coeffs + 0.0)
+
+    monkeypatch.setattr("beurling.cli.load_measure", load_unsigned)
+    cfg = write_config(tmp_path, "base = custom\ngrid.h = 0.01\ngrid.n = 512\n"
+                                 "base.density = -0.0 * u\n")
+    assert main(["build", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "FAIL serialization_roundtrip measure=pi mismatches=512"]
+
+
 def test_cli_build_fft_path(tmp_path):
     cfg = write_config(tmp_path, "base = li\ngrid.h = 0.001\ngrid.n = 4096\n")
     out = tmp_path / "fft"
@@ -311,14 +331,16 @@ def test_cli_build_refuses_an_overflowing_classical_grid(tmp_path, capsys,
     assert "hypotheses" in err
 
 
+@pytest.mark.parametrize("limit", ["0", "1"])
 @pytest.mark.parametrize("command", ["build", "hypotheses"])
-def test_cli_refuses_a_sieve_limit_below_two(tmp_path, capsys, command):
+def test_cli_refuses_a_sieve_limit_below_two(tmp_path, capsys, command, limit):
+    # one rule, build_classical_pi's, for every limit below two
     cfg = write_config(tmp_path, ("base = classical\ngrid.h = 0.01\n"
-                                  "grid.n = 5001\nsieve_limit = 1\n"))
+                                  f"grid.n = 5001\nsieve_limit = {limit}\n"))
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("FAIL parameters error=ParameterError(")
-    assert "at least 2" in err
+    assert capsys.readouterr().err.splitlines() == [
+        "FAIL parameters error=ParameterError('sieve limit must be at least 2, "
+        f"got {limit}')"]
 
 
 @pytest.mark.parametrize("command", ["build", "hypotheses"])
@@ -417,7 +439,7 @@ def test_cli_kahane_is_deterministic(tmp_path):
 def test_cli_kahane_rejects_bad_checkpoints(tmp_path, capsys):
     assert main(["kahane", *COARSE, "--out", str(tmp_path),
                  "--checkpoints", "0"]) == 2
-    assert "FAIL config" in capsys.readouterr().err
+    assert "FAIL parameters" in capsys.readouterr().err
     assert main(["kahane", *COARSE, "--out", str(tmp_path),
                  "--checkpoints", "five"]) == 2
 
@@ -430,7 +452,7 @@ def test_cli_refuses_non_finite_checkpoints(tmp_path, capsys, command, last):
             if command == "hypotheses" else [])
     assert main([command, *grid, *COARSE, "--out", str(tmp_path / "o"),
                  "--checkpoints", f"5,10,15,20,{last}"]) == 2
-    assert capsys.readouterr().err.startswith("FAIL config error=ConfigError(")
+    assert capsys.readouterr().err.startswith("FAIL parameters error=ParameterError(")
 
 
 @pytest.fixture
@@ -520,6 +542,21 @@ def test_cli_refuses_repeated_checkpoints(tmp_path, capsys, no_exp, command,
     assert len(lines) == 1
     assert lines[0].startswith("FAIL parameters error=ParameterError(")
     assert "distinct" in lines[0]
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("pipeline", ["kahane", "hypotheses"])
+def test_library_refuses_a_checkpoint_outside_the_positive_doubles(no_exp, pipeline,
+                                                                   bad):
+    # check_ladder's rule, before any exponential runs: at t = 0 the Kahane
+    # g_ratio was NaN, and hypotheses blamed log^a x at t = 0
+    ladder = (bad, 10.0, 20.0, 30.0, 40.0)
+    grid = LogGrid(0.01, 5001)
+    with pytest.raises(ParameterError, match="finite and positive"):
+        if pipeline == "kahane":
+            kahane_pipeline(grid=grid, checkpoints=ladder)
+        else:
+            hypothesis_report(SystemSpec(base="li", grid=grid), checkpoints=ladder)
 
 
 def test_cli_hypotheses_pass_and_fail(tmp_path, capsys):
@@ -762,7 +799,10 @@ def test_cli_module_entry_point(tmp_path):
 # 2^12 wherever it is valid, and kahane and mellin-fit always get one, since
 # their default grids take 500,001 and 5.6M points.  Each mellin-fit example
 # that passes its Mellin fit runs the 2.8M-point de Haan grid, so it gets
-# the fewest examples.
+# the fewest examples.  A checkpoint list is up to 7 of those edges, or 5 to
+# 7 distinct points of a ladder, and kahane takes, three times in four, a
+# grid whose last point is the ladder's top, so that its draws clear
+# check_ladder and the lattice and run the pipeline.
 
 FUZZ_FLOATS = ("nan", "inf", "-inf", "0", "-0.0", "-1", "1e308", "-1e308",
                "1e-308", "5e-324", "1e-3", "0.01", "0.5", "2", "50")
@@ -770,6 +810,8 @@ FUZZ_INTS = ("-4096", "-1", "0", "1", "2", "3", "64", "513", "4096")
 FUZZ_EXAMPLES = {"build": 150, "identities": 20, "kahane": 150, "hypotheses": 150,
                  "mellin-fit": 10}
 FUZZ_NEEDS_N = ("kahane", "mellin-fit")
+FUZZ_LADDER = ("0.5", "2", "5", "10", "20", "30", "40", "50")
+FUZZ_KAHANE_GRIDS = (("0.05", "1001"), ("0.025", "2001"), ("0.0125", "4001"))
 FUZZ_CONFIGS = {
     "li.cfg": "base = li\ngrid.h = 0.01\ngrid.n = 600\n",
     "custom.cfg": ("base = custom\ngrid.h = 0.02\ngrid.n = 3000\n"
@@ -805,7 +847,10 @@ def _fuzz_value(action, root):
             sorted(FUZZ_BAD_CONFIGS) + ["missing.cfg"])
         return names.map(lambda name: str(root / name))
     if action.dest == "checkpoints":
-        return st.lists(st.sampled_from(FUZZ_FLOATS), max_size=4).map(",".join)
+        edges = st.lists(st.sampled_from(FUZZ_FLOATS), max_size=7)
+        ladders = st.lists(st.sampled_from(FUZZ_LADDER), min_size=5, max_size=7,
+                           unique=True)
+        return (edges | ladders).map(",".join)
     assert action.dest == "out", action.dest
     # a directory, or now and then a file where the directory would go
     return st.sampled_from([str(root / "out")] * 3 + [str(root / "li.cfg")])
@@ -816,8 +861,13 @@ def _fuzz_argv(draw, command, root):
     parser = build_parser()
     sub = parser._subparsers._group_actions[0].choices[command]
     argv = [command]
+    grid = (draw(st.sampled_from((None, *FUZZ_KAHANE_GRIDS)))
+            if command == "kahane" else None)
+    if grid:
+        argv += [f"--h={grid[0]}", f"--n={grid[1]}"]
     for action in sub._actions:
-        if not action.option_strings or action.dest == "help":
+        if (not action.option_strings or action.dest == "help"
+                or (grid and action.dest in ("h", "n"))):
             continue
         always = action.required or action.dest == "out" or (
             action.dest == "n" and command in FUZZ_NEEDS_N)

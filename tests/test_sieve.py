@@ -6,6 +6,7 @@ independent rational-arithmetic oracle with zero tolerance.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -183,6 +184,28 @@ def test_prime_powers_up_to_ten():
     want = {(2, 1, 2), (3, 1, 3), (2, 2, 4), (5, 1, 5), (7, 1, 7),
             (2, 3, 8), (3, 2, 9)}
     assert got == want
+
+
+def test_prime_powers_keep_the_order_of_the_plain_sieve(monkeypatch):
+    # ascending p across many segments, each p's powers in turn
+    monkeypatch.setattr(sieve, "SEGMENT", 9_973)
+    limit = 10 ** 5
+    want = [(p, j, p ** j) for p in simple_sieve(limit).tolist()
+            for j in range(1, 17) if p ** j <= limit]
+    assert list(prime_powers(limit)) == want
+
+
+def test_prime_powers_stay_within_a_segment_of_memory():
+    # a plain sieve to 10^7 holds a 10 MB mask and 5 MB of primes at once,
+    # about 30 MB of peak; the segments hold about 9 MB
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in prime_powers(10 ** 7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 665_134
+    assert peak < 15e6
 
 
 def test_prime_power_mass_small_closed_form():

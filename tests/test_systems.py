@@ -157,7 +157,8 @@ def test_zero_perturbations_match_either_slot():
 def test_spec_validation():
     # the package's ParameterError, still a ValueError
     g = LogGrid(0.01, 64)
-    for kwargs in ({"base": "euler"}, {"base": "classical"}, {"base": "custom"}):
+    for kwargs in ({"base": "euler"}, {"base": "classical"}, {"base": "custom"},
+                   {"base": "li", "custom": DensitySpec(log_density=np.ones_like)}):
         with pytest.raises(ValueError) as exc:
             SystemSpec(grid=g, **kwargs)
         assert isinstance(exc.value, BeurlingError)

@@ -139,7 +139,7 @@ def test_every_export_is_used_or_documented():
 # src/ or tests/, by name or by position; a default that no caller changes
 # is a constant.  Calls are found by the function's name, so kernels is left
 # out: _route calls exp_newton and exp_newton_pair through the alias exp.
-OPTION_MODULES = ("pipelines", "systems", "selfcheck", "asymptotics", "csvio")
+OPTION_MODULES = tuple(p.stem for p in MODULES if p.stem != "kernels")
 
 
 def unset_options(defining: dict, calling: dict) -> list:
