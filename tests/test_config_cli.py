@@ -70,19 +70,22 @@ def test_spec_overrides_grid():
 
 # text that does not parse is a ConfigError; a value LogGrid or SystemSpec
 # refuses is a ParameterError
-@pytest.mark.parametrize("text,error", [
-    ("base = li\n", ConfigError),                       # grid missing
-    ("base = li\ngrid.h = 0.01\ngrid.n = 1e3", ConfigError),
-    ("base = nope\ngrid.h = 0.01\ngrid.n = 10", ParameterError),
-    ("base = classical\ngrid.h = 0.01\ngrid.n = 10", ParameterError),
-    ("base = custom\ngrid.h = 0.01\ngrid.n = 10", ParameterError),
-    ("base = li\ngrid.h = -1\ngrid.n = 10", ParameterError),
-    ("base = li\ngrid.h = 0.01\ngrid.n = 0", ParameterError),
-    ("base = li\ngrid.h = 0.01\ngrid.n = 10\nbase.density = u", ParameterError),
-])
-def test_spec_from_text_rejects(text, error):
-    with pytest.raises(error):
-        spec_from_text(text)
+SPEC_REFUSALS = {
+    "base = li\n": ConfigError,                         # grid missing
+    "base = li\ngrid.h = 0.01\ngrid.n = 1e3": ConfigError,
+    "base = nope\ngrid.h = 0.01\ngrid.n = 10": ParameterError,
+    "base = classical\ngrid.h = 0.01\ngrid.n = 10": ParameterError,
+    "base = custom\ngrid.h = 0.01\ngrid.n = 10": ParameterError,
+    "base = li\ngrid.h = -1\ngrid.n = 10": ParameterError,
+    "base = li\ngrid.h = 0.01\ngrid.n = 0": ParameterError,
+    "base = li\ngrid.h = 0.01\ngrid.n = 10\nbase.density = u": ParameterError,
+}
+
+
+@pytest.mark.parametrize("text,h,n", [(text, None, None) for text in SPEC_REFUSALS])
+def test_spec_from_text_rejects(text, h, n):
+    with pytest.raises(SPEC_REFUSALS[text]):
+        spec_from_text(text, h=h, n=n)
 
 
 def test_custom_base_expression_matches_stock_li():
@@ -331,16 +334,16 @@ def test_cli_build_refuses_an_overflowing_classical_grid(tmp_path, capsys,
     assert "hypotheses" in err
 
 
-@pytest.mark.parametrize("limit", ["0", "1"])
 @pytest.mark.parametrize("command", ["build", "hypotheses"])
-def test_cli_refuses_a_sieve_limit_below_two(tmp_path, capsys, command, limit):
+def test_cli_refuses_a_sieve_limit_below_two(tmp_path, capsys, command):
     # one rule, build_classical_pi's, for every limit below two
-    cfg = write_config(tmp_path, ("base = classical\ngrid.h = 0.01\n"
-                                  f"grid.n = 5001\nsieve_limit = {limit}\n"))
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "FAIL parameters error=ParameterError('sieve limit must be at least 2, "
-        f"got {limit}')"]
+    for limit in ("0", "1"):
+        cfg = write_config(tmp_path, ("base = classical\ngrid.h = 0.01\n"
+                                      f"grid.n = 5001\nsieve_limit = {limit}\n"))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "FAIL parameters error=ParameterError('sieve limit must be at least 2, "
+            f"got {limit}')"]
 
 
 @pytest.mark.parametrize("command", ["build", "hypotheses"])
